@@ -61,11 +61,13 @@ class Interface:
             return
         self.rx_packets += 1
         self.rx_bytes += packet.size_bytes
-        if self.delivery_override is not None:
-            self.delivery_override(packet, self)
+        override = self.delivery_override
+        if override is not None:
+            override(packet, self)
             return
-        if self.owner is not None:
-            self.owner.receive_packet(packet, self)
+        owner = self.owner
+        if owner is not None:
+            owner.receive_packet(packet, self)
 
     def deliver_batch(self, packets: Sequence["Packet"]) -> None:
         """Batch counterpart of :meth:`deliver` (one call for a whole burst)."""
@@ -96,8 +98,9 @@ class Interface:
             return False
         self.tx_packets += 1
         self.tx_bytes += packet.size_bytes
-        if self.link is not None:
-            return self.link.transmit(packet, self)
+        link = self.link
+        if link is not None:
+            return link.transmit(packet, self)
         return False
 
     def send_batch(self, packets: Sequence["Packet"]) -> int:
@@ -228,8 +231,9 @@ class Host:
     def receive_packet(self, packet: "Packet", interface: Interface) -> None:
         """Entry point for packets arriving on any of this host's interfaces."""
         self.rx_packets += 1
-        if self.packet_handler is not None:
-            self.packet_handler(packet, interface)
+        handler = self.packet_handler
+        if handler is not None:
+            handler(packet, interface)
             return
         self.handle_packet(packet, interface)
 

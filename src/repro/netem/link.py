@@ -103,7 +103,10 @@ class Link:
         self._rng = rng or random.Random(0)
         self.endpoint_a: Optional["Interface"] = None
         self.endpoint_b: Optional["Interface"] = None
-        self._directions: Dict[str, _Direction] = {"a_to_b": _Direction(), "b_to_a": _Direction()}
+        self._a_to_b = _Direction()
+        self._b_to_a = _Direction()
+        #: The same two objects by name, for the fluid solver's string keys.
+        self._directions: Dict[str, _Direction] = {"a_to_b": self._a_to_b, "b_to_a": self._b_to_a}
         self.up = True
 
     # ----------------------------------------------------------- wiring
@@ -118,15 +121,19 @@ class Link:
         b.link = self
         return self
 
-    def peer_of(self, interface: "Interface") -> "Interface":
-        """Return the interface at the other end of the link."""
+    def _egress(self, interface: "Interface") -> Tuple[_Direction, "Interface"]:
+        """Direction state and peer for traffic leaving through ``interface``."""
         if interface is self.endpoint_a:
             assert self.endpoint_b is not None
-            return self.endpoint_b
+            return self._a_to_b, self.endpoint_b
         if interface is self.endpoint_b:
             assert self.endpoint_a is not None
-            return self.endpoint_a
+            return self._b_to_a, self.endpoint_a
         raise ValueError(f"interface {interface!r} is not attached to link {self.name}")
+
+    def peer_of(self, interface: "Interface") -> "Interface":
+        """Return the interface at the other end of the link."""
+        return self._egress(interface)[1]
 
     # ----------------------------------------------------- transmission
 
@@ -167,33 +174,38 @@ class Link:
 
         Returns ``True`` if the packet was accepted for transmission (it may
         still be lost in flight), ``False`` if it was dropped immediately
-        (link down or full queue).
+        (link down or full queue).  An interface that is not an endpoint of
+        this link raises ``ValueError`` before any state is touched.
         """
-        direction_key = "a_to_b" if from_interface is self.endpoint_a else "b_to_a"
-        direction = self._directions[direction_key]
+        direction, destination = self._egress(from_interface)
+        stats = direction.stats
         size = packet.size_bytes
 
-        if not self.up:
-            direction.stats.record_drop(size)
-            return False
-        if direction.queue_depth >= self.max_queue_packets:
-            direction.stats.record_drop(size)
+        depth = direction.queue_depth
+        if not self.up or depth >= self.max_queue_packets:
+            stats.dropped_packets += 1
+            stats.dropped_bytes += size
             return False
 
-        now = self.simulator.now
-        start = max(now, direction.busy_until)
-        serialization = self._packet_serialization_delay(size, direction)
-        direction.busy_until = start + serialization
-        arrival = direction.busy_until + self.delay_s
+        simulator = self.simulator
+        now = simulator.now
+        start = direction.busy_until
+        if start < now:
+            start = now
+        if direction.fluid_load_bps <= 0.0:  # the usual case, spelled out: no call per packet
+            busy_until = start + (size * 8) / self.bandwidth_bps
+        else:
+            busy_until = start + self._packet_serialization_delay(size, direction)
+        direction.busy_until = busy_until
 
-        direction.queue_depth += 1
-        direction.stats.queued_high_water = max(
-            direction.stats.queued_high_water, direction.queue_depth
-        )
+        direction.queue_depth = depth = depth + 1
+        if depth > stats.queued_high_water:
+            stats.queued_high_water = depth
 
         lost = self.loss_rate > 0.0 and self._rng.random() < self.loss_rate
-        destination = self.peer_of(from_interface)
-        self.simulator.schedule_at(arrival, self._deliver, packet, destination, direction, lost)
+        simulator.schedule_at(
+            busy_until + self.delay_s, self._deliver, packet, destination, direction, lost, size
+        )
         return True
 
     def transmit_batch(self, packets: Iterable["Packet"], from_interface: "Interface") -> int:
@@ -208,8 +220,7 @@ class Link:
         packets = list(packets)
         if not packets:
             return 0
-        direction_key = "a_to_b" if from_interface is self.endpoint_a else "b_to_a"
-        direction = self._directions[direction_key]
+        direction, destination = self._egress(from_interface)
 
         if not self.up:
             for packet in packets:
@@ -236,7 +247,6 @@ class Link:
             direction.stats.queued_high_water, direction.queue_depth
         )
         arrival = direction.busy_until + self.delay_s
-        destination = self.peer_of(from_interface)
         self.simulator.schedule_at(arrival, self._deliver_batch, accepted, destination, direction)
         return len(accepted)
 
@@ -246,12 +256,17 @@ class Link:
         destination: "Interface",
         direction: _Direction,
         lost: bool,
+        size: int,
     ) -> None:
+        """The one event of a hop; ``size`` is what ``transmit`` serialized."""
         direction.queue_depth -= 1
+        stats = direction.stats
         if lost or not self.up:
-            direction.stats.record_drop(packet.size_bytes)
+            stats.dropped_packets += 1
+            stats.dropped_bytes += size
             return
-        direction.stats.record_tx(packet.size_bytes)
+        stats.tx_packets += 1
+        stats.tx_bytes += size
         packet.hops += 1
         destination.deliver(packet)
 
@@ -281,8 +296,7 @@ class Link:
 
     def stats(self, from_interface: "Interface") -> LinkStats:
         """Counters for the direction whose transmissions originate at ``from_interface``."""
-        key = "a_to_b" if from_interface is self.endpoint_a else "b_to_a"
-        return self._directions[key].stats
+        return self._egress(from_interface)[0].stats
 
     @property
     def total_stats(self) -> LinkStats:

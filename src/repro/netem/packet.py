@@ -11,7 +11,7 @@ UI shows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 # Protocol numbers mirror IANA assignments so firewall rules read naturally.
@@ -41,6 +41,9 @@ class EthernetHeader:
     dst: str
     ethertype: int = ETHERTYPE_IPV4
 
+    def copy(self) -> "EthernetHeader":
+        return EthernetHeader(self.src, self.dst, self.ethertype)
+
     def swapped(self) -> "EthernetHeader":
         """Return a copy with source and destination exchanged."""
         return EthernetHeader(src=self.dst, dst=self.src, ethertype=self.ethertype)
@@ -55,6 +58,9 @@ class IPv4Header:
     protocol: int = PROTO_TCP
     ttl: int = 64
     dscp: int = 0
+
+    def copy(self) -> "IPv4Header":
+        return IPv4Header(self.src, self.dst, self.protocol, self.ttl, self.dscp)
 
     def swapped(self) -> "IPv4Header":
         return IPv4Header(src=self.dst, dst=self.src, protocol=self.protocol, ttl=64, dscp=self.dscp)
@@ -73,6 +79,12 @@ class TCPHeader:
     rst: bool = False
     ack_flag: bool = False
 
+    def copy(self) -> "TCPHeader":
+        return TCPHeader(
+            self.src_port, self.dst_port, self.seq, self.ack,
+            self.syn, self.fin, self.rst, self.ack_flag,
+        )
+
     def swapped(self) -> "TCPHeader":
         return TCPHeader(
             src_port=self.dst_port,
@@ -90,6 +102,9 @@ class UDPHeader:
     src_port: int
     dst_port: int
 
+    def copy(self) -> "UDPHeader":
+        return UDPHeader(self.src_port, self.dst_port)
+
     def swapped(self) -> "UDPHeader":
         return UDPHeader(src_port=self.dst_port, dst_port=self.src_port)
 
@@ -102,6 +117,9 @@ class ICMPHeader:
     code: int = 0
     identifier: int = 0
     sequence: int = 0
+
+    def copy(self) -> "ICMPHeader":
+        return ICMPHeader(self.icmp_type, self.code, self.identifier, self.sequence)
 
     def reply(self) -> "ICMPHeader":
         return ICMPHeader(icmp_type=0, code=0, identifier=self.identifier, sequence=self.sequence)
@@ -116,6 +134,9 @@ class HTTPRequest:
     path: str
     headers: Dict[str, str] = field(default_factory=dict)
     body_bytes: int = 0
+
+    def copy(self) -> "HTTPRequest":
+        return HTTPRequest(self.method, self.host, self.path, dict(self.headers), self.body_bytes)
 
     @property
     def url(self) -> str:
@@ -132,6 +153,11 @@ class HTTPResponse:
     headers: Dict[str, str] = field(default_factory=dict)
     request_url: str = ""
 
+    def copy(self) -> "HTTPResponse":
+        return HTTPResponse(
+            self.status, self.content_type, self.body_bytes, dict(self.headers), self.request_url
+        )
+
 
 @dataclass
 class DNSQuery:
@@ -140,6 +166,9 @@ class DNSQuery:
     name: str
     qtype: str = "A"
     query_id: int = 0
+
+    def copy(self) -> "DNSQuery":
+        return DNSQuery(self.name, self.qtype, self.query_id)
 
 
 @dataclass
@@ -151,6 +180,9 @@ class DNSResponse:
     qtype: str = "A"
     query_id: int = 0
     ttl: int = 60
+
+    def copy(self) -> "DNSResponse":
+        return DNSResponse(self.name, self.addresses, self.qtype, self.query_id, self.ttl)
 
 
 TransportHeader = Union[TCPHeader, UDPHeader, ICMPHeader]
@@ -316,14 +348,16 @@ class Packet:
 
     def copy(self) -> "Packet":
         """Clone the packet (new identity, copied headers and metadata)."""
+        eth, ip, l4, app = self.eth, self.ip, self.l4, self._app
         clone = Packet(
-            eth=replace(self.eth) if self.eth is not None else None,
-            ip=replace(self.ip) if self.ip is not None else None,
-            l4=replace(self.l4) if self.l4 is not None else None,
-            app=replace(self.app) if self.app is not None else None,
-            payload_bytes=self.payload_bytes,
+            eth=eth.copy() if eth is not None else None,
+            ip=ip.copy() if ip is not None else None,
+            l4=l4.copy() if l4 is not None else None,
+            app=app.copy() if app is not None else None,
+            payload_bytes=self._payload_bytes,
             created_at=self.created_at,
         )
+        clone._size_cache = self._size_cache  # same headers and payload, same size
         clone.metadata = dict(self.metadata)
         clone.hops = self.hops
         return clone

@@ -6,7 +6,10 @@ heartbeats, client mobility, NF migrations) is driven by a single
 dependency-free:
 
 * events are callbacks scheduled at an absolute simulated time,
-* ties are broken by insertion order so runs are fully deterministic,
+* the queue is a heap of plain ``(time, sequence, event)`` tuples, so ordering
+  is decided by C tuple comparison; the sequence number is unique, which
+  breaks ties by insertion order (runs are fully deterministic) and means the
+  :class:`Event` itself is never compared,
 * lightweight generator-based processes are supported for code that reads
   more naturally as sequential logic (e.g. a migration that waits for a
   checkpoint transfer to finish).
@@ -18,21 +21,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from math import inf
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulation kernel is misused."""
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    """Internal heap entry; ordering is (time, sequence)."""
-
-    time: float
-    sequence: int
-    event: "Event" = field(compare=False)
 
 
 class Event:
@@ -44,7 +38,7 @@ class Event:
     resumed with it (even if they start waiting after the event fired).
     """
 
-    __slots__ = ("time", "callback", "args", "kwargs", "cancelled", "fired", "name", "result", "_waiters", "_simulator")
+    __slots__ = ("time", "callback", "args", "kwargs", "cancelled", "fired", "result", "_waiters", "_simulator")
 
     def __init__(
         self,
@@ -52,18 +46,24 @@ class Event:
         callback: Callable[..., Any],
         args: tuple = (),
         kwargs: Optional[dict] = None,
-        name: str = "",
+        simulator: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
         self.callback = callback
         self.args = args
-        self.kwargs = kwargs or {}
+        #: ``None`` unless keyword arguments were given: the common event
+        #: carries no per-event dict and fires as ``callback(*args)``.
+        self.kwargs = kwargs or None
         self.cancelled = False
         self.fired = False
-        self.name = name or getattr(callback, "__name__", "event")
         self.result: Any = None
         self._waiters: Optional[List[Callable[[Any], None]]] = None
-        self._simulator: Optional["Simulator"] = None
+        self._simulator = simulator
+
+    @property
+    def name(self) -> str:
+        """The callback's ``__name__`` (resolved on demand, not per event)."""
+        return getattr(self.callback, "__name__", "event")
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Cancelling a fired event is a no-op.
@@ -75,7 +75,7 @@ class Event:
             return
         self.cancelled = True
         if self._simulator is not None:
-            self._simulator._note_cancelled()
+            self._simulator._cancelled_in_queue += 1
         if self._waiters is not None:
             waiters, self._waiters = self._waiters, None
             for waiter in waiters:
@@ -236,7 +236,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._queue: List[_QueueEntry] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._running = False
         self._event_count = 0
@@ -269,16 +269,16 @@ class Simulator:
         """Raw queue length, including cancelled-but-not-yet-popped events."""
         return len(self._queue)
 
-    def _note_cancelled(self) -> None:
-        self._cancelled_in_queue += 1
-
     # ------------------------------------------------------------- scheduling
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
         """Schedule ``callback(*args, **kwargs)`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args, **kwargs)
+        time = self._now + delay
+        event = Event(time, callback, args, kwargs, self)
+        heapq.heappush(self._queue, (time, next(self._sequence), event))
+        return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
         """Schedule ``callback`` at an absolute simulated time."""
@@ -286,9 +286,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time} before current time t={self._now}"
             )
-        event = Event(time, callback, args, kwargs)
-        event._simulator = self
-        heapq.heappush(self._queue, _QueueEntry(time, next(self._sequence), event))
+        event = Event(time, callback, args, kwargs, self)
+        heapq.heappush(self._queue, (time, next(self._sequence), event))
         return event
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -331,27 +330,33 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run() call)")
         self._running = True
-        processed = 0
+        queue = self._queue
+        pop = heapq.heappop
+        time_limit = inf if until is None else until
+        count_limit = inf if max_events is None else self._event_count + max_events
         try:
-            while self._queue:
-                entry = self._queue[0]
-                if until is not None and entry.time > until:
+            while queue:
+                time = queue[0][0]
+                if time > time_limit:
                     break
-                heapq.heappop(self._queue)
-                event = entry.event
+                event = pop(queue)[2]
                 if event.cancelled:
                     self._cancelled_in_queue -= 1
                     continue
-                self._now = entry.time
+                self._now = time
                 event.fired = True
-                event.result = event.callback(*event.args, **event.kwargs)
-                self._event_count += 1
-                processed += 1
+                kwargs = event.kwargs
+                if kwargs is None:
+                    result = event.callback(*event.args)
+                else:
+                    result = event.callback(*event.args, **kwargs)
+                event.result = result
+                self._event_count = count = self._event_count + 1
                 if event._waiters is not None:
                     waiters, event._waiters = event._waiters, None
                     for waiter in waiters:
-                        waiter(event.result)
-                if max_events is not None and processed >= max_events:
+                        waiter(result)
+                if count >= count_limit:
                     break
         finally:
             self._running = False

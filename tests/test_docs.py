@@ -47,6 +47,16 @@ def test_bench_catalogue_detects_drift(tmp_path, monkeypatch):
     assert len(problems) == 2  # uncatalogued module + stale citation
 
 
+def test_readme_experiment_range_matches_bench_catalogue(tmp_path, monkeypatch):
+    assert docs_check.check_experiment_range() == []
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "bench_e3_density.py").write_text("")
+    (tmp_path / "README.md").write_text("the E1–E3 catalogue; run all (E1..E2)\n")
+    monkeypatch.setattr(docs_check, "REPO_ROOT", str(tmp_path))
+    problems = docs_check.check_experiment_range()
+    assert len(problems) == 1 and "E2" in problems[0]  # only the stale range
+
+
 def test_readme_has_runnable_quickstart_snippets():
     # The snippets themselves run in CI's docs-check job; tier-1 just pins
     # that they exist and still import from the public scenario API.

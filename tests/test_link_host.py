@@ -132,6 +132,27 @@ def test_peer_of_unknown_interface_rejected(simulator):
         link.peer_of(stranger)
 
 
+@pytest.mark.parametrize("batch", [False, True], ids=["transmit", "transmit_batch"])
+def test_transmit_from_unattached_interface_leaves_no_phantom_queue(simulator, batch):
+    a, b, link = make_pair(simulator)
+    stranger = Interface("x", mac="02:00:00:00:00:99")
+    packet = pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2, payload_bytes=100)
+    with pytest.raises(ValueError):
+        if batch:
+            link.transmit_batch([packet], stranger)
+        else:
+            link.transmit(packet, stranger)
+    for direction in link._directions.values():
+        assert direction.queue_depth == 0
+        assert direction.busy_until == 0.0
+        assert direction.stats.queued_high_water == 0
+    assert simulator.pending_events == 0
+    # The link is still fully usable afterwards.
+    b.send(packet)
+    simulator.run()
+    assert len(a.received) == 1
+
+
 def test_host_duplicate_interface_name_rejected(simulator):
     host = Host(simulator, "h")
     host.add_interface(Interface("eth0", mac="02:00:00:00:00:01"))

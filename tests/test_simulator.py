@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import random
+
 import pytest
 
 from repro.netem.simulator import Event, Process, SimulationError, Simulator
@@ -335,3 +338,136 @@ def test_drain_cancels_events():
     sim.drain(events)
     sim.run()
     assert seen == []
+
+
+# ------------------------------------------------------- kernel contract
+#
+# The heap holds plain ``(time, sequence, event)`` tuples: ordering must be
+# decided by time and insertion sequence alone, never by comparing events or
+# their callbacks.
+
+
+class _Recorder:
+    def __init__(self):
+        self.seen = []
+
+    def note(self, index):
+        self.seen.append(index)
+
+
+def test_colliding_timestamps_fire_in_insertion_order_with_unorderable_callbacks():
+    sim = Simulator()
+    recorder = _Recorder()
+    seen = recorder.seen
+    makers = (
+        lambda index: (lambda: seen.append(index), ()),  # a fresh lambda per event
+        lambda index: (recorder.note, (index,)),  # bound method
+        lambda index: (functools.partial(recorder.note, index), ()),  # partial (no __name__)
+    )
+    timestamps = (0.0, 0.5, 0.5, 2.0)  # heavy collisions, including at t=now
+    for index in range(10_000):
+        callback, args = makers[index % 3](index)
+        sim.schedule_at(timestamps[index % 4], callback, *args)
+    sim.run()
+    expected = sorted(range(10_000), key=lambda index: (timestamps[index % 4], index))
+    assert seen == expected
+
+
+def test_same_time_events_scheduled_from_a_callback_run_after_the_queued_ones():
+    sim = Simulator()
+    seen = []
+
+    def first():
+        seen.append("first")
+        sim.schedule(0.0, seen.append, "child")
+
+    sim.schedule(1.0, first)
+    sim.schedule(1.0, seen.append, "second")
+    sim.run()
+    assert seen == ["first", "second", "child"]
+
+
+def test_events_processed_is_exact_inside_callbacks_and_after_max_events():
+    sim = Simulator()
+    readings = []
+    for index in range(10):
+        sim.schedule(float(index), lambda: readings.append(sim.events_processed))
+    sim.run(max_events=4)
+    # A callback sees the events that fired before it.
+    assert readings == [0, 1, 2, 3]
+    assert sim.events_processed == 4
+    assert sim.pending_events == 6
+    sim.run(max_events=1)
+    assert sim.events_processed == 5
+    sim.run()
+    assert readings == list(range(10))
+    assert sim.events_processed == 10
+
+
+def test_live_and_queued_counts_match_a_brute_count_under_interleaved_cancel():
+    sim = Simulator()
+    rng = random.Random(7)
+    events = []
+
+    def check():
+        # Live events are counted from the handles alone; the lazily deleted
+        # remainder from the heap's (time, sequence, event) entries.
+        assert sim.pending_events == sum(1 for event in events if event.pending)
+        lingering = sum(1 for entry in sim._queue if entry[2].cancelled)
+        assert sim.queued_events - sim.pending_events == lingering
+
+    def churn():
+        events.append(sim.schedule(rng.random(), churn_leaf))
+        rng.choice(events).cancel()  # may hit fired, cancelled or pending events
+        check()
+
+    def churn_leaf():
+        check()
+
+    for _ in range(300):
+        events.append(sim.schedule(rng.random() * 5.0, churn))
+        if rng.random() < 0.3:
+            rng.choice(events).cancel()
+        check()
+    sim.run(until=2.5)
+    check()
+    sim.run()
+    assert sim.pending_events == sim.queued_events == 0
+
+
+def test_keyword_callbacks_and_periodic_kwargs_still_work():
+    sim = Simulator()
+    captured = []
+    plain = sim.schedule(1.0, lambda: "no-kwargs")
+    keyed = sim.schedule(1.0, lambda a, scale=1: a * scale, 3, scale=5)
+    task = sim.every(1.0, lambda tag, extra=None: captured.append((tag, extra)), "tick", extra="x")
+    sim.run(until=3.0)
+    task.stop()
+    assert plain.kwargs is None  # no per-event dict unless keywords were given
+    assert keyed.kwargs == {"scale": 5}
+    assert (plain.result, keyed.result) == ("no-kwargs", 15)
+    assert captured == [("tick", "x")] * 3
+
+
+def test_event_name_is_resolved_from_the_callback_on_demand():
+    sim = Simulator()
+    recorder = _Recorder()
+
+    def named():
+        return None
+
+    assert sim.schedule(1.0, named).name == "named"
+    assert sim.schedule(1.0, recorder.note, 1).name == "note"
+    assert sim.schedule(1.0, functools.partial(named)).name == "event"
+
+
+def test_rejected_schedules_leave_the_queue_untouched():
+    sim = Simulator(start_time=10.0)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(9.999, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule(-1e-9, lambda: None)
+    assert sim.queued_events == 0
+    sim.schedule_at(10.0, lambda: None)  # "now" is still allowed
+    sim.run()
+    assert sim.events_processed == 1

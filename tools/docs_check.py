@@ -15,7 +15,9 @@ Verifies that the documentation cannot silently rot:
    row cites an existing file).
 4. The bundle table in ``docs/ARCHITECTURE.md`` lists *exactly* the
    ``name@vN`` refs registered in the default bundle catalogue.
-5. (``--run-snippets``) The README's Python quickstart snippets execute
+5. Every experiment range the README quotes (``E1–E16``, ``E1..E16``)
+   ends at the last experiment of the benchmark catalogue.
+6. (``--run-snippets``) The README's Python quickstart snippets execute
    successfully against the current tree.
 
 Run from the repository root::
@@ -60,6 +62,11 @@ _SCENARIO_TABLE_ROW = re.compile(r"^\|\s*`([a-z0-9\-]+)`\s*\|", re.MULTILINE)
 _BENCH_TABLE_ROW = re.compile(
     r"^\|\s*E\d+[a-z]?\s*\|\s*`(benchmarks/bench_[a-z0-9_]+\.py)`", re.MULTILINE
 )
+
+#: Experiment ranges quoted in prose ("E1–E16", "E1..E16") and the experiment
+#: number a bench module's file name carries.
+_EXPERIMENT_RANGE = re.compile(r"\bE1(?:–|-|\.\.)E(\d+)\b")
+_BENCH_MODULE_NUMBER = re.compile(r"bench_e(\d+)[a-z]?_")
 
 #: Rows of the bundle table in docs/ARCHITECTURE.md: | `name@vN` | ... |
 _BUNDLE_TABLE_ROW = re.compile(r"^\|\s*`([a-z0-9\-]+@v\d+)`\s*\|", re.MULTILINE)
@@ -134,6 +141,23 @@ def check_bench_catalogue() -> List[str]:
     return problems
 
 
+def check_experiment_range() -> List[str]:
+    """The README's "E1–E<n>" ranges must end at the catalogue's last experiment."""
+    numbers = [
+        int(number)
+        for bench in glob.glob(os.path.join(REPO_ROOT, "benchmarks", "bench_*.py"))
+        for number in _BENCH_MODULE_NUMBER.findall(os.path.basename(bench))
+    ]
+    if not numbers:
+        return []  # check_bench_catalogue() reports the empty catalogue
+    last = max(numbers)
+    return [
+        f"README.md: experiment range ends at E{quoted}, the bench catalogue at E{last}"
+        for quoted in _EXPERIMENT_RANGE.findall(_read("README.md"))
+        if int(quoted) != last
+    ]
+
+
 def check_bundle_catalogue() -> List[str]:
     """docs/ARCHITECTURE.md must table exactly the catalogued bundle refs."""
     from repro.core.bundles import default_catalogue
@@ -178,6 +202,7 @@ def main(argv: List[str] = None) -> int:
         check_paths(DOC_FILES)
         + check_scenario_names(DOC_FILES)
         + check_bench_catalogue()
+        + check_experiment_range()
         + check_bundle_catalogue()
     )
     if args.run_snippets:
