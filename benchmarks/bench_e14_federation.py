@@ -1,10 +1,11 @@
 """E14 -- Federated control plane at fleet scale: streaming rollups vs scans.
 
-Paper claim: GNF targets "edge clouds ... handling millions of users".  One
-region's ShardedManager (E7) scales the heartbeat path; an operator fleet
-adds a federation tier on top.  This experiment measures what the tier buys:
+Paper claim: GNF targets "edge clouds ... handling millions of users".  E7
+scales the heartbeat path with shards; an operator fleet also groups them
+into regions.  This experiment measures the same ``ShardedManager`` at
+region x shard shapes:
 
-1. **Read path at population scale** -- a federation of 4 regions x 8 shards
+1. **Read path at population scale** -- a frontend of 4 regions x 8 shards
    carries a million-client directory (``--e14-clients``); the streaming
    rollup ``overview()`` is timed against the brute-force
    ``full_scan_overview()`` that recomputes the same summary from
@@ -13,7 +14,7 @@ adds a federation tier on top.  This experiment measures what the tier buys:
    (``E14_MIN_SPEEDUP``).
 2. **Heartbeat throughput scaling with regions** -- the E7b harness one tier
    up: a fixed station fleet fires pre-built heartbeat waves through the
-   real federation bus at region counts ``--e14-regions`` (x8 shards each),
+   frontend's one bus at region counts ``--e14-regions`` (x8 shards each),
    against a single unsharded Manager baseline.  The best federated config
    must process heartbeats >= 2x the baseline rate (``E14_MIN_SCALING``).
 3. **Hybrid-mode federated testbed** -- a real ``GNFTestbed`` at 4 regions x
@@ -40,9 +41,9 @@ from repro.analysis.report import ExperimentResult
 from repro.core.agent import GNFAgent
 from repro.core.api import AgentHeartbeat, ClientEvent
 from repro.core.chain import ServiceChain
-from repro.core.federation import FederatedManager
 from repro.core.manager import GNFManager
 from repro.core.repository import NFRepository
+from repro.core.sharding import ShardedManager
 from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem.simulator import Simulator
 from repro.netem.topology import EdgeTopology, TopologyConfig
@@ -75,10 +76,10 @@ def _build_federation(station_count: int, region_count: int, shards_per_region: 
     topology = EdgeTopology(simulator, TopologyConfig(station_count=station_count))
     repository = NFRepository.with_default_catalog()
     if region_count > 1 or shards_per_region > 1:
-        manager = FederatedManager(
+        manager = ShardedManager(
             simulator,
             region_count=region_count,
-            shards_per_region=shards_per_region,
+            shard_count=shards_per_region,
             station_count=station_count,
             repository=repository,
             topology=topology,
@@ -119,7 +120,7 @@ def _read_path_comparison(client_count: int, station_count: int, reads: int):
     simulator.run()
 
     # Pour the client population into the directory through the real
-    # delivery path (region + shard directories and the rollup counters all
+    # delivery path (leaf + global directories and the rollup counters all
     # see every event, exactly as live Agents would report them).
     ingest_started = time.perf_counter()
     for index in range(client_count):
@@ -243,7 +244,7 @@ def _hybrid_leg(station_count: int, duration_s: float):
     assignments = [testbed.manager.attach_nf(client.ip, "firewall") for client in clients]
     testbed.run(duration_s)
     manager = testbed.manager
-    assert isinstance(manager, FederatedManager)
+    assert isinstance(manager, ShardedManager)
     streamed, scanned = manager.overview(), manager.full_scan_overview()
     assert streamed == scanned
     return {

@@ -9,7 +9,7 @@ The package is organised as the paper's system plus every substrate it runs
 on:
 
 * :mod:`repro.core` -- the GNF Manager, Agents, UI, NF repository, service
-  chains, placement, scheduling and the roaming/migration coordinator.
+  chains, placement, scheduling and the migration engine.
 * :mod:`repro.containers` -- the simulated container runtime (images,
   cgroups, namespaces, veth wiring, checkpoint/restore).
 * :mod:`repro.netem` -- the discrete-event network emulator (packets, links,
@@ -44,7 +44,6 @@ from repro.core import (
     GNFTestbed,
     MigrationRecord,
     NFRepository,
-    RoamingCoordinator,
     ServiceChain,
     TestbedConfig,
     TimeSchedule,
@@ -59,7 +58,6 @@ __all__ = [
     "GNFManager",
     "GNFAgent",
     "GNFDashboard",
-    "RoamingCoordinator",
     "MigrationRecord",
     "NFRepository",
     "ServiceChain",

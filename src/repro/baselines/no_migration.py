@@ -6,7 +6,7 @@ client roams, its traffic enters the new station (which has no steering rules
 for it) and bypasses the chain entirely -- policy coverage is silently lost.
 
 :class:`NoMigrationCoordinator` plugs into the Manager exactly where the real
-:class:`~repro.core.roaming.RoamingCoordinator` would, but instead of
+:class:`~repro.core.migration.MigrationEngine` would, but instead of
 migrating it only records the coverage loss, so benchmark E5 can quantify the
 difference (packets processed by the chain before vs. after the handover,
 and policy violations such as blocked pages that suddenly load).
@@ -34,7 +34,7 @@ class CoverageLossRecord:
 
 
 class NoMigrationCoordinator:
-    """A roaming coordinator that never migrates (the no-roaming baseline)."""
+    """A roaming hook that never migrates (the no-roaming baseline)."""
 
     strategy = "no-migration"
 
@@ -44,12 +44,12 @@ class NoMigrationCoordinator:
         self.records: List[CoverageLossRecord] = []
         manager.roaming = self  # type: ignore[assignment]
 
-    # The Manager calls these exactly like it calls the real coordinator.
+    # The Manager calls these exactly like it calls the real engine.
 
-    def handle_client_disconnected(self, assignment: Assignment, event: ClientEvent) -> None:
+    def client_disconnected(self, assignment: Assignment, event: ClientEvent) -> None:
         """Nothing to prepare: the chain will simply be left behind."""
 
-    def handle_client_reconnected(self, assignment: Assignment, event: ClientEvent) -> None:
+    def client_reconnected(self, assignment: Assignment, event: ClientEvent) -> None:
         """No staged roaming state to drop."""
 
     def assignment_released(self, assignment_id: str) -> None:
@@ -58,7 +58,7 @@ class NoMigrationCoordinator:
     def shutdown(self) -> None:
         """Nothing periodic to stop."""
 
-    def handle_client_connected(self, assignment: Assignment, event: ClientEvent) -> None:
+    def client_connected(self, assignment: Assignment, event: ClientEvent) -> None:
         """Record that the chain is now stranded on the old station."""
         self.records.append(
             CoverageLossRecord(

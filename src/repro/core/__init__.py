@@ -5,7 +5,7 @@
 * :mod:`repro.core.agent` -- the per-station Agent (container lifecycle,
   veth/flow-rule wiring, client events, heartbeats).
 * :mod:`repro.core.ui` -- the operator dashboard over the Manager API.
-* :mod:`repro.core.roaming` -- NF migration that follows roaming clients
+* :mod:`repro.core.migration` -- NF migration that follows roaming clients
   (cold / stateful / pre-copy strategies).
 * :mod:`repro.core.repository` -- the central NF image catalogue.
 * :mod:`repro.core.chain` / :mod:`repro.core.policy` -- service chains and
@@ -13,8 +13,9 @@
 * :mod:`repro.core.placement` -- the placement subsystem: strategies
   (closest agent, least-loaded, latency-weighted, bin-packing, core...),
   the PlacementEngine (admission control + queueing) and the NFAutoscaler.
-* :mod:`repro.core.sharding` -- the sharded control plane (ShardedManager
-  frontend, ControlBus message coalescing, cross-shard handoffs).
+* :mod:`repro.core.sharding` -- the multi-leaf control plane (ShardedManager
+  frontend over region x shard leaves, ControlBus message coalescing,
+  handoffs between leaves).
 * :mod:`repro.core.scheduler` -- time-scheduled NF activation.
 * :mod:`repro.core.bundles` -- versioned service-bundle templates (multi-
   slice NF graphs with per-slice SLOs) and the rolling-upgrade
@@ -58,7 +59,8 @@ from repro.core.errors import (
     UnknownClientError,
 )
 from repro.core.manager import Assignment, AssignmentState, GNFManager
-from repro.core.monitoring import HealthMonitor, Hotspot, HotspotDetector
+from repro.core.migration import MigrationEngine, MigrationRecord
+from repro.core.monitoring import Hotspot, HotspotDetector
 from repro.core.notifications import NotificationCenter, ProviderNotification
 from repro.core.placement import (
     AdmissionPolicy,
@@ -78,7 +80,6 @@ from repro.core.placement import (
 )
 from repro.core.policy import TrafficSelector
 from repro.core.repository import CatalogEntry, NFRepository
-from repro.core.roaming import MigrationEngine, MigrationRecord, RoamingCoordinator
 from repro.core.scheduler import NFScheduler, ScheduleWindow, TimeSchedule
 from repro.core.sharding import ControlBus, ShardedManager, ShardHandoff, StationShardMap
 from repro.core.testbed import GNFTestbed, TestbedConfig
@@ -96,7 +97,6 @@ __all__ = [
     "Assignment",
     "AssignmentState",
     "GNFDashboard",
-    "RoamingCoordinator",
     "MigrationEngine",
     "MigrationRecord",
     "NFRepository",
@@ -128,7 +128,6 @@ __all__ = [
     "ScaleEvent",
     "StationView",
     "make_strategy",
-    "HealthMonitor",
     "HotspotDetector",
     "Hotspot",
     "NotificationCenter",

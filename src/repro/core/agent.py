@@ -21,7 +21,7 @@ Concretely, this Agent:
   to the Manager,
 * sends periodic heartbeats with resource, switch and per-NF statistics,
 * relays NF notifications to the Manager, and
-* checkpoints / restores chains on behalf of the roaming coordinator.
+* checkpoints / restores chains on behalf of the migration engine.
 """
 
 from __future__ import annotations
@@ -621,7 +621,7 @@ class GNFAgent:
     def flush_client_flows(self, client_ip: str) -> int:
         """Drop every fast-path cache entry touching ``client_ip``.
 
-        Called on chain teardown and by the roaming coordinator after a
+        Called on chain teardown and by the migration engine after a
         migration: a stale cached verdict must never keep steering a roamed
         client's traffic into the old station's (now removed) chain.
         """

@@ -12,8 +12,13 @@ notifications through their local Agent to the Manager."
 This class implements exactly those responsibilities: the attach/detach API
 used by the UI, Agent registration and heartbeat processing, client-location
 tracking fed by Agent (dis)connection events, hotspot detection,
-notification collection, and the hook the roaming coordinator uses to
-migrate NFs when a client shows up at a different station.
+notification collection, and the hook the migration engine uses to move NFs
+when a client shows up at a different station.
+
+:class:`ControlPlane` is the part of that surface a lone Manager shares with
+the multi-leaf frontend (:class:`~repro.core.sharding.ShardedManager`): the
+attach/detach API up to the point a placed assignment is handed to the
+Manager serving its station.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional
 
 from repro.core.agent import ChainDeployment, GNFAgent
 from repro.core.api import (
@@ -32,7 +37,7 @@ from repro.core.api import (
 )
 from repro.core.chain import ServiceChain
 from repro.core.errors import UnknownAgentError, UnknownAssignmentError, UnknownClientError
-from repro.core.monitoring import HealthMonitor, HotspotDetector
+from repro.core.monitoring import HotspotDetector
 from repro.core.notifications import NotificationCenter, ProviderNotification
 from repro.core.placement import (
     ChainSegment,
@@ -46,9 +51,7 @@ from repro.core.repository import NFRepository
 from repro.core.scheduler import NFScheduler, TimeSchedule
 from repro.netem.simulator import Simulator
 from repro.netem.topology import EdgeTopology
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.roaming import RoamingCoordinator
+from repro.telemetry.rollup import HealthRollup
 
 _assignment_ids = itertools.count(1)
 
@@ -91,14 +94,14 @@ class Assignment:
     segments_pending: int = 0
     _segment_chains: List[ServiceChain] = field(default_factory=list, repr=False)
     #: Optional observer fired as ``hook(assignment, old_state, new_state)``
-    #: whenever ``state`` is reassigned.  The federation frontend installs it
-    #: to stream active-assignment / enabled-NF deltas into the global rollup
-    #: without scanning the assignment table; it travels with the object
-    #: through release/adopt handoffs.  Excluded from repr/compare so
-    #: assignments stay digest-neutral.
-    on_state_change: Optional[Callable[["Assignment", AssignmentState, AssignmentState], None]] = field(
-        default=None, repr=False, compare=False
-    )
+    #: whenever ``state`` is reassigned, and around :meth:`swap_chain`.  The
+    #: sharded frontend installs it to stream active-assignment / enabled-NF
+    #: deltas into the global rollup without scanning the assignment table;
+    #: it travels with the object through release/adopt handoffs.  Excluded
+    #: from repr/compare so assignments stay digest-neutral.
+    on_state_change: Optional[
+        Callable[["Assignment", Optional[AssignmentState], Optional[AssignmentState]], None]
+    ] = field(default=None, repr=False, compare=False)
 
     def __setattr__(self, name: str, value) -> None:
         if name == "state":
@@ -110,6 +113,20 @@ class Assignment:
                 hook(self, old, value)
             return
         object.__setattr__(self, name, value)
+
+    def swap_chain(self, chain: ServiceChain) -> None:
+        """Replace the chain in place (upgrade cutover).
+
+        The observer sees the assignment leave its state with the old chain
+        (``new_state`` None) and re-enter it with the new one (``old_state``
+        None), so per-NF totals it streams follow a change of chain length.
+        """
+        state, hook = self.state, self.on_state_change
+        if hook is not None:
+            hook(self, state, None)
+        self.chain = chain
+        if hook is not None:
+            hook(self, None, state)
 
     @property
     def attach_latency_s(self) -> Optional[float]:
@@ -183,14 +200,15 @@ def track_client_event(owner, event: ClientEvent) -> None:
     """Client-event bookkeeping and roaming triggers, shared by every
     Manager flavour.
 
-    ``owner`` is any object with the Manager's client-tracking surface
-    (``client_names``, ``client_locations``, ``assignments_for_client``,
-    ``roaming``, ``_client_event_listeners``): a plain :class:`GNFManager`,
-    one of its shards (where ``roaming`` is None, so only the directory is
-    maintained), or the sharded frontend (which owns the *global* directory
-    and the roaming hook).  Keeping this in one place is what guarantees a
-    sharded run makes exactly the same migration decisions as an unsharded
-    one -- the digest-invariance the E10 matrix asserts.
+    ``owner`` is any :class:`ControlPlane`: a plain :class:`GNFManager`, a
+    leaf of the sharded frontend (where ``roaming`` is None, so only the
+    leaf's directory is maintained), or the frontend itself (which owns the
+    *global* directory and the roaming hook).  Keeping this in one place is
+    what guarantees a sharded run makes exactly the same migration
+    decisions as an unsharded one -- the digest-invariance the E10 matrix
+    asserts.  ``owner.roaming`` is the
+    :class:`~repro.core.migration.MigrationEngine` (or a baseline with the
+    same four hooks).
     """
     owner.client_names[event.client_ip] = event.client_name
     previous_station = owner.client_locations.get(event.client_ip)
@@ -202,7 +220,7 @@ def track_client_event(owner, event: ClientEvent) -> None:
                     assignment.state in (AssignmentState.ACTIVE, AssignmentState.MIGRATING)
                     and assignment.station_name != event.station_name
                 ):
-                    owner.roaming.handle_client_connected(assignment, event)
+                    owner.roaming.client_connected(assignment, event)
                 elif (
                     assignment.state is AssignmentState.ACTIVE
                     and assignment.station_name == event.station_name
@@ -211,14 +229,14 @@ def track_client_event(owner, event: ClientEvent) -> None:
                     # chain: nothing migrates, but roaming state staged while
                     # it was away (captured exports, speculative replicas)
                     # must be dropped or it leaks on shuttling clients.
-                    owner.roaming.handle_client_reconnected(assignment, event)
+                    owner.roaming.client_reconnected(assignment, event)
     elif event.event == "disconnected":
         if previous_station == event.station_name:
             owner.client_locations.pop(event.client_ip, None)
         if owner.roaming is not None:
             for assignment in owner.assignments_for_client(event.client_ip):
                 if assignment.state is AssignmentState.ACTIVE and assignment.station_name == event.station_name:
-                    owner.roaming.handle_client_disconnected(assignment, event)
+                    owner.roaming.client_disconnected(assignment, event)
     for listener in owner._client_event_listeners:
         listener(event)
 
@@ -282,7 +300,188 @@ def teardown_remote_segments(owner, assignment: Assignment) -> None:
             )
 
 
-class GNFManager:
+class ControlPlane:
+    """The attach/detach API and client directory every Manager serves.
+
+    A lone :class:`GNFManager` and the multi-leaf
+    :class:`~repro.core.sharding.ShardedManager` frontend place, queue,
+    fail and detach assignments identically; they differ only in who ends
+    up owning a placed assignment.  Subclasses supply that hand-off
+    (:meth:`accept_placed_assignment`), its inverse (:meth:`_withdraw`) and
+    the ``station_views`` the engine scores, and call
+    :meth:`_bind_placement_engine` once they can serve them.
+    """
+
+    def __init__(
+        self,
+        simulator: Simulator,
+        repository: Optional[NFRepository],
+        topology: Optional[EdgeTopology],
+        placement: Optional[PlacementStrategy],
+        placement_engine: Optional[PlacementEngine],
+    ) -> None:
+        self.simulator = simulator
+        self.repository = repository or NFRepository.with_default_catalog()
+        self.topology = topology
+        # The placement subsystem: ``placement`` keeps the historical
+        # strategy-object knob; a fully configured engine (admission control,
+        # custom pending-commitment TTL) can be passed instead.
+        self.placement_engine = placement_engine or PlacementEngine(
+            simulator, strategy=placement, repository=self.repository
+        )
+        self.agents: Dict[str, GNFAgent] = {}
+        self.channels: Dict[str, ControlChannel] = {}
+        self.assignments: Dict[str, Assignment] = {}
+        self.client_locations: Dict[str, str] = {}
+        self.client_names: Dict[str, str] = {}
+        #: The MigrationEngine (or a baseline with its hooks); None on the
+        #: leaves of a frontend, which only keep their directory.
+        self.roaming = None
+        self._client_event_listeners: List[ClientEventListener] = []
+
+    def _bind_placement_engine(self) -> None:
+        """Point the engine's queue callbacks and station view at this
+        control plane."""
+        self.placement_engine.bind(
+            views=self.station_views,
+            on_admit=self._deploy_queued_assignment,
+            on_timeout=self._fail_queued_assignment,
+            locate=lambda client_ip: self.client_locations.get(client_ip),
+        )
+
+    @property
+    def placement(self) -> PlacementStrategy:
+        """The active placement strategy (delegates to the engine)."""
+        return self.placement_engine.strategy
+
+    @placement.setter
+    def placement(self, strategy: PlacementStrategy) -> None:
+        self.placement_engine.strategy = strategy
+
+    def agent(self, station_name: str) -> GNFAgent:
+        try:
+            return self.agents[station_name]
+        except KeyError as exc:
+            raise UnknownAgentError(station_name) from exc
+
+    # ------------------------------------------------------------ attach API
+
+    def attach_chain(
+        self,
+        client_ip: str,
+        chain: ServiceChain,
+        selector: Optional[TrafficSelector] = None,
+        schedule: Optional[TimeSchedule] = None,
+        station_name: Optional[str] = None,
+    ) -> Assignment:
+        """Associate a chain with a subset of the client's traffic.
+
+        The chain is placed by the :class:`PlacementEngine` against the
+        network-wide station view (the paper's default strategy: the station
+        the client is attached to) and handed to the Manager serving the
+        chosen station, which dispatches the deployment to its Agent.  With
+        admission control enabled, a chain aimed at a saturated station is
+        queued (assignment stays ``PENDING`` until capacity frees) or failed
+        outright when queueing is off -- inspect ``assignment.state``.
+        """
+        client_station = station_name or self.client_locations.get(client_ip)
+        if client_station is None:
+            raise UnknownClientError(
+                f"client {client_ip!r} has no known location; pass station_name explicitly"
+            )
+        decision = self.placement_engine.place(
+            client_station, self.station_views(client_station), chain, client_ip=client_ip
+        )
+        assignment = make_assignment(
+            self.simulator.now, client_ip, chain, selector, schedule, decision.station_name
+        )
+        self.assignments[assignment.assignment_id] = assignment
+        if decision.admitted:
+            assignment.apply_segments(decision.segments)
+            self.accept_placed_assignment(assignment)
+        elif decision.queued:
+            self.placement_engine.enqueue(assignment, client_station, chain)
+        else:
+            assignment.state = AssignmentState.FAILED
+            assignment.failure_reason = decision.reason
+        return assignment
+
+    def attach_nf(
+        self,
+        client_ip: str,
+        nf_type: str,
+        config: Optional[Dict[str, object]] = None,
+        selector: Optional[TrafficSelector] = None,
+        schedule: Optional[TimeSchedule] = None,
+        station_name: Optional[str] = None,
+    ) -> Assignment:
+        """Associate a single NF with a client (convenience wrapper)."""
+        return self.attach_chain(
+            client_ip,
+            ServiceChain.single(nf_type, config=config),
+            selector=selector,
+            schedule=schedule,
+            station_name=station_name,
+        )
+
+    def _deploy_queued_assignment(self, assignment: Assignment, decision: PlacementDecision) -> None:
+        """Engine callback: a queued placement finally found capacity."""
+        if assignment.state is not AssignmentState.PENDING:
+            return  # detached (or failed) while waiting in the queue
+        assignment.station_name = decision.station_name
+        assignment.station_history[-1] = decision.station_name
+        assignment.apply_segments(decision.segments)
+        self.accept_placed_assignment(assignment)
+
+    def _fail_queued_assignment(self, assignment: Assignment, reason: str) -> None:
+        """Engine callback: a queued placement timed out."""
+        if assignment.state is AssignmentState.PENDING:
+            assignment.state = AssignmentState.FAILED
+            assignment.failure_reason = reason
+
+    def detach(self, assignment_id: str) -> Assignment:
+        """Remove a client's chain from wherever it currently runs."""
+        assignment = self._assignment(assignment_id)
+        if not self.placement_engine.cancel(assignment_id):
+            # Not waiting in the admission queue, so it may be deployed (or
+            # deploying) somewhere: tear the chain down there.
+            self._withdraw(assignment)
+        assignment.state = AssignmentState.REMOVED
+        # Release any roaming state staged for this assignment (captured NF
+        # exports, speculative replicas) so a detach can never leak it.
+        if self.roaming is not None:
+            self.roaming.assignment_released(assignment_id)
+        return assignment
+
+    # -------------------------------------------------------------- queries
+
+    def find_assignment(self, assignment_id: str) -> Optional[Assignment]:
+        """Non-raising assignment lookup (upgrade orchestrator polling)."""
+        return self.assignments.get(assignment_id)
+
+    def _assignment(self, assignment_id: str) -> Assignment:
+        try:
+            return self.assignments[assignment_id]
+        except KeyError as exc:
+            raise UnknownAssignmentError(assignment_id) from exc
+
+    def assignments_for_client(self, client_ip: str) -> List[Assignment]:
+        return [a for a in self.assignments.values() if a.client_ip == client_ip]
+
+    def connected_client_ips(self) -> List[str]:
+        """The directory's listing of currently connected clients
+        (``overview()`` reports only the count)."""
+        return sorted(self.client_locations)
+
+    def add_client_event_listener(self, listener: ClientEventListener) -> None:
+        self._client_event_listeners.append(listener)
+
+    def control_plane_stats(self) -> Dict[str, Dict[str, float]]:
+        """Per-station control-channel statistics (benchmark E7)."""
+        return {name: channel.stats() for name, channel in self.channels.items()}
+
+
+class GNFManager(ControlPlane):
     """The central GNF controller.
 
     One ``GNFManager`` serves a set of registered stations: it owns the
@@ -291,9 +490,9 @@ class GNFManager:
     notifications and drives time-scheduled activation.  In the default
     deployment it is *the* Manager and serves every station; in a sharded
     deployment (:class:`~repro.core.sharding.ShardedManager`) each instance
-    is one region shard restricted to a contiguous band of stations, with
-    the frontend handling global placement, roaming and cross-shard
-    handoffs (:meth:`release_assignment` / :meth:`adopt_assignment`).
+    is one leaf restricted to a contiguous band of stations, with the
+    frontend handling global placement, roaming and cross-leaf handoffs
+    (:meth:`release_assignment` / :meth:`adopt_assignment`).
     """
 
     def __init__(
@@ -305,28 +504,10 @@ class GNFManager:
         heartbeat_timeout_s: float = 10.0,
         placement_engine: Optional[PlacementEngine] = None,
     ) -> None:
-        self.simulator = simulator
-        self.repository = repository or NFRepository.with_default_catalog()
-        self.topology = topology
-        # The placement subsystem: ``placement`` keeps the historical
-        # strategy-object knob; a fully configured engine (admission control,
-        # custom pending-commitment TTL) can be passed instead.
-        self.placement_engine = placement_engine or PlacementEngine(
-            simulator, strategy=placement, repository=self.repository
-        )
-        self.placement_engine.bind(
-            views=self.station_views,
-            on_admit=self._deploy_queued_assignment,
-            on_timeout=self._fail_queued_assignment,
-            locate=lambda client_ip: self.client_locations.get(client_ip),
-        )
-        self.agents: Dict[str, GNFAgent] = {}
-        self.channels: Dict[str, ControlChannel] = {}
-        self.assignments: Dict[str, Assignment] = {}
-        self.client_locations: Dict[str, str] = {}
-        self.client_names: Dict[str, str] = {}
+        super().__init__(simulator, repository, topology, placement, placement_engine)
+        self._bind_placement_engine()
         self.last_heartbeat: Dict[str, AgentHeartbeat] = {}
-        self.health = HealthMonitor(heartbeat_timeout_s=heartbeat_timeout_s)
+        self.health = HealthRollup(heartbeat_timeout_s)
         self.hotspots = HotspotDetector()
         self.notifications = NotificationCenter()
         self.scheduler = NFScheduler(
@@ -334,24 +515,12 @@ class GNFManager:
             enable_callback=self._enable_assignment,
             disable_callback=self._disable_assignment,
         )
-        self.roaming: Optional["RoamingCoordinator"] = None
-        self._client_event_listeners: List[ClientEventListener] = []
-        # Split-embedding hooks: a region shard only holds channels for its
-        # own station band, so the sharded frontend overrides these with its
-        # network-wide dispatch/teardown.  None = this Manager is global.
-        self.remote_segment_dispatcher: Optional[Callable[[Assignment], None]] = None
-        self.remote_segment_teardown: Optional[Callable[[Assignment], None]] = None
+        #: Who holds ``agent()`` / ``channels`` for *every* station, for a
+        #: split embedding's remote segments.  A leaf only sees its own
+        #: band, so the sharded frontend points this at itself.
+        self.network: ControlPlane = self
         self.heartbeats_processed = 0
         self.client_events_processed = 0
-
-    @property
-    def placement(self) -> PlacementStrategy:
-        """The active placement strategy (delegates to the engine)."""
-        return self.placement_engine.strategy
-
-    @placement.setter
-    def placement(self, strategy: PlacementStrategy) -> None:
-        self.placement_engine.strategy = strategy
 
     # --------------------------------------------------------- registration
 
@@ -364,10 +533,10 @@ class GNFManager:
         """Connect an Agent to the Manager over a latency-modelled channel.
 
         By default the Agent's upstream senders deliver each message over
-        the channel as its own simulator event (``channel.sender``).  A
+        the channel as its own simulator event (``channel.sender``).  The
         sharded frontend passes ``sink_factory(channel)`` returning custom
-        ``(heartbeat, event, notification)`` senders -- typically bus sinks
-        that coalesce messages per delivery tick.
+        ``(heartbeat, event, notification)`` senders -- bus sinks that
+        coalesce messages per delivery tick.
         """
         station_name = agent.station.name
         if control_latency_s is None:
@@ -394,125 +563,33 @@ class GNFManager:
         agent.start()
         return channel
 
-    def agent(self, station_name: str) -> GNFAgent:
-        try:
-            return self.agents[station_name]
-        except KeyError as exc:
-            raise UnknownAgentError(station_name) from exc
-
     def start(self) -> "GNFManager":
         """Start the schedule evaluator (agents start when registered)."""
         self.scheduler.start()
         return self
 
-    # ------------------------------------------------------------ attach API
-
-    def attach_chain(
-        self,
-        client_ip: str,
-        chain: ServiceChain,
-        selector: Optional[TrafficSelector] = None,
-        schedule: Optional[TimeSchedule] = None,
-        station_name: Optional[str] = None,
-    ) -> Assignment:
-        """Associate a chain with a subset of the client's traffic.
-
-        The chain is placed by the :class:`PlacementEngine` (the paper's
-        default strategy: the station the client is attached to) and the
-        deployment is dispatched to that station's Agent.  With admission
-        control enabled, a chain aimed at a saturated station is queued
-        (assignment stays ``PENDING`` until capacity frees) or failed
-        outright when queueing is off -- inspect ``assignment.state``.
-        """
-        client_station = station_name or self.client_locations.get(client_ip)
-        if client_station is None:
-            raise UnknownClientError(
-                f"client {client_ip!r} has no known location; pass station_name explicitly"
-            )
-        decision = self.placement_engine.place(
-            client_station, self.station_views(client_station), chain, client_ip=client_ip
-        )
-        assignment = make_assignment(
-            self.simulator.now, client_ip, chain, selector, schedule, decision.station_name
-        )
-        self.assignments[assignment.assignment_id] = assignment
-        if decision.admitted:
-            assignment.apply_segments(decision.segments)
-            self._dispatch_deployment(assignment)
-            self.scheduler.add(assignment.assignment_id, assignment.schedule, currently_active=True)
-        elif decision.queued:
-            self.placement_engine.enqueue(assignment, client_station, chain)
-        else:
-            assignment.state = AssignmentState.FAILED
-            assignment.failure_reason = decision.reason
-        return assignment
+    # ------------------------------------------------------ hand-off (leaf)
 
     def accept_placed_assignment(self, assignment: Assignment) -> None:
-        """Register and deploy an assignment placed (and admitted) elsewhere.
+        """Register and deploy an assignment that placement admitted.
 
-        Used by the sharded frontend, which runs global placement/admission
-        itself and hands each admitted assignment to the shard owning the
-        chosen station.
+        Called by this Manager's own attach API, or by the sharded frontend,
+        which runs global placement/admission itself and hands each admitted
+        assignment to the leaf owning the chosen station.
         """
         self.assignments[assignment.assignment_id] = assignment
         self._dispatch_deployment(assignment)
         self.scheduler.add(assignment.assignment_id, assignment.schedule, currently_active=True)
 
-    def _deploy_queued_assignment(self, assignment: Assignment, decision: PlacementDecision) -> None:
-        """Engine callback: a queued placement finally found capacity."""
-        if assignment.state is not AssignmentState.PENDING:
-            return  # detached (or failed) while waiting in the queue
-        assignment.station_name = decision.station_name
-        assignment.station_history[-1] = decision.station_name
-        assignment.apply_segments(decision.segments)
-        self._dispatch_deployment(assignment)
-        self.scheduler.add(assignment.assignment_id, assignment.schedule, currently_active=True)
-
-    def _fail_queued_assignment(self, assignment: Assignment, reason: str) -> None:
-        """Engine callback: a queued placement timed out."""
-        if assignment.state is AssignmentState.PENDING:
-            assignment.state = AssignmentState.FAILED
-            assignment.failure_reason = reason
-
-    def attach_nf(
-        self,
-        client_ip: str,
-        nf_type: str,
-        config: Optional[Dict[str, object]] = None,
-        selector: Optional[TrafficSelector] = None,
-        schedule: Optional[TimeSchedule] = None,
-        station_name: Optional[str] = None,
-    ) -> Assignment:
-        """Associate a single NF with a client (convenience wrapper)."""
-        return self.attach_chain(
-            client_ip,
-            ServiceChain.single(nf_type, config=config),
-            selector=selector,
-            schedule=schedule,
-            station_name=station_name,
-        )
-
-    def detach(self, assignment_id: str) -> Assignment:
-        """Remove a client's chain from wherever it currently runs."""
-        assignment = self._assignment(assignment_id)
-        was_queued = self.placement_engine.cancel(assignment_id)
-        if not was_queued:
-            # Deployed (or deploying) somewhere: tear the chain down there.
-            # A still-queued assignment never reached an Agent, so there is
-            # nothing to remove.
-            agent = self.agent(assignment.station_name)
-            channel = self.channels[assignment.station_name]
-            channel.call(agent.remove_chain, assignment_id)
-            # A split embedding also owns containers on its remote-segment
-            # stations: remove them too or a detach leaks them.
-            self._teardown_remote_segments(assignment)
-        assignment.state = AssignmentState.REMOVED
-        self.scheduler.remove(assignment_id)
-        # Release any roaming state staged for this assignment (captured NF
-        # exports, speculative replicas) so a detach can never leak it.
-        if self.roaming is not None:
-            self.roaming.assignment_released(assignment_id)
-        return assignment
+    def _withdraw(self, assignment: Assignment) -> None:
+        """Detach path: remove the chain from its station and stop
+        scheduling it."""
+        agent = self.agent(assignment.station_name)
+        self.channels[assignment.station_name].call(agent.remove_chain, assignment.assignment_id)
+        # A split embedding also owns containers on its remote-segment
+        # stations: remove them too or a detach leaks them.
+        self._teardown_remote_segments(assignment)
+        self.scheduler.remove(assignment.assignment_id)
 
     def _dispatch_deployment(
         self,
@@ -538,10 +615,7 @@ class GNFManager:
             deployment_complete,
         )
         if assignment.is_split:
-            if self.remote_segment_dispatcher is not None:
-                self.remote_segment_dispatcher(assignment)
-            else:
-                dispatch_remote_segments(self, assignment, self._deployment_finished)
+            dispatch_remote_segments(self.network, assignment, self._deployment_finished)
 
     def _deployment_finished(
         self,
@@ -582,12 +656,8 @@ class GNFManager:
         self._teardown_remote_segments(assignment)
 
     def _teardown_remote_segments(self, assignment: Assignment) -> None:
-        if not assignment.is_split:
-            return
-        if self.remote_segment_teardown is not None:
-            self.remote_segment_teardown(assignment)
-        else:
-            teardown_remote_segments(self, assignment)
+        if assignment.is_split:
+            teardown_remote_segments(self.network, assignment)
 
     # ----------------------------------------------------- scheduler hooks
 
@@ -608,10 +678,6 @@ class GNFManager:
             self.channels[assignment.station_name].call(agent.set_chain_active, assignment_id, False)
 
     # ------------------------------------------------------ bundle upgrades
-
-    def find_assignment(self, assignment_id: str) -> Optional[Assignment]:
-        """Non-raising assignment lookup (upgrade orchestrator polling)."""
-        return self.assignments.get(assignment_id)
 
     def stage_chain_upgrade(
         self,
@@ -684,7 +750,7 @@ class GNFManager:
 
         def finished(success: bool, detail: str) -> None:
             if success:
-                assignment.chain = new_chain
+                assignment.swap_chain(new_chain)
             channel.call(on_done, success, detail)
 
         channel.call(
@@ -713,7 +779,7 @@ class GNFManager:
         """Process one Agent heartbeat (liveness, hotspots, latest stats)."""
         self.heartbeats_processed += 1
         self.last_heartbeat[heartbeat.station_name] = heartbeat
-        self.health.record_heartbeat(heartbeat.station_name, self.simulator.now)
+        self.health.record(heartbeat.station_name, self.simulator.now)
         self.hotspots.observe(heartbeat.station_name, self.simulator.now, heartbeat.resources)
 
     def receive_heartbeat_batch(self, heartbeats: List[AgentHeartbeat]) -> None:
@@ -726,12 +792,12 @@ class GNFManager:
         self.heartbeats_processed += len(heartbeats)
         now = self.simulator.now
         last_heartbeat = self.last_heartbeat
-        record_heartbeat = self.health.record_heartbeat
+        record = self.health.record
         observe = self.hotspots.observe
         for heartbeat in heartbeats:
             station_name = heartbeat.station_name
             last_heartbeat[station_name] = heartbeat
-            record_heartbeat(station_name, now)
+            record(station_name, now)
             observe(station_name, now, heartbeat.resources)
 
     def receive_client_event(self, event: ClientEvent) -> None:
@@ -771,18 +837,15 @@ class GNFManager:
             ]
         )
 
-    def add_client_event_listener(self, listener: ClientEventListener) -> None:
-        self._client_event_listeners.append(listener)
-
     # ----------------------------------------------------- sharding hooks
 
     def assignment_station_changed(self, assignment: Assignment, old_station: str) -> None:
-        """Hook invoked by the roaming coordinator after a migration moved
+        """Hook invoked by the migration engine after a migration moved
         ``assignment`` to a new home station.
 
         A single Manager has nothing to do -- all its state is keyed by
         assignment id, not station.  The sharded frontend overrides this to
-        hand the assignment off between region shards.
+        hand the assignment off between leaves.
         """
 
     def release_assignment(self, assignment_id: str) -> bool:
@@ -799,15 +862,6 @@ class GNFManager:
         self.scheduler.add(assignment.assignment_id, assignment.schedule, currently_active=schedule_active)
 
     # -------------------------------------------------------------- queries
-
-    def _assignment(self, assignment_id: str) -> Assignment:
-        try:
-            return self.assignments[assignment_id]
-        except KeyError as exc:
-            raise UnknownAssignmentError(assignment_id) from exc
-
-    def assignments_for_client(self, client_ip: str) -> List[Assignment]:
-        return [a for a in self.assignments.values() if a.client_ip == client_ip]
 
     def station_views(self, client_station: Optional[str] = None) -> List[StationView]:
         """What the placement strategy sees for every registered station.
@@ -861,9 +915,9 @@ class GNFManager:
         total_nfs = sum(len(a.chain) for a in active_assignments)
         return {
             "time": now,
-            "online_stations": self.health.online_stations(now),
-            "offline_stations": self.health.offline_stations(now),
-            "connected_clients": sorted(self.client_locations),
+            "online_stations": list(self.health.online_stations(now)),
+            "offline_stations": list(self.health.offline_stations(now)),
+            "connected_clients": len(self.client_locations),
             "assignments": len(self.assignments),
             "active_assignments": len(active_assignments),
             "enabled_nfs": total_nfs,
@@ -871,7 +925,3 @@ class GNFManager:
             "notifications": self.notifications.summary(),
             "heartbeats_processed": self.heartbeats_processed,
         }
-
-    def control_plane_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-station control-channel statistics (benchmark E7)."""
-        return {name: channel.stats() for name, channel in self.channels.items()}

@@ -763,11 +763,14 @@ class PrecopyPolicy(MigrationPolicy):
 class MigrationEngine:
     """Unifies the migration strategies behind one link-aware subsystem.
 
-    Owned by the :class:`~repro.core.roaming.RoamingCoordinator` (which
-    remains the Manager-facing event surface); the engine holds the policy
-    objects, the state-transfer service, the captured-state and speculative
-    -replica ledgers, and every lifecycle hook that keeps those ledgers
-    bounded (finalize, release, same-station reconnect, shutdown).
+    Installed as the Manager's ``roaming`` hook (``GNFTestbed.roaming`` is
+    this object): the Manager's client-event tracking calls
+    :meth:`client_disconnected` / :meth:`client_connected` /
+    :meth:`client_reconnected` and its detach calls
+    :meth:`assignment_released`.  The engine holds the policy objects, the
+    state-transfer service, the captured-state and speculative-replica
+    ledgers, and every lifecycle hook that keeps those ledgers bounded
+    (finalize, release, same-station reconnect, shutdown).
     """
 
     def __init__(

@@ -5,7 +5,8 @@ health and resource utilization from the GNF stations, allowing the provider
 to detect resource-hotspots and therefore the part of the infrastructure
 that should be upgraded."
 
-* :class:`HealthMonitor` tracks Agent liveness from heartbeat arrival times.
+* Agent liveness from heartbeat arrival times is
+  :class:`repro.telemetry.rollup.HealthRollup`.
 * :class:`HotspotDetector` flags stations whose memory or CPU pressure stays
   above a threshold, which the UI surfaces as upgrade candidates.
 """
@@ -16,64 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.telemetry.metrics import MetricsRegistry
-
-
-@dataclass
-class StationHealth:
-    """Liveness record for one station's Agent."""
-
-    station_name: str
-    registered_at: float
-    last_heartbeat_at: float
-    heartbeats_received: int = 0
-
-    def is_online(self, now: float, timeout_s: float) -> bool:
-        return (now - self.last_heartbeat_at) <= timeout_s
-
-
-class HealthMonitor:
-    """Tracks which Agents are alive based on heartbeat recency."""
-
-    def __init__(self, heartbeat_timeout_s: float = 10.0) -> None:
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self._stations: Dict[str, StationHealth] = {}
-
-    def register(self, station_name: str, now: float) -> StationHealth:
-        record = StationHealth(station_name=station_name, registered_at=now, last_heartbeat_at=now)
-        self._stations[station_name] = record
-        return record
-
-    def record_heartbeat(self, station_name: str, now: float) -> None:
-        record = self._stations.get(station_name)
-        if record is None:
-            record = self.register(station_name, now)
-        record.last_heartbeat_at = now
-        record.heartbeats_received += 1
-
-    def online_stations(self, now: float) -> List[str]:
-        return sorted(
-            name
-            for name, record in self._stations.items()
-            if record.is_online(now, self.heartbeat_timeout_s)
-        )
-
-    def offline_stations(self, now: float) -> List[str]:
-        return sorted(
-            name
-            for name, record in self._stations.items()
-            if not record.is_online(now, self.heartbeat_timeout_s)
-        )
-
-    def is_online(self, station_name: str, now: float) -> bool:
-        record = self._stations.get(station_name)
-        return record is not None and record.is_online(now, self.heartbeat_timeout_s)
-
-    def heartbeats_received(self, station_name: str) -> int:
-        record = self._stations.get(station_name)
-        return record.heartbeats_received if record else 0
-
-    def __len__(self) -> int:
-        return len(self._stations)
 
 
 @dataclass
@@ -99,8 +42,8 @@ class HotspotDetector:
         self.cpu_seconds_rate_threshold = cpu_seconds_rate_threshold
         self.hotspots: List[Hotspot] = []
         #: Optional push hook fired once per detected hotspot, at detection
-        #: time.  The sharded/federated managers use it to stream hotspot
-        #: sightings into the telemetry rollups instead of re-scanning
+        #: time.  The sharded frontend uses it to stream hotspot sightings
+        #: into the telemetry rollups instead of re-scanning
         #: ``self.hotspots`` on every read.
         self.on_hotspot: Optional[Callable[[Hotspot], None]] = None
         self._last_cpu_seconds: Dict[str, float] = {}

@@ -661,7 +661,8 @@ class PlacementEngine:
         on_timeout: Callable[[object, str], None],
         locate: Optional[Callable[[str], Optional[str]]] = None,
     ) -> None:
-        """Attach the owning Manager's callbacks (one-time wiring).
+        """Attach the callbacks of the Manager that owns the attach API (the
+        last caller wins: a sharded frontend binds after its leaves).
 
         ``views(client_station)`` must return fresh candidate views;
         ``on_admit(assignment, decision)`` dispatches a queued assignment
@@ -1337,7 +1338,7 @@ class NFAutoscaler:
             event="connected",
             time=self.simulator.now,
         )
-        self.roaming.handle_client_connected(assignment, event)
+        self.roaming.client_connected(assignment, event)
         engine = getattr(self.manager, "placement_engine", None)
         if engine is not None:
             engine.commit(to_station, engine.chain_memory_mb(assignment.chain))

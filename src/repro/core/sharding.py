@@ -1,4 +1,4 @@
-"""Sharded control plane: many Managers behind one frontend.
+"""The multi-leaf control plane: many Managers behind one frontend.
 
 The paper's Manager "keeps a connection with all the Agents in the network".
 A single :class:`~repro.core.manager.GNFManager` does exactly that -- which
@@ -8,144 +8,167 @@ plane as its own simulator event and is processed serially by one object.
 
 This module partitions that control plane:
 
-* :class:`StationShardMap` -- consistent station->shard routing.  Stations
-  are split into ``shard_count`` *contiguous bands* by station index
-  (``station-1 .. station-k`` to shard 0, the next band to shard 1, ...), so
+* :class:`StationShardMap` -- consistent station->leaf routing.  Stations
+  are split into ``region_count`` *contiguous bands* by station index, and
+  each region's band into ``shard_count`` contiguous sub-bands, so
   geographically adjacent stations -- the ones a roaming client moves
-  between most often -- usually share a shard and cross-shard handoffs stay
-  rare.
+  between most often -- usually share a leaf and handoffs stay rare.
 * :class:`ControlBus` -- a coalescing agent->Manager transport.  Messages
   are queued per delivery tick and flushed under **one** simulator event per
   tick instead of one event per message; heartbeats and NF notifications are
-  additionally grouped per shard inside the tick and handed to the shard's
+  additionally grouped per leaf inside the tick and handed to the leaf's
   batch entry points (``receive_heartbeat_batch`` /
   ``receive_notification_batch``).  Delivery *times* are exactly what a
-  per-message :class:`~repro.core.api.ControlChannel` would produce, so a
-  scenario replays to the identical telemetry digest with sharding on or
-  off -- only the event count (an implementation detail) changes.
-* :class:`ShardedManager` -- the frontend.  It owns N region shards (each a
-  plain ``GNFManager`` restricted to its band of stations), routes the
-  attach/detach API by placement result, keeps the *global* client location
-  directory and assignment index, and drives roaming network-wide.  When a
-  migration lands a chain on a station owned by a different shard, the
-  frontend moves the assignment between shards through an explicit
-  :class:`ShardHandoff` message so shard-local state (assignment tables,
-  scheduler tracking) always lives in exactly one place.
+  per-message :class:`~repro.core.api.ControlChannel` would produce.
+* :class:`ShardedManager` -- the frontend.  It owns
+  ``region_count x shard_count`` leaves in one flat list (each a plain
+  ``GNFManager`` restricted to its band of stations), one bus, one
+  placement engine, the *global* client directory, the assignment->leaf
+  index, the roaming hook and the notification centre.  When a migration
+  lands a chain on a station owned by a different leaf, the frontend moves
+  the assignment through an explicit :class:`ShardHandoff` so leaf-local
+  state (assignment tables, scheduler tracking) always lives in exactly one
+  place.
 
-``ShardedManager`` is intentionally a drop-in for ``GNFManager``: the UI,
-the roaming coordinator, the fault injector and the scenario telemetry all
-keep working against the aggregate views (``overview``, ``station_views``,
-``health``, ``hotspots``, ``scheduler``, ``control_plane_stats``).
+A *region* is not an object: it is the label ``leaf // shard_count`` and a
+node in the streaming telemetry tree (:mod:`repro.telemetry.rollup`), whose
+leaves' deltas roll up shard -> region -> global so ``overview()``,
+``health`` and ``hotspots`` read pre-aggregated state.
+
+Determinism contract (the digest-invariance matrix): a scenario replays to a
+byte-identical :class:`~repro.scenarios.digest.MetricsDigest` for any
+``region_count x shard_count``, and equal to the lone ``GNFManager``'s.
+Three choices make that hold:
+
+1. **One globally-ordered ControlBus.**  Per-region buses would flush
+   same-timestamp ticks in first-enqueue order per bus, reordering a
+   disconnect@A / connect@B pair that straddles a boundary and diverging
+   roaming decisions.
+2. **Global placement, leaf execution.**  The frontend's engine scores the
+   network-wide station view exactly like a single Manager's would; leaves
+   never re-place.
+3. **Synchronous rollups.**  Rollup pushes are plain function calls on the
+   delivery path -- no extra simulator events, so the event timeline is
+   unchanged.
+
+``ShardedManager`` is a drop-in for ``GNFManager``: the UI, the migration
+engine, the fault injector and the scenario telemetry all keep working
+against the aggregate views (``overview``, ``station_views``, ``health``,
+``hotspots``, ``scheduler``, ``control_plane_stats``).
 """
 
 from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.agent import GNFAgent
 from repro.core.api import AgentHeartbeat, ClientEvent, ControlChannel, NFNotificationMessage
 from repro.core.chain import ServiceChain
-from repro.core.errors import UnknownAgentError, UnknownAssignmentError, UnknownClientError
 from repro.core.manager import (
     Assignment,
     AssignmentState,
-    ClientEventListener,
+    ControlPlane,
     GNFManager,
-    dispatch_remote_segments,
-    make_assignment,
-    teardown_remote_segments,
     track_client_event,
 )
-from repro.core.notifications import NotificationCenter
-from repro.core.placement import (
-    ClosestAgentPlacement,
-    PlacementDecision,
-    PlacementEngine,
-    PlacementStrategy,
-    StationView,
-)
 from repro.core.monitoring import Hotspot
-from repro.core.policy import TrafficSelector
+from repro.core.notifications import NotificationCenter
+from repro.core.placement import PlacementEngine, PlacementStrategy, StationView
 from repro.core.repository import NFRepository
-from repro.core.scheduler import TimeSchedule
 from repro.netem.simulator import Simulator
 from repro.netem.topology import EdgeTopology
-from repro.telemetry.rollup import RegionTelemetry, RollupCounters
+from repro.telemetry.rollup import GlobalTelemetry, RollupCounters
 
 _STATION_INDEX = re.compile(r"(\d+)$")
 
 
 class StationShardMap:
-    """Consistent station -> shard routing over contiguous index bands.
+    """Consistent station -> leaf routing over contiguous index bands.
 
-    With ``station_count`` stations and ``shard_count`` shards, station ``i``
-    (1-based, parsed from the trailing integer of the station name) lands in
-    shard ``(i - 1) * shard_count // station_count`` -- contiguous, balanced
-    bands.  Station names without a trailing index fall back to a stable
-    CRC32 hash, so arbitrary names still route consistently (just without
-    the adjacency guarantee).
+    Station ``i`` (1-based, parsed from the trailing integer of the station
+    name) of ``station_count`` lands in region
+    ``(i - 1) * region_count // station_count``; inside a region covering
+    ``size`` stations from ``lo``, in local shard
+    ``(i - lo) * shard_count // size`` -- contiguous, balanced bands at both
+    levels.  A leaf's global index is ``region * shard_count + local``.
+    Station names without a usable index fall back to a stable CRC32 hash,
+    so arbitrary names still route consistently (just without the adjacency
+    guarantee).
     """
 
-    def __init__(self, station_count: int, shard_count: int, first_index: int = 1) -> None:
+    def __init__(self, station_count: int, shard_count: int, region_count: int = 1) -> None:
         if shard_count < 1:
             raise ValueError(f"shard_count must be >= 1, got {shard_count}")
         if station_count < 1:
             raise ValueError(f"station_count must be >= 1, got {station_count}")
+        if region_count < 1:
+            raise ValueError(f"region_count must be >= 1, got {region_count}")
+        if region_count > station_count:
+            raise ValueError(
+                f"region_count ({region_count}) cannot exceed station_count ({station_count})"
+            )
         self.station_count = station_count
         self.shard_count = shard_count
-        #: First 1-based station index this map covers.  The default covers
-        #: the whole network; a federation region's internal map covers only
-        #: its band, e.g. ``first_index=5, station_count=4`` for stations
-        #: 5..8 split across the region's local shards.
-        self.first_index = first_index
+        self.region_count = region_count
+        regions: List[List[int]] = [[] for _ in range(region_count)]
+        for index in range(1, station_count + 1):
+            regions[(index - 1) * region_count // station_count].append(index)
+        self._leaf_of_index: Dict[int, int] = {}
+        # 1-based inclusive (lo, hi) per leaf; (0, -1) for a leaf that owns
+        # no station (more shards than the region has stations).
+        self._bands: List[Tuple[int, int]] = [(0, -1)] * (region_count * shard_count)
+        for region, members in enumerate(regions):
+            for offset, index in enumerate(members):
+                leaf = region * shard_count + offset * shard_count // len(members)
+                self._leaf_of_index[index] = leaf
+                self._bands[leaf] = (self._bands[leaf][0] or index, index)
 
     def shard_for(self, station_name: str) -> int:
-        """The shard index owning ``station_name``."""
+        """The global leaf index owning ``station_name``."""
         match = _STATION_INDEX.search(station_name)
         if match is not None:
-            offset = int(match.group(1)) - self.first_index
-            if 0 <= offset < self.station_count:
-                return offset * self.shard_count // self.station_count
-        return zlib.crc32(station_name.encode("utf-8")) % self.shard_count
+            leaf = self._leaf_of_index.get(int(match.group(1)))
+            if leaf is not None:
+                return leaf
+        crc = zlib.crc32(station_name.encode("utf-8"))
+        return (crc % self.region_count) * self.shard_count + crc % self.shard_count
+
+    def region_of(self, shard_index: int) -> int:
+        """The region label of a global leaf index."""
+        return shard_index // self.shard_count
 
     def band(self, shard_index: int) -> Tuple[int, int]:
         """The 1-based, inclusive station index range ``shard_index`` owns."""
-        if not 0 <= shard_index < self.shard_count:
+        if not 0 <= shard_index < len(self._bands):
             raise IndexError(f"shard index {shard_index} out of range")
-        lo = next(
-            (i for i in range(1, self.station_count + 1) if (i - 1) * self.shard_count // self.station_count == shard_index),
-            0,
-        )
-        hi = max(
-            (i for i in range(1, self.station_count + 1) if (i - 1) * self.shard_count // self.station_count == shard_index),
-            default=-1,
-        )
-        base = self.first_index - 1
-        return (lo + base if lo else 0, hi + base if hi != -1 else -1)
+        return self._bands[shard_index]
 
 
 @dataclass
 class ShardHandoff:
-    """One cross-shard assignment migration, as the frontend recorded it.
+    """One assignment moving between leaves, as the frontend recorded it.
 
     Produced when a roaming migration moves a client's chain onto a station
-    owned by a different shard: the source shard releases the assignment
-    (dropping it from its table and scheduler), the target shard adopts it,
+    owned by a different leaf: the source leaf releases the assignment
+    (dropping it from its table and scheduler), the target leaf adopts it,
     and this message is the durable record of the transfer.
     """
 
     assignment_id: str
     client_ip: str
+    #: Global leaf indices.
     from_shard: int
     to_shard: int
     from_station: str
     to_station: str
     time: float
+    #: Whether the two leaves carry different region labels.
+    cross_region: bool = False
     #: Whether the assignment's schedule considered it active at handoff
-    #: time -- carried across so the target shard's scheduler resumes from
+    #: time -- carried across so the target leaf's scheduler resumes from
     #: the same state instead of re-deriving (and double-counting) the
     #: transition.
     schedule_active: bool = True
@@ -289,49 +312,54 @@ class ControlBus:
         }
 
 
-class _ShardedHealth:
-    """Network-wide liveness view over the per-shard health monitors."""
+class _FleetHealth:
+    """Network-wide liveness served from the streaming health rollups.
 
-    def __init__(self, shards: List[GNFManager]) -> None:
-        self._shards = shards
+    List queries are O(regions) merges of per-region cached views; point
+    queries hit the rollup of the region owning the station.
+    """
 
-    def online_stations(self, now: float) -> List[str]:
-        return sorted(name for shard in self._shards for name in shard.health.online_stations(now))
+    def __init__(self, frontend: "ShardedManager") -> None:
+        self._frontend = frontend
 
-    def offline_stations(self, now: float) -> List[str]:
-        return sorted(name for shard in self._shards for name in shard.health.offline_stations(now))
+    def online_stations(self, now: float) -> Tuple[str, ...]:
+        return self._frontend.telemetry.online_stations(now)
+
+    def offline_stations(self, now: float) -> Tuple[str, ...]:
+        return self._frontend.telemetry.offline_stations(now)
 
     def is_online(self, station_name: str, now: float) -> bool:
-        return any(shard.health.is_online(station_name, now) for shard in self._shards)
+        return self._frontend.shard_of(station_name).health.is_online(station_name, now)
 
     def heartbeats_received(self, station_name: str) -> int:
-        return sum(shard.health.heartbeats_received(station_name) for shard in self._shards)
+        return self._frontend.shard_of(station_name).health.heartbeats_received(station_name)
 
     def __len__(self) -> int:
-        return sum(len(shard.health) for shard in self._shards)
+        return sum(len(region.health) for region in self._frontend.telemetry.regions)
 
 
-class _ShardedHotspots:
-    """Network-wide hotspot view over the per-shard detectors."""
+class _FleetHotspots:
+    """Network-wide hotspot view: membership from the global rollup, full
+    records (rarely needed) merged from the per-leaf detectors."""
 
-    def __init__(self, shards: List[GNFManager]) -> None:
-        self._shards = shards
+    def __init__(self, frontend: "ShardedManager") -> None:
+        self._frontend = frontend
+
+    def hotspot_stations(self) -> List[str]:
+        return self._frontend.telemetry.hotspots.stations()
 
     @property
-    def hotspots(self):
-        found = [hotspot for shard in self._shards for hotspot in shard.hotspots.hotspots]
+    def hotspots(self) -> List[Hotspot]:
+        found = [hotspot for shard in self._frontend.shards for hotspot in shard.hotspots.hotspots]
         found.sort(key=lambda hotspot: (hotspot.detected_at, hotspot.station_name))
         return found
 
-    def hotspot_stations(self) -> List[str]:
-        return sorted({name for shard in self._shards for name in shard.hotspots.hotspot_stations()})
-
-    def recent_hotspots(self, since: float):
+    def recent_hotspots(self, since: float) -> List[Hotspot]:
         return [hotspot for hotspot in self.hotspots if hotspot.detected_at >= since]
 
 
 class _ShardSchedulerGroup:
-    """Facade over the per-shard NF schedulers (start/stop/aggregate stats)."""
+    """Facade over the per-leaf NF schedulers (start/stop/aggregate stats)."""
 
     def __init__(self, shards: List[GNFManager]) -> None:
         self._shards = shards
@@ -353,20 +381,22 @@ class _ShardSchedulerGroup:
             shard.scheduler.stop()
 
 
-class ShardedManager:
-    """A GNF control plane partitioned into N region shards.
+class ShardedManager(ControlPlane):
+    """A GNF control plane partitioned into ``region_count x shard_count``
+    leaves behind one frontend.
 
     Drop-in for :class:`~repro.core.manager.GNFManager`: the same attach /
     detach / register / query API, but every station band is served by its
-    own ``GNFManager`` shard and all agent->Manager traffic is coalesced
-    through a :class:`ControlBus`.  The frontend keeps only the truly global
-    state -- the client location directory, the assignment->shard index, the
-    shared notification centre and the roaming hook -- and aggregates
-    everything else on demand.
+    own ``GNFManager`` leaf and all agent->Manager traffic is coalesced
+    through one :class:`ControlBus`.  The frontend keeps only the truly
+    global state -- the client location directory, the assignment->leaf
+    index, the placement engine, the shared notification centre and the
+    roaming hook -- and reads everything else from the telemetry rollups.
 
-    With ``shard_count=1`` this still batches control traffic; construct a
-    plain ``GNFManager`` instead if you want the unbatched historical
-    behaviour (that is what ``GNFTestbed(shard_count=1)`` does).
+    ``shards`` is the flat leaf list; leaf ``i`` carries the region label
+    ``i // shard_count``.  With one leaf this still batches control traffic;
+    construct a plain ``GNFManager`` instead if you want the unbatched
+    historical behaviour (that is what ``GNFTestbed`` does at 1 x 1).
     """
 
     def __init__(
@@ -379,116 +409,85 @@ class ShardedManager:
         placement: Optional[PlacementStrategy] = None,
         heartbeat_timeout_s: float = 10.0,
         placement_engine: Optional[PlacementEngine] = None,
-        station_range: Optional[Tuple[int, int]] = None,
-        notifications: Optional[NotificationCenter] = None,
-        telemetry: Optional[RegionTelemetry] = None,
+        region_count: int = 1,
     ) -> None:
-        self.simulator = simulator
-        self.repository = repository or NFRepository.with_default_catalog()
-        self.topology = topology
         # Global placement runs on the frontend: one engine scoring the
         # *network-wide* station view (admission control and commitment
         # tracking included), exactly like a single Manager's engine would.
-        self.placement_engine = placement_engine or PlacementEngine(
-            simulator, strategy=placement, repository=self.repository
-        )
-        self.placement_engine.bind(
-            views=self.station_views,
-            on_admit=self._deploy_queued_assignment,
-            on_timeout=self._fail_queued_assignment,
-            locate=lambda client_ip: self.client_locations.get(client_ip),
-        )
-        if station_range is not None:
-            # A federation region: this manager owns only the 1-based station
-            # index band [lo, hi], sharded locally.
-            lo, hi = station_range
-            self.shard_map = StationShardMap(
-                station_count=max(1, hi - lo + 1), shard_count=shard_count, first_index=lo
+        super().__init__(simulator, repository, topology, placement, placement_engine)
+        if station_count is None:
+            station_count = (
+                len(topology.stations) if topology is not None else region_count * shard_count
             )
-        else:
-            if station_count is None:
-                station_count = len(topology.stations) if topology is not None else shard_count
-            self.shard_map = StationShardMap(
-                station_count=max(1, station_count), shard_count=shard_count
-            )
-        # One notification centre shared by every shard: notifications are a
+        self.shard_map = StationShardMap(max(1, station_count), shard_count, region_count)
+        self.shard_count = shard_count
+        self.region_count = region_count
+        # One notification centre shared by every leaf: notifications are a
         # provider-global stream (the UI and the fault injector publish and
-        # read it without caring which shard relayed the message).  A
-        # federation passes its single global centre in.
-        self.notifications = notifications if notifications is not None else NotificationCenter()
-        # Streaming telemetry rollup node.  Standalone, this aggregates the
-        # manager's own shards; under a FederatedManager the node is parented
-        # to the global rollup, so every shard push lands there too.
-        self.telemetry = telemetry if telemetry is not None else RegionTelemetry(
-            "region", heartbeat_timeout_s=heartbeat_timeout_s
-        )
-        # Last cumulative cache totals pushed per station (rollup deltas).
-        self._cache_rollup_last: Dict[str, Dict[str, int]] = {}
-        # Who dispatches/tears down a split assignment's *remote* segments.
-        # Standalone, this frontend holds channels to every station; as a
-        # federation region it only sees its band, so the federation rebinds
-        # this to itself after construction.
-        self.remote_segment_owner = self
+        # read it without caring which leaf relayed the message).
+        self.notifications = NotificationCenter()
+        # The streaming rollup tree: one aggregation node per region label
+        # below the global root, one counter node per leaf below that.
+        self.telemetry = GlobalTelemetry()
+        self._shard_counters: List[RollupCounters] = []
         self.shards: List[GNFManager] = []
-        for _ in range(shard_count):
-            # Shards get the trivial placement: the frontend already ran the
-            # real (possibly load-aware) strategy over the *global* station
-            # view and routes each attach with an explicit station.
-            shard = GNFManager(
-                simulator,
-                repository=self.repository,
-                topology=topology,
-                placement=ClosestAgentPlacement(),
-                heartbeat_timeout_s=heartbeat_timeout_s,
-            )
-            shard.notifications = self.notifications
-            # Split embeddings may land segments outside the shard's band;
-            # only the frontend holds channels to every station, so it
-            # dispatches and tears down remote segments on behalf of shards.
-            shard.remote_segment_dispatcher = self._dispatch_remote_segments
-            shard.remote_segment_teardown = self._teardown_remote_segments
-            # Stream hotspot sightings into the rollup at detection time.
-            shard.hotspots.on_hotspot = self._observe_hotspot
-            self.shards.append(shard)
-        self.bus = ControlBus(simulator, shard_count)
+        for region_index in range(region_count):
+            region = self.telemetry.region(f"region-{region_index}", heartbeat_timeout_s)
+            for local_index in range(shard_count):
+                # Leaves share the frontend's engine but never place: every
+                # assignment reaches them already placed against the
+                # *global* station view.
+                shard = GNFManager(
+                    simulator,
+                    repository=self.repository,
+                    topology=topology,
+                    heartbeat_timeout_s=heartbeat_timeout_s,
+                    placement_engine=self.placement_engine,
+                )
+                shard.notifications = self.notifications
+                # Split embeddings may land segments outside the leaf's
+                # band; only the frontend holds channels to every station.
+                shard.network = self
+                # One liveness structure per region, fed directly by its
+                # leaves' heartbeat path; hotspot sightings stream into the
+                # region's rollup at detection time.
+                shard.health = region.health
+                shard.hotspots.on_hotspot = (
+                    lambda hotspot, record=region.hotspots.record: record(hotspot.station_name)
+                )
+                self.shards.append(shard)
+                self._shard_counters.append(region.shard_node(local_index))
+        # Constructing the leaves pointed the shared engine at each in turn;
+        # its queue callbacks and station view belong to the frontend.
+        self._bind_placement_engine()
+        # Determinism pillar (1): one globally-ordered bus, indexed by
+        # global leaf number.
+        self.bus = ControlBus(simulator, len(self.shards))
         self.bus.bind(
             heartbeats=self._deliver_heartbeats,
             notifications=self._deliver_notifications,
             event=self._deliver_client_event,
         )
-        self.agents: Dict[str, GNFAgent] = {}
-        self.channels: Dict[str, ControlChannel] = {}
-        self.assignments: Dict[str, Assignment] = {}
         self._assignment_shard: Dict[str, int] = {}
-        self.client_locations: Dict[str, str] = {}
-        self.client_names: Dict[str, str] = {}
-        self.roaming = None  # set by RoamingCoordinator, exactly like GNFManager
-        self._client_event_listeners: List[ClientEventListener] = []
+        # Last cumulative cache totals pushed per station (rollup deltas).
+        self._cache_rollup_last: Dict[str, Dict[str, int]] = {}
         self.handoffs: List[ShardHandoff] = []
-        self.health = _ShardedHealth(self.shards)
-        self.hotspots = _ShardedHotspots(self.shards)
+        self.cross_region_handoffs = 0
+        self.health = _FleetHealth(self)
+        self.hotspots = _FleetHotspots(self)
         self.scheduler = _ShardSchedulerGroup(self.shards)
 
     @property
-    def placement(self) -> PlacementStrategy:
-        """The frontend's global placement strategy (engine-delegated)."""
-        return self.placement_engine.strategy
-
-    @placement.setter
-    def placement(self, strategy: PlacementStrategy) -> None:
-        self.placement_engine.strategy = strategy
-
-    @property
-    def shard_count(self) -> int:
+    def total_shard_count(self) -> int:
         return len(self.shards)
 
     @property
     def heartbeats_processed(self) -> int:
-        return sum(shard.heartbeats_processed for shard in self.shards)
+        return self.telemetry.counters.get("heartbeats_processed")
 
     @property
     def client_events_processed(self) -> int:
-        return sum(shard.client_events_processed for shard in self.shards)
+        return self.telemetry.counters.get("client_events_processed")
 
     @property
     def last_heartbeat(self) -> Dict[str, AgentHeartbeat]:
@@ -498,175 +497,117 @@ class ShardedManager:
         return merged
 
     def shard_of(self, station_name: str) -> GNFManager:
-        """The shard instance owning ``station_name``."""
+        """The leaf owning ``station_name``."""
         return self.shards[self.shard_map.shard_for(station_name)]
+
+    def region_index_of(self, station_name: str) -> int:
+        """The region label of the leaf owning ``station_name``."""
+        return self.shard_map.region_of(self.shard_map.shard_for(station_name))
+
+    def _shard_label(self, shard_index: int) -> str:
+        region_index, local_index = divmod(shard_index, self.shard_count)
+        if self.region_count == 1:
+            return f"shard-{local_index}"
+        return f"region-{region_index}/shard-{local_index}"
 
     # --------------------------------------------------------- registration
 
     def register_agent(
-        self,
-        agent: GNFAgent,
-        control_latency_s: Optional[float] = None,
-        sink_factory=None,
+        self, agent: GNFAgent, control_latency_s: Optional[float] = None
     ) -> ControlChannel:
-        """Connect an Agent to its owning shard, with bus-coalesced senders.
-
-        ``sink_factory`` overrides the sender wiring: a FederatedManager
-        registers agents through its regions but routes their traffic over
-        the *federation* bus (one globally-ordered bus keeps cross-region
-        client events in the same order a single-region run would see).
-        """
+        """Connect an Agent to its owning leaf, with its upstream senders
+        routed over the frontend's bus."""
         station_name = agent.station.name
         shard_index = self.shard_map.shard_for(station_name)
-        shard = self.shards[shard_index]
+        bus = self.bus
 
-        if sink_factory is None:
+        def bus_sinks(channel: ControlChannel):
+            latency = channel.latency_s
+            return (
+                bus.heartbeat_sink(shard_index, latency, channel),
+                bus.event_sink(shard_index, latency, channel),
+                bus.notification_sink(shard_index, latency, channel),
+            )
 
-            def sink_factory(channel: ControlChannel):
-                latency = channel.latency_s
-                return (
-                    self.bus.heartbeat_sink(shard_index, latency, channel),
-                    self.bus.event_sink(shard_index, latency, channel),
-                    self.bus.notification_sink(shard_index, latency, channel),
-                )
-
-        channel = shard.register_agent(agent, control_latency_s, sink_factory=sink_factory)
+        channel = self.shards[shard_index].register_agent(
+            agent, control_latency_s, sink_factory=bus_sinks
+        )
         self.agents[station_name] = agent
         self.channels[station_name] = channel
-        self.telemetry.health.record(station_name, self.simulator.now)
         return channel
 
-    def agent(self, station_name: str) -> GNFAgent:
-        try:
-            return self.agents[station_name]
-        except KeyError as exc:
-            raise UnknownAgentError(station_name) from exc
-
     def start(self) -> "ShardedManager":
-        """Start every shard's schedule evaluator."""
+        """Start every leaf's schedule evaluator."""
         for shard in self.shards:
             shard.start()
         return self
 
-    # ------------------------------------------------------------ attach API
+    # ------------------------------------------------------------- hand-off
 
-    def attach_chain(
-        self,
-        client_ip: str,
-        chain: ServiceChain,
-        selector: Optional[TrafficSelector] = None,
-        schedule: Optional[TimeSchedule] = None,
-        station_name: Optional[str] = None,
-    ) -> Assignment:
-        """Place a chain using the global station view, then route the attach
-        to the shard owning the chosen station.
-
-        Admission control (when enabled on the frontend's engine) runs here,
-        against the network-wide view: a queued assignment is parked on the
-        frontend and handed to the owning shard only once it is admitted.
-        """
-        client_station = station_name or self.client_locations.get(client_ip)
-        if client_station is None:
-            raise UnknownClientError(
-                f"client {client_ip!r} has no known location; pass station_name explicitly"
-            )
-        decision = self.placement_engine.place(
-            client_station, self.station_views(client_station), chain, client_ip=client_ip
-        )
-        if decision.admitted:
-            # Build the assignment here (not via shard.attach_chain): the
-            # frontend already ran global placement, and the decision's
-            # segment map must travel with the assignment -- a shard
-            # re-placing would see only its own band.
-            shard_index = self.shard_map.shard_for(decision.station_name)
-            assignment = make_assignment(
-                self.simulator.now, client_ip, chain, selector, schedule, decision.station_name
-            )
-            assignment.apply_segments(decision.segments)
-            self.assignments[assignment.assignment_id] = assignment
-            self._assignment_shard[assignment.assignment_id] = shard_index
-            self.shards[shard_index].accept_placed_assignment(assignment)
-            return assignment
-        assignment = make_assignment(
-            self.simulator.now, client_ip, chain, selector, schedule, decision.station_name
-        )
-        self.assignments[assignment.assignment_id] = assignment
-        if decision.queued:
-            self.placement_engine.enqueue(assignment, client_station, chain)
-        else:
-            assignment.state = AssignmentState.FAILED
-            assignment.failure_reason = decision.reason
-        return assignment
-
-    def _deploy_queued_assignment(self, assignment: Assignment, decision: PlacementDecision) -> None:
-        """Engine callback: hand a finally-admitted assignment to its shard."""
-        if assignment.state is not AssignmentState.PENDING:
-            return  # detached (or failed) while waiting in the queue
-        assignment.station_name = decision.station_name
-        assignment.station_history[-1] = decision.station_name
-        assignment.apply_segments(decision.segments)
-        shard_index = self.shard_map.shard_for(decision.station_name)
+    def accept_placed_assignment(self, assignment: Assignment) -> None:
+        """Index a placed assignment and hand it to the leaf owning its
+        station.  The state hook installed here streams active-assignment /
+        enabled-NF deltas into the global rollup and travels with the object
+        across handoffs."""
+        shard_index = self.shard_map.shard_for(assignment.station_name)
+        assignment.on_state_change = self._assignment_state_changed
         self._assignment_shard[assignment.assignment_id] = shard_index
         self.shards[shard_index].accept_placed_assignment(assignment)
 
-    def _dispatch_remote_segments(self, assignment: Assignment) -> None:
-        """Deploy a split assignment's remote segments network-wide.
+    def _withdraw(self, assignment: Assignment) -> None:
+        # An assignment that failed placement was never handed to a leaf:
+        # nothing was deployed.
+        shard = self._owning_shard(assignment.assignment_id)
+        if shard is not None:
+            shard._withdraw(assignment)
 
-        Invoked by the owning shard's ``_dispatch_deployment`` hook: the
-        shard holds channels only for its own band.  Completion reports are
-        routed back into that shard's assignment state machine.
-        """
-        shard = self.shards[self._assignment_shard[assignment.assignment_id]]
-        dispatch_remote_segments(self.remote_segment_owner, assignment, shard._deployment_finished)
+    def _owning_shard(self, assignment_id: str) -> Optional[GNFManager]:
+        shard_index = self._assignment_shard.get(assignment_id)
+        return None if shard_index is None else self.shards[shard_index]
 
-    def _teardown_remote_segments(self, assignment: Assignment) -> None:
-        """Tear down remote segments with the frontend's global channels."""
-        teardown_remote_segments(self.remote_segment_owner, assignment)
-
-    def _fail_queued_assignment(self, assignment: Assignment, reason: str) -> None:
-        """Engine callback: a queued placement timed out on the frontend."""
-        if assignment.state is AssignmentState.PENDING:
-            assignment.state = AssignmentState.FAILED
-            assignment.failure_reason = reason
-
-    def attach_nf(
-        self,
-        client_ip: str,
-        nf_type: str,
-        config: Optional[Dict[str, object]] = None,
-        selector: Optional[TrafficSelector] = None,
-        schedule: Optional[TimeSchedule] = None,
-        station_name: Optional[str] = None,
-    ) -> Assignment:
-        """Attach a single NF (convenience wrapper, mirrors GNFManager)."""
-        return self.attach_chain(
-            client_ip,
-            ServiceChain.single(nf_type, config=config),
-            selector=selector,
-            schedule=schedule,
-            station_name=station_name,
+    def assignment_station_changed(self, assignment: Assignment, old_station: str) -> None:
+        """Roaming hook: move the assignment between leaves if its new home
+        station is owned by a different one (the explicit handoff)."""
+        assignment_id = assignment.assignment_id
+        source_index = self._assignment_shard.get(assignment_id)
+        if source_index is None:
+            return
+        target_index = self.shard_map.shard_for(assignment.station_name)
+        if target_index == source_index:
+            return
+        schedule_active = self.shards[source_index].release_assignment(assignment_id)
+        self.shards[target_index].adopt_assignment(assignment, schedule_active=schedule_active)
+        self._assignment_shard[assignment_id] = target_index
+        cross_region = self.shard_map.region_of(source_index) != self.shard_map.region_of(target_index)
+        if cross_region:
+            self.cross_region_handoffs += 1
+        self.handoffs.append(
+            ShardHandoff(
+                assignment_id=assignment_id,
+                client_ip=assignment.client_ip,
+                from_shard=source_index,
+                to_shard=target_index,
+                from_station=old_station,
+                to_station=assignment.station_name,
+                time=self.simulator.now,
+                cross_region=cross_region,
+                schedule_active=schedule_active,
+            )
         )
 
-    def detach(self, assignment_id: str) -> Assignment:
-        """Tear down an assignment on whichever shard currently owns it."""
-        shard_index = self._assignment_shard.get(assignment_id)
-        if shard_index is None:
-            # Never handed to a shard: still queued for admission on the
-            # frontend (or already failed there).  Nothing was deployed.
-            assignment = self.assignments.get(assignment_id)
-            if assignment is None:
-                raise UnknownAssignmentError(assignment_id)
-            self.placement_engine.cancel(assignment_id)
-            assignment.state = AssignmentState.REMOVED
-            if self.roaming is not None:
-                self.roaming.assignment_released(assignment_id)
-            return assignment
-        assignment = self.shards[shard_index].detach(assignment_id)
-        # Shards have no roaming hook (roaming is frontend-global), so the
-        # frontend must release the coordinator's staged state itself.
-        if self.roaming is not None:
-            self.roaming.assignment_released(assignment_id)
-        return assignment
+    def _assignment_state_changed(
+        self,
+        assignment: Assignment,
+        old_state: Optional[AssignmentState],
+        new_state: Optional[AssignmentState],
+    ) -> None:
+        counters = self.telemetry.counters
+        if old_state is AssignmentState.ACTIVE:
+            counters.add("active_assignments", -1)
+            counters.add("enabled_nfs", -len(assignment.chain))
+        if new_state is AssignmentState.ACTIVE:
+            counters.add("active_assignments", 1)
+            counters.add("enabled_nfs", len(assignment.chain))
 
     # ---------------------------------------------------------- bus delivery
 
@@ -682,8 +623,6 @@ class ShardedManager:
     )
 
     def _push_cache_rollup(self, node: RollupCounters, heartbeat: AgentHeartbeat) -> None:
-        if not heartbeat.cache:
-            return
         station_last = self._cache_rollup_last.setdefault(heartbeat.station_name, {})
         for key in self._CACHE_ROLLUP_KEYS:
             total = int(heartbeat.cache.get(key, 0.0))
@@ -695,186 +634,175 @@ class ShardedManager:
     def _deliver_heartbeats(self, shard_index: int, batch: List[AgentHeartbeat]) -> None:
         # Push the streaming rollup deltas first (plain synchronous calls;
         # no simulator events, so delivery order/time is unchanged), then
-        # hand the batch to the shard's scan-era entry point.
-        node = self.telemetry.shard_node(shard_index)
+        # hand the batch to the leaf, whose heartbeat path feeds the
+        # region's health rollup.
+        node = self._shard_counters[shard_index]
         node.add("heartbeats_processed", len(batch))
-        health = self.telemetry.health
-        now = self.simulator.now
         for heartbeat in batch:
-            health.record(heartbeat.station_name, now)
-            self._push_cache_rollup(node, heartbeat)
+            if heartbeat.cache:
+                self._push_cache_rollup(node, heartbeat)
         self.shards[shard_index].receive_heartbeat_batch(batch)
 
     def _deliver_notifications(self, shard_index: int, batch: List[NFNotificationMessage]) -> None:
-        self.telemetry.shard_node(shard_index).add("notifications_processed", len(batch))
+        self._shard_counters[shard_index].add("notifications_processed", len(batch))
         self.shards[shard_index].receive_notification_batch(batch)
 
     def _deliver_client_event(self, shard_index: int, event: ClientEvent) -> None:
-        # Shard-local bookkeeping first (counters, shard client directory;
-        # the shard has no roaming hook), then the same shared tracking a
-        # single Manager runs -- here against the global directory, the
-        # global assignment index and the network-wide roaming coordinator.
-        self.telemetry.shard_node(shard_index).add("client_events_processed", 1)
+        # Leaf-local bookkeeping first (counters, leaf client directory; the
+        # leaf has no roaming hook), then the same shared tracking a single
+        # Manager runs -- here against the global directory, the global
+        # assignment index and the network-wide migration engine.
+        self._shard_counters[shard_index].add("client_events_processed", 1)
         self.shards[shard_index].receive_client_event(event)
         track_client_event(self, event)
 
-    def _observe_hotspot(self, hotspot: Hotspot) -> None:
-        self.telemetry.hotspots.record(hotspot.station_name)
-
-    def add_client_event_listener(self, listener: ClientEventListener) -> None:
-        self._client_event_listeners.append(listener)
-
-    # -------------------------------------------------------------- handoff
-
-    def assignment_station_changed(self, assignment: Assignment, old_station: str) -> None:
-        """Roaming hook: move the assignment between shards if its new home
-        station is owned by a different one (the explicit handoff)."""
-        assignment_id = assignment.assignment_id
-        source_index = self._assignment_shard.get(assignment_id)
-        if source_index is None:
-            return
-        target_index = self.shard_map.shard_for(assignment.station_name)
-        if target_index == source_index:
-            return
-        schedule_active = self.shards[source_index].release_assignment(assignment_id)
-        self.shards[target_index].adopt_assignment(assignment, schedule_active=schedule_active)
-        self._assignment_shard[assignment_id] = target_index
-        self.handoffs.append(
-            ShardHandoff(
-                assignment_id=assignment_id,
-                client_ip=assignment.client_ip,
-                from_shard=source_index,
-                to_shard=target_index,
-                from_station=old_station,
-                to_station=assignment.station_name,
-                time=self.simulator.now,
-                schedule_active=schedule_active,
-            )
-        )
-
-    # ------------------------------------------------- region-level handoff
-
-    def release_assignment(self, assignment_id: str) -> bool:
-        """Drop an assignment from this manager entirely (cross-*region*
-        handoff source side): the owning shard releases it from its table and
-        scheduler, and the frontend indexes forget it.  Returns whether the
-        schedule considered it active, exactly like the shard primitive."""
-        shard_index = self._assignment_shard.pop(assignment_id)
-        self.assignments.pop(assignment_id, None)
-        return self.shards[shard_index].release_assignment(assignment_id)
-
-    def adopt_assignment(self, assignment: Assignment, schedule_active: bool = True) -> None:
-        """Adopt a released assignment (cross-*region* handoff target side):
-        route it to the shard owning its new home station and resume its
-        schedule tracking from the carried state."""
-        shard_index = self.shard_map.shard_for(assignment.station_name)
-        self.assignments[assignment.assignment_id] = assignment
-        self._assignment_shard[assignment.assignment_id] = shard_index
-        self.shards[shard_index].adopt_assignment(assignment, schedule_active=schedule_active)
-
-    def accept_placed_assignment(self, assignment: Assignment) -> None:
-        """Accept an assignment the federation frontend already placed
-        globally: index it here and hand it to the owning shard's deployment
-        state machine (mirrors the shard-level primitive one tier up)."""
-        shard_index = self.shard_map.shard_for(assignment.station_name)
-        self.assignments[assignment.assignment_id] = assignment
-        self._assignment_shard[assignment.assignment_id] = shard_index
-        self.shards[shard_index].accept_placed_assignment(assignment)
+    def receive_client_event(self, event: ClientEvent) -> None:
+        """Direct (bus-bypassing) delivery, for tests and synthetic drivers --
+        mirrors ``GNFManager.receive_client_event`` semantics."""
+        self._deliver_client_event(self.shard_map.shard_for(event.station_name), event)
 
     # ------------------------------------------------------ bundle upgrades
 
-    def find_assignment(self, assignment_id: str) -> Optional[Assignment]:
-        """Non-raising lookup against the frontend's global index."""
-        return self.assignments.get(assignment_id)
-
-    def _upgrade_shard(self, assignment_id: str) -> Optional[GNFManager]:
-        shard_index = self._assignment_shard.get(assignment_id)
-        return None if shard_index is None else self.shards[shard_index]
-
     def stage_chain_upgrade(self, assignment_id: str, new_chain: ServiceChain, on_complete) -> None:
-        """Route the staging to whichever shard owns the assignment."""
-        shard = self._upgrade_shard(assignment_id)
+        """Route the staging to whichever leaf owns the assignment."""
+        shard = self._owning_shard(assignment_id)
         if shard is None:
             self.simulator.schedule(0.0, on_complete, False, "assignment not owned by any shard")
             return
         shard.stage_chain_upgrade(assignment_id, new_chain, on_complete)
 
     def suspend_chain_upgrade(self, assignment_id: str, on_suspended) -> None:
-        shard = self._upgrade_shard(assignment_id)
+        shard = self._owning_shard(assignment_id)
         if shard is not None:
             shard.suspend_chain_upgrade(assignment_id, on_suspended)
 
     def cutover_chain_upgrade(self, assignment_id: str, new_chain: ServiceChain, final_states, on_done) -> None:
-        """Cut over on the owning shard (its scheduler holds the activation
+        """Cut over on the owning leaf (its scheduler holds the activation
         state the replacement must inherit)."""
-        shard = self._upgrade_shard(assignment_id)
+        shard = self._owning_shard(assignment_id)
         if shard is None:
             self.simulator.schedule(0.0, on_done, False, "assignment not owned by any shard")
             return
         shard.cutover_chain_upgrade(assignment_id, new_chain, final_states, on_done)
 
     def abort_chain_upgrade(self, assignment_id: str) -> None:
-        shard = self._upgrade_shard(assignment_id)
+        shard = self._owning_shard(assignment_id)
         if shard is not None:
             shard.abort_chain_upgrade(assignment_id)
 
     # -------------------------------------------------------------- queries
 
-    def assignments_for_client(self, client_ip: str) -> List[Assignment]:
-        return [a for a in self.assignments.values() if a.client_ip == client_ip]
-
     def station_provenance(self) -> Dict[str, str]:
-        """Station -> ``shard-i`` labels (digest diffs use these to point a
-        mismatch at the owning shard)."""
-        return {name: f"shard-{self.shard_map.shard_for(name)}" for name in self.agents}
+        """Station -> ``region-r/shard-s`` labels (``shard-s`` when there is
+        one region); digest diffs use these to point a mismatch at the
+        owning leaf."""
+        return {name: self._shard_label(self.shard_map.shard_for(name)) for name in self.agents}
 
     def station_views(self, client_station: Optional[str] = None) -> List[StationView]:
-        """Placement candidates for **every** station, across all shards."""
+        """Placement candidates for **every** station, across all leaves.
+
+        Leaves cover contiguous, ordered station bands, so concatenating
+        them in leaf order preserves the global station order a single
+        Manager would present -- placement tie-breaks stay identical."""
         views: List[StationView] = []
         for shard in self.shards:
             views.extend(shard.station_views(client_station))
         return views
 
+    def _tier_summary(self) -> Dict[str, object]:
+        """Shape and handoff counts, shared by the overviews and the stats."""
+        return {
+            "regions": self.region_count,
+            "shards": len(self.shards),
+            "cross_region_handoffs": self.cross_region_handoffs,
+            "cross_shard_handoffs": len(self.handoffs) - self.cross_region_handoffs,
+        }
+
     def overview(self) -> Dict[str, object]:
-        """The network-wide summary, aggregated over every shard."""
+        """The network-wide summary, served from the streaming rollups.
+
+        O(regions) merges for the station lists, O(1) counter lookups for
+        everything else -- no per-station or per-assignment scan.
+        """
         now = self.simulator.now
-        active_assignments = [
-            a for a in self.assignments.values() if a.state is AssignmentState.ACTIVE
-        ]
+        counters = self.telemetry.counters
         return {
             "time": now,
-            "online_stations": self.health.online_stations(now),
-            "offline_stations": self.health.offline_stations(now),
-            "connected_clients": sorted(self.client_locations),
+            "online_stations": list(self.telemetry.online_stations(now)),
+            "offline_stations": list(self.telemetry.offline_stations(now)),
+            "connected_clients": len(self.client_locations),
             "assignments": len(self.assignments),
-            "active_assignments": len(active_assignments),
-            "enabled_nfs": sum(len(a.chain) for a in active_assignments),
-            "hotspot_stations": self.hotspots.hotspot_stations(),
+            "active_assignments": counters.get("active_assignments"),
+            "enabled_nfs": counters.get("enabled_nfs"),
+            "hotspot_stations": self.telemetry.hotspots.stations(),
             "notifications": self.notifications.summary(),
-            "heartbeats_processed": self.heartbeats_processed,
-            "shards": self.shard_count,
-            "cross_shard_handoffs": len(self.handoffs),
+            "heartbeats_processed": counters.get("heartbeats_processed"),
+            **self._tier_summary(),
         }
 
-    def control_plane_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-station control-channel statistics, merged across shards
-        (same shape as ``GNFManager.control_plane_stats``)."""
-        return {name: channel.stats() for name, channel in self.channels.items()}
+    def full_scan_overview(self) -> Dict[str, object]:
+        """Brute-force recomputation of :meth:`overview` from per-station /
+        per-assignment state (the pull path): no heap, no cache, no rollup.
+
+        The rollup-equivalence tests assert this equals :meth:`overview`
+        after every canned scenario, and benchmark E14 measures how much
+        slower it is at fleet scale.
+        """
+        now = self.simulator.now
+        online = {
+            name: shard.health.is_online(name, now)
+            for shard in self.shards
+            for name in shard.agents
+        }
+        active = [a for a in self.assignments.values() if a.state is AssignmentState.ACTIVE]
+        return {
+            "time": now,
+            "online_stations": sorted(name for name, alive in online.items() if alive),
+            "offline_stations": sorted(name for name, alive in online.items() if not alive),
+            "connected_clients": len(self.connected_client_ips()),
+            "assignments": len(self.assignments),
+            "active_assignments": len(active),
+            "enabled_nfs": sum(len(a.chain) for a in active),
+            "hotspot_stations": sorted(
+                {name for shard in self.shards for name in shard.hotspots.hotspot_stations()}
+            ),
+            "notifications": self.notifications.summary(),
+            "heartbeats_processed": sum(shard.heartbeats_processed for shard in self.shards),
+            **self._tier_summary(),
+        }
 
     def shard_stats(self) -> Dict[str, object]:
-        """Per-shard load plus bus coalescing counters (benchmark E7)."""
-        per_shard: Dict[str, Dict[str, float]] = {}
-        for index, shard in enumerate(self.shards):
-            per_shard[f"shard-{index}"] = {
-                "stations": float(len(shard.agents)),
-                "assignments": float(len(shard.assignments)),
-                "heartbeats_processed": float(shard.heartbeats_processed),
-                "client_events_processed": float(shard.client_events_processed),
-                "scheduler_transitions": float(shard.scheduler.transitions),
-            }
+        """Per-leaf load plus bus coalescing counters (benchmark E7)."""
         return {
-            "shards": per_shard,
+            "shards": {
+                self._shard_label(index): _load(self.shards[index : index + 1])
+                for index in range(len(self.shards))
+            },
             "bus": self.bus.stats(),
-            "cross_shard_handoffs": float(len(self.handoffs)),
             "rollup": self.telemetry.stats(),
+            **self._tier_summary(),
         }
+
+    def region_stats(self) -> Dict[str, object]:
+        """The same load figures grouped by region label."""
+        size = self.shard_count
+        return {
+            "regions": {
+                f"region-{index}": _load(self.shards[index * size : (index + 1) * size])
+                for index in range(self.region_count)
+            },
+            "bus": self.bus.stats(),
+            "rollup": self.telemetry.stats(),
+            **self._tier_summary(),
+        }
+
+
+def _load(shards: List[GNFManager]) -> Dict[str, float]:
+    """Summed load of a group of leaves (one leaf, or one region's)."""
+    return {
+        "stations": float(sum(len(shard.agents) for shard in shards)),
+        "assignments": float(sum(len(shard.assignments) for shard in shards)),
+        "heartbeats_processed": float(sum(shard.heartbeats_processed for shard in shards)),
+        "client_events_processed": float(sum(shard.client_events_processed for shard in shards)),
+        "scheduler_transitions": float(sum(shard.scheduler.transitions for shard in shards)),
+    }

@@ -3,8 +3,8 @@
 The demo setup in Fig. 2 is: two wireless networks (each a home router
 hosting GNF), a provider network behind them, smartphones roaming between
 the networks, and the Manager + UI watching everything.  ``GNFTestbed``
-builds exactly that -- topology, cells, clients, Agents, Manager, roaming
-coordinator and dashboard -- so examples, tests and benchmarks can focus on
+builds exactly that -- topology, cells, clients, Agents, Manager, migration
+engine and dashboard -- so examples, tests and benchmarks can focus on
 the scenario instead of the wiring.
 """
 
@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.agent import GNFAgent
 from repro.core.bundles import BundleUpgradeOrchestrator, default_catalogue
-from repro.core.federation import FederatedManager
-from repro.core.manager import GNFManager
+from repro.core.manager import AssignmentState, GNFManager
+from repro.core.migration import MigrationEngine
 from repro.core.placement import (
     AdmissionPolicy,
     NFAutoscaler,
@@ -26,7 +26,6 @@ from repro.core.placement import (
     make_strategy,
 )
 from repro.core.repository import NFRepository
-from repro.core.roaming import RoamingCoordinator
 from repro.core.seeds import derive_seed
 from repro.core.sharding import ShardedManager
 from repro.core.ui import GNFDashboard
@@ -106,19 +105,16 @@ class TestbedConfig:
     #: Flow-cached fast path on the station switches (disable to measure the
     #: pure slow-path baseline, e.g. in benchmark E6).
     fastpath_enabled: bool = True
-    #: Number of control-plane shards.  1 (the default) builds the single
-    #: historical :class:`~repro.core.manager.GNFManager`; >1 builds a
-    #: :class:`~repro.core.sharding.ShardedManager` that partitions the
-    #: stations into contiguous bands and coalesces agent->Manager traffic
-    #: through a ControlBus.  Scenario digests are identical either way.
+    #: Control-plane shards *per region*.  ``1 x 1`` (the default) builds
+    #: the single historical :class:`~repro.core.manager.GNFManager`; any
+    #: other shape builds one :class:`~repro.core.sharding.ShardedManager`
+    #: over ``region_count * shard_count`` leaves, each serving a contiguous
+    #: band of stations, with agent->Manager traffic coalesced through a
+    #: ControlBus.  Scenario digests are identical for every shape.
     shard_count: int = 1
-    #: Number of federation regions.  1 (the default) keeps the single
-    #: region-level control plane above; >1 builds a
-    #: :class:`~repro.core.federation.FederatedManager` owning that many
-    #: regions, each a ShardedManager with ``shard_count`` *local* shards
-    #: over its contiguous station band, with streaming telemetry rollups
-    #: and cross-region roaming handoffs.  Scenario digests are identical
-    #: across region counts.
+    #: Number of regions: contiguous station bands that label the leaves
+    #: (``region-r/shard-s``), group them in the streaming telemetry rollup
+    #: tree and decide which roaming handoffs count as cross-region.
     region_count: int = 1
     #: ``packet`` (the historical pure packet-level engine) or ``hybrid``
     #: (bulk flows become fluid rate processes solved per-link, demoted to
@@ -138,8 +134,8 @@ class GNFTestbed:
     :class:`~repro.core.agent.GNFAgent` per station, the central Manager --
     a single :class:`~repro.core.manager.GNFManager` by default, or a
     :class:`~repro.core.sharding.ShardedManager` when
-    ``config.shard_count > 1`` -- the roaming coordinator, the handover
-    manager and the operator dashboard.  :meth:`start` begins client
+    ``config.region_count * config.shard_count > 1`` -- the migration
+    engine (``roaming``), the handover manager and the operator dashboard.  :meth:`start` begins client
     association scanning; :meth:`run` advances the shared simulator;
     :meth:`stop` halts every periodic activity so the event queue drains.
     """
@@ -166,11 +162,6 @@ class GNFTestbed:
             raise ValueError(f"shard_count must be >= 1, got {self.config.shard_count}")
         if self.config.region_count < 1:
             raise ValueError(f"region_count must be >= 1, got {self.config.region_count}")
-        if self.config.region_count > self.config.station_count:
-            raise ValueError(
-                f"region_count ({self.config.region_count}) cannot exceed "
-                f"station_count ({self.config.station_count})"
-            )
         strategy = self.config.placement or make_strategy(self.config.placement_strategy)
         self.placement_engine = PlacementEngine(
             self.simulator,
@@ -184,21 +175,11 @@ class GNFTestbed:
             # Commitments only need to bridge the heartbeat blind window.
             pending_ttl_s=self.config.heartbeat_interval_s + 1.0,
         )
-        if self.config.region_count > 1:
-            # Federation tier: ``shard_count`` becomes shards *per region*.
-            self.manager = FederatedManager(
-                self.simulator,
-                region_count=self.config.region_count,
-                shards_per_region=self.config.shard_count,
-                station_count=self.config.station_count,
-                repository=self.repository,
-                topology=self.topology,
-                placement_engine=self.placement_engine,
-            )
-        elif self.config.shard_count > 1:
+        if self.config.region_count * self.config.shard_count > 1:
             self.manager = ShardedManager(
                 self.simulator,
                 shard_count=self.config.shard_count,
+                region_count=self.config.region_count,
                 station_count=self.config.station_count,
                 repository=self.repository,
                 topology=self.topology,
@@ -228,7 +209,7 @@ class GNFTestbed:
             self.handover.station_link_rates,
             uplink_bandwidth_mbps=self.config.uplink_bandwidth_bps / 1e6,
         )
-        self.roaming = RoamingCoordinator(
+        self.roaming = self.manager.roaming = MigrationEngine(
             self.simulator,
             self.manager,
             strategy=self.config.migration_strategy,
@@ -249,7 +230,7 @@ class GNFTestbed:
         self.upgrades = BundleUpgradeOrchestrator(
             self.simulator,
             self.manager,
-            engine=self.roaming.engine,
+            engine=self.roaming,
             catalogue=default_catalogue(),
         )
         self.ui = GNFDashboard(self.manager)
@@ -265,7 +246,7 @@ class GNFTestbed:
         )
         self.hybrid.chain_predicate = self._flow_has_chain
         self.hybrid.migration_stations = (
-            lambda: self.roaming.engine.transfers.active_transfer_stations()
+            lambda: self.roaming.transfers.active_transfer_stations()
         )
         self.hybrid.path_resolver = self._resolve_fluid_path
         self.hybrid.switch_for = self._switch_for
@@ -300,8 +281,6 @@ class GNFTestbed:
         client = flow.client
         if client is None:
             return False
-        from repro.core.manager import AssignmentState
-
         for assignment in self.manager.assignments_for_client(client.ip):
             if assignment.state not in (AssignmentState.REMOVED, AssignmentState.FAILED):
                 return True

@@ -164,12 +164,9 @@ class GNFDashboard:
     def render_overview(self) -> str:
         """Plain-text landing page."""
         overview = self.overview()
-        # A federated manager reports ``connected_clients`` as a directory
-        # *count*; the single-region managers report the sorted ip list.
-        connected = overview["connected_clients"]
         rows = [
             ["online stations", len(overview["online_stations"])],
-            ["connected clients", connected if isinstance(connected, int) else len(connected)],
+            ["connected clients", overview["connected_clients"]],
             ["active assignments", overview["active_assignments"]],
             ["enabled NFs", overview["enabled_nfs"]],
             ["hotspot stations", len(overview["hotspot_stations"])],

@@ -486,14 +486,15 @@ class TopologySpec:
     autoscale_up_threshold: float = 0.8
     autoscale_down_threshold: float = 0.4
     autoscale_max_replicas: int = 2
-    #: Control-plane shards (1 = the single historical Manager).  A scenario
-    #: replays to the identical MetricsDigest for any shard count -- the
-    #: knob trades control-plane event overhead, not behaviour.
+    #: Control-plane shards per region (1 x 1 = the single historical
+    #: Manager).  A scenario replays to the identical MetricsDigest for any
+    #: shard count -- the knob trades control-plane event overhead, not
+    #: behaviour.
     shard_count: int = 1
-    #: Federation regions (1 = no federation tier).  With >1 the testbed
-    #: builds a :class:`~repro.core.federation.FederatedManager` owning
-    #: ``region_count`` regions of ``shard_count`` local shards each; a
-    #: scenario replays to the identical MetricsDigest for any region count.
+    #: Regions: contiguous station bands labelling the
+    #: :class:`~repro.core.sharding.ShardedManager`'s ``region_count *
+    #: shard_count`` leaves; a scenario replays to the identical
+    #: MetricsDigest for any region count.
     region_count: int = 1
     #: ``packet`` or ``hybrid`` (fluid bulk flows with packet fidelity
     #: islands; see :mod:`repro.netem.fluid`).  Scenarios without ``bulk``

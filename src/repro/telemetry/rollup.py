@@ -1,12 +1,11 @@
-"""Streaming telemetry rollups for the federated control plane.
+"""Streaming telemetry rollups for the control plane.
 
-The pre-federation aggregation model is *pull*: ``overview()`` walks every
-station's health record, every assignment and every hotspot log on each
-call.  That is O(stations + assignments) per read -- fine for a testbed,
-hopeless for an operator fleet where dashboards poll continuously over
-millions of clients.
+A *pull* summary walks every station's health record, every assignment and
+every hotspot log on each read: O(stations + assignments) per call -- fine
+for a testbed, hopeless for an operator fleet where dashboards poll
+continuously over millions of clients.
 
-This module inverts it to *push*: each shard's delivery path applies its
+This module is the *push* side: each leaf's delivery path applies its
 per-tick deltas (heartbeat batch sizes, client events, notification bursts,
 hotspot detections, assignment state transitions) to a small rollup node,
 and every write propagates up the tree
@@ -16,24 +15,21 @@ and every write propagates up the tree
 so a read at any level is a dictionary lookup over pre-aggregated state:
 O(1) for counters, O(regions) to merge the per-region health/hotspot views.
 Nothing here is sampled or approximate -- the rollups are exact mirrors of
-the scanned state, and the federation test suite asserts byte equality
-between the streaming values and a brute-force recomputation after every
-canned scenario (``FederatedManager.full_scan_overview``).
+the scanned state, and the control-plane tests assert equality between the
+streaming values and a brute-force recomputation after every canned
+scenario (``ShardedManager.full_scan_overview``).
 
 Design constraints the implementation honours:
 
 * **Determinism** -- rollup propagation is plain synchronous function calls
-  on the shard delivery path; no simulator events are scheduled, so a run's
+  on the leaf delivery path; no simulator events are scheduled, so a run's
   event timeline (and therefore its :class:`~repro.scenarios.digest.MetricsDigest`)
-  is identical with rollups on or off.
+  is identical whatever the tree's shape.
 * **Integer exactness** -- counter deltas are ints and stay ints, so rolled
-  values digest identically to the per-shard counters they mirror.
-* **Float-exact liveness** -- :class:`HealthRollup` must agree with
-  :class:`~repro.core.monitoring.HealthMonitor`'s ``(now - last) <= timeout``
-  predicate bit-for-bit.  Deadlines in the expiry heap are rounded *down*
-  one ulp, so a candidate is always re-checked with the monitor's own
-  formula before being declared offline (and re-armed just past ``now`` if
-  float dust fired it early).
+  values digest identically to the per-leaf counters they mirror.
+* **One liveness predicate** -- :class:`HealthRollup` is the only place
+  ``(now - last) <= timeout`` is written; its expiry heap merely nominates
+  candidates for that check.
 """
 
 from __future__ import annotations
@@ -77,26 +73,33 @@ class RollupCounters:
 
 
 class HealthRollup:
-    """Streaming station liveness for one region.
+    """Station liveness from heartbeat recency -- the one implementation.
 
-    ``record`` is O(log n) amortised per heartbeat; ``online_stations`` /
-    ``offline_stations`` are O(1) when nothing changed since the last read
-    (the common all-alive case) -- the sorted views are cached and only
-    rebuilt when a station flips state.
+    A station is online iff ``(now - last_heartbeat) <= heartbeat_timeout_s``
+    (:meth:`is_online`, a plain per-station check).  The list views keep an
+    online set and an expiry heap so they are O(1) when nothing changed since
+    the last read -- the common all-alive case: a lone
+    :class:`~repro.core.manager.GNFManager` owns one of these, and the
+    leaves of one region of a :class:`~repro.core.sharding.ShardedManager`
+    share one.
 
-    Exactness contract: a station is online iff
-    ``(now - last_heartbeat) <= heartbeat_timeout_s``, the identical
-    predicate :class:`~repro.core.monitoring.HealthMonitor` scans with.
-    The expiry heap only *nominates* candidates (with deadlines rounded one
-    ulp early, so no true expiry can hide behind float rounding); the
-    monitor formula always makes the final call.
+    The heap holds **at most one entry per online station**.  ``record`` is
+    O(1) while a station's entry is armed; the entry is re-armed from the
+    latest heartbeat when it is popped, so an unpolled run cannot grow it.
+    Deadlines are rounded one ulp *down* (a candidate never fires later
+    than the true ``last + timeout`` instant) and a popped candidate is
+    always re-checked with the predicate above, re-armed just past ``now``
+    when float dust fired it a hair early.
     """
 
     def __init__(self, heartbeat_timeout_s: float = 10.0) -> None:
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self._last: Dict[str, float] = {}
-        self._heap: List[Tuple[float, str, float]] = []
-        self._offline: set = set()
+        self._received: Dict[str, int] = {}
+        #: Online as of the last expiry pass; exactly the stations with a
+        #: heap entry.
+        self._online: set = set()
+        self._heap: List[Tuple[float, str]] = []
         self._online_cache: Optional[Tuple[str, ...]] = None
         self._offline_cache: Optional[Tuple[str, ...]] = None
         #: Bumped whenever the online/offline partition changes; parents use
@@ -108,53 +111,60 @@ class HealthRollup:
         self._online_cache = None
         self._offline_cache = None
 
-    def record(self, station_name: str, now: float) -> None:
-        """Register a heartbeat (or the initial registration) at ``now``."""
-        known = station_name in self._last
-        self._last[station_name] = now
-        # Deadline rounded one ulp down: an addition rounds by at most half
-        # an ulp, so this candidate can never fire *later* than the true
-        # ``last + timeout`` instant.
+    def _arm(self, station_name: str, now: float) -> None:
+        self._online.add(station_name)
         deadline = math.nextafter(now + self.heartbeat_timeout_s, -math.inf)
-        heappush(self._heap, (deadline, station_name, now))
-        if not known:
-            self._bump()
-        elif station_name in self._offline:
-            self._offline.discard(station_name)
-            self._bump()
+        heappush(self._heap, (deadline, station_name))
+        self._bump()
+
+    def register(self, station_name: str, now: float) -> None:
+        """Start tracking a station: alive as of ``now``, no heartbeat yet."""
+        self._last[station_name] = now
+        if station_name not in self._online:
+            self._arm(station_name, now)
+
+    def record(self, station_name: str, now: float) -> None:
+        """Count one heartbeat received at ``now``."""
+        self._last[station_name] = now
+        self._received[station_name] = self._received.get(station_name, 0) + 1
+        if station_name not in self._online:
+            self._arm(station_name, now)
 
     def _expire(self, now: float) -> None:
         timeout = self.heartbeat_timeout_s
         heap = self._heap
         while heap and heap[0][0] <= now:
-            deadline, station_name, last = heap[0]
-            heappop(heap)
-            if self._last.get(station_name) != last:
-                continue  # superseded by a newer heartbeat
+            station_name = heappop(heap)[1]
+            last = self._last[station_name]
             if now - last <= timeout:
-                # Float dust fired the candidate a hair early: the monitor
-                # formula still says online, so re-arm just past ``now``.
-                heappush(heap, (math.nextafter(now, math.inf), station_name, last))
-                continue
-            if station_name not in self._offline:
-                self._offline.add(station_name)
+                # Heartbeats arrived since this entry was armed (or float
+                # dust fired it early): re-arm from the latest one.
+                deadline = math.nextafter(last + timeout, -math.inf)
+                if deadline <= now:
+                    deadline = math.nextafter(now, math.inf)
+                heappush(heap, (deadline, station_name))
+            else:
+                self._online.discard(station_name)
                 self._bump()
 
     def online_stations(self, now: float) -> Tuple[str, ...]:
         self._expire(now)
         if self._online_cache is None:
-            self._online_cache = tuple(sorted(set(self._last) - self._offline))
+            self._online_cache = tuple(sorted(self._online))
         return self._online_cache
 
     def offline_stations(self, now: float) -> Tuple[str, ...]:
         self._expire(now)
         if self._offline_cache is None:
-            self._offline_cache = tuple(sorted(self._offline))
+            self._offline_cache = tuple(sorted(self._last.keys() - self._online))
         return self._offline_cache
 
     def is_online(self, station_name: str, now: float) -> bool:
         last = self._last.get(station_name)
         return last is not None and (now - last) <= self.heartbeat_timeout_s
+
+    def heartbeats_received(self, station_name: str) -> int:
+        return self._received.get(station_name, 0)
 
     def __len__(self) -> int:
         return len(self._last)
@@ -198,23 +208,17 @@ class HotspotRollup:
 class RegionTelemetry:
     """One region's aggregation point in the rollup tree.
 
-    A :class:`~repro.core.sharding.ShardedManager` owns one of these (its
-    shards push into per-shard child counter nodes) and, when it serves as a
-    region of a :class:`~repro.core.federation.FederatedManager`, the node's
-    parent is the federation's :class:`GlobalTelemetry` -- every shard push
-    lands in the global rollup in the same call.
+    The region's leaves push into per-shard child counter nodes and share
+    its :class:`HealthRollup`; the node's parent is the frontend's
+    :class:`GlobalTelemetry`, so every leaf push lands in the global rollup
+    in the same call.
     """
 
-    def __init__(
-        self,
-        name: str,
-        heartbeat_timeout_s: float = 10.0,
-        parent: Optional["GlobalTelemetry"] = None,
-    ) -> None:
+    def __init__(self, name: str, heartbeat_timeout_s: float, parent: "GlobalTelemetry") -> None:
         self.name = name
-        self.counters = RollupCounters(name, parent=parent.counters if parent else None)
+        self.counters = RollupCounters(name, parent=parent.counters)
         self.health = HealthRollup(heartbeat_timeout_s)
-        self.hotspots = HotspotRollup(parent=parent.hotspots if parent else None)
+        self.hotspots = HotspotRollup(parent=parent.hotspots)
         self.shards: List[RollupCounters] = []
 
     def shard_node(self, shard_index: int) -> RollupCounters:
@@ -235,7 +239,7 @@ class RegionTelemetry:
 
 
 class GlobalTelemetry:
-    """The federation-wide rollup root.
+    """The network-wide rollup root (one region child when unfederated).
 
     Reads merge the per-region caches: O(regions) version checks when the
     fleet is stable, a rebuild only when some region's liveness partition
@@ -246,8 +250,8 @@ class GlobalTelemetry:
         self.counters = RollupCounters("global")
         self.hotspots = HotspotRollup()
         self.regions: List[RegionTelemetry] = []
-        self._online_cache: Optional[Tuple[Tuple[int, ...], List[str]]] = None
-        self._offline_cache: Optional[Tuple[Tuple[int, ...], List[str]]] = None
+        self._online_cache: Optional[Tuple[Tuple[int, ...], Tuple[str, ...]]] = None
+        self._offline_cache: Optional[Tuple[Tuple[int, ...], Tuple[str, ...]]] = None
 
     def region(self, name: str, heartbeat_timeout_s: float = 10.0) -> RegionTelemetry:
         """Create (and attach) one region's aggregation node."""
@@ -258,29 +262,23 @@ class GlobalTelemetry:
     def _merged(
         self,
         now: float,
-        cache: Optional[Tuple[Tuple[int, ...], List[str]]],
+        cache: Optional[Tuple[Tuple[int, ...], Tuple[str, ...]]],
         per_region,
-    ) -> Tuple[Tuple[Tuple[int, ...], List[str]], List[str]]:
+    ) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
         # Pull each region's (cached) view first: expiry may bump versions.
         views = [per_region(region.health, now) for region in self.regions]
         versions = tuple(region.health.version for region in self.regions)
         if cache is None or cache[0] != versions:
-            merged = [name for view in views for name in view]
-            merged.sort()
-            cache = (versions, merged)
-        return cache, list(cache[1])
+            cache = (versions, tuple(sorted(name for view in views for name in view)))
+        return cache
 
-    def online_stations(self, now: float) -> List[str]:
-        self._online_cache, merged = self._merged(
-            now, self._online_cache, HealthRollup.online_stations
-        )
-        return merged
+    def online_stations(self, now: float) -> Tuple[str, ...]:
+        self._online_cache = self._merged(now, self._online_cache, HealthRollup.online_stations)
+        return self._online_cache[1]
 
-    def offline_stations(self, now: float) -> List[str]:
-        self._offline_cache, merged = self._merged(
-            now, self._offline_cache, HealthRollup.offline_stations
-        )
-        return merged
+    def offline_stations(self, now: float) -> Tuple[str, ...]:
+        self._offline_cache = self._merged(now, self._offline_cache, HealthRollup.offline_stations)
+        return self._offline_cache[1]
 
     def stats(self) -> Dict[str, object]:
         return {

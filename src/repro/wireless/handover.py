@@ -3,8 +3,8 @@
 The :class:`HandoverManager` plays the role of the Wi-Fi roaming logic on the
 demo smartphones: it periodically scans every client's signal towards every
 cell and re-associates the client when a sufficiently better cell appears.
-Handover events are the trigger GNF reacts to -- the roaming coordinator in
-:mod:`repro.core.roaming` subscribes to them and migrates the client's NFs to
+Handover events are the trigger GNF reacts to -- the migration engine in
+:mod:`repro.core.migration` is driven by them and migrates the client's NFs to
 the new station.
 """
 

@@ -108,7 +108,7 @@ def test_agent_heartbeats_reach_manager(connected_testbed):
     assert set(manager.last_heartbeat) == {"station-1", "station-2"}
     heartbeat = manager.last_heartbeat["station-1"]
     assert client.ip in heartbeat.connected_clients
-    assert manager.health.online_stations(testbed.simulator.now) == ["station-1", "station-2"]
+    assert manager.health.online_stations(testbed.simulator.now) == ("station-1", "station-2")
 
 
 def test_agent_client_events_update_manager_locations(connected_testbed):
@@ -250,7 +250,8 @@ def test_manager_overview_and_station_views(connected_testbed):
     overview = testbed.manager.overview()
     assert overview["active_assignments"] == 1
     assert overview["enabled_nfs"] == 1
-    assert client.ip in overview["connected_clients"]
+    assert overview["connected_clients"] == 1
+    assert client.ip in testbed.manager.connected_client_ips()
     views = testbed.manager.station_views("station-1")
     assert {view.name for view in views} == {"station-1", "station-2"}
     local = next(view for view in views if view.name == "station-1")

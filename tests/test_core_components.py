@@ -10,7 +10,7 @@ from repro.containers.image import ContainerImage
 from repro.core.api import ControlChannel
 from repro.core.chain import NFSpec, ServiceChain
 from repro.core.errors import CatalogError, DeploymentError, ScheduleError
-from repro.core.monitoring import HealthMonitor, HotspotDetector
+from repro.core.monitoring import HotspotDetector
 from repro.core.notifications import NotificationCenter, ProviderNotification
 from repro.core.placement import (
     ClosestAgentPlacement,
@@ -24,6 +24,7 @@ from repro.core.repository import NFRepository
 from repro.core.scheduler import NFScheduler, ScheduleWindow, TimeSchedule
 from repro.netem import packet as pkt
 from repro.netem.simulator import Simulator
+from repro.telemetry.rollup import HealthRollup
 
 
 # --------------------------------------------------------------------------
@@ -236,15 +237,16 @@ def test_core_placement_pins_to_central_station():
 
 
 def test_health_monitor_tracks_liveness():
-    monitor = HealthMonitor(heartbeat_timeout_s=5.0)
+    monitor = HealthRollup(heartbeat_timeout_s=5.0)
     monitor.register("station-1", now=0.0)
-    monitor.record_heartbeat("station-1", now=2.0)
-    assert monitor.online_stations(now=4.0) == ["station-1"]
-    assert monitor.offline_stations(now=20.0) == ["station-1"]
+    monitor.record("station-1", now=2.0)
+    assert monitor.online_stations(now=4.0) == ("station-1",)
+    assert monitor.offline_stations(now=20.0) == ("station-1",)
+    # Registration is liveness, not a heartbeat.
     assert monitor.heartbeats_received("station-1") == 1
     assert not monitor.is_online("station-99", now=0.0)
     # Heartbeat from an unknown station auto-registers it.
-    monitor.record_heartbeat("station-2", now=3.0)
+    monitor.record("station-2", now=3.0)
     assert len(monitor) == 2
 
 

@@ -9,7 +9,7 @@ from repro.baselines.no_migration import NoMigrationCoordinator
 from repro.netem import packet as pkt
 from repro.core.chain import ServiceChain
 from repro.core.manager import AssignmentState
-from repro.core.roaming import RoamingCoordinator
+from repro.core.migration import MigrationEngine
 from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem.trafficgen import CBRTrafficGenerator, HTTPWorkloadGenerator
 from repro.wireless.mobility import LinearMobility
@@ -34,7 +34,7 @@ def test_invalid_strategy_rejected():
     from repro.core.errors import MigrationError
 
     with pytest.raises(MigrationError):
-        RoamingCoordinator(testbed.simulator, testbed.manager, strategy="teleport")
+        MigrationEngine(testbed.simulator, testbed.manager, strategy="teleport")
 
 
 @pytest.mark.parametrize("strategy", ["cold", "stateful", "precopy"])
@@ -208,7 +208,7 @@ def test_stale_verdict_cannot_forward_after_migration():
 
 def test_no_migration_baseline_loses_coverage():
     testbed = GNFTestbed(TestbedConfig(station_count=2))
-    # Replace the real coordinator with the baseline.
+    # Replace the real engine with the baseline.
     baseline = NoMigrationCoordinator(testbed.simulator, testbed.manager)
     client = testbed.add_client("phone", position=(0.0, 0.0))
     testbed.start()

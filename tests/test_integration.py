@@ -158,9 +158,9 @@ def test_hotspot_detection_on_overloaded_station():
 def test_agent_offline_detection_when_heartbeats_stop():
     testbed = GNFTestbed(TestbedConfig(station_count=2))
     testbed.run(5.0)
-    assert testbed.manager.health.online_stations(testbed.simulator.now) == ["station-1", "station-2"]
+    assert testbed.manager.health.online_stations(testbed.simulator.now) == ("station-1", "station-2")
     testbed.agents["station-2"].stop()
     testbed.run(30.0)
     now = testbed.simulator.now
-    assert testbed.manager.health.offline_stations(now) == ["station-2"]
-    assert testbed.manager.health.online_stations(now) == ["station-1"]
+    assert testbed.manager.health.offline_stations(now) == ("station-2",)
+    assert testbed.manager.health.online_stations(now) == ("station-1",)

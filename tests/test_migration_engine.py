@@ -81,7 +81,7 @@ def test_checkpoint_transfer_time_pins_rtt_and_bandwidth():
 
 def test_engine_estimate_includes_path_rtt():
     testbed = GNFTestbed(TestbedConfig(station_count=2))
-    transfers = testbed.roaming.engine.transfers
+    transfers = testbed.roaming.transfers
     size_bytes = 1_000_000
     rtt = 2 * testbed.topology.station_to_station_latency("station-1", "station-2")
     expected = rtt + size_bytes * 8 / testbed.config.uplink_bandwidth_bps
@@ -297,7 +297,7 @@ def test_stateful_transfer_rides_the_links():
     assert record.bytes_moved > 0
     # The chunks crossed the gateway like any other backhaul traffic.
     assert testbed.topology.gateway.state_chunks_routed > 0
-    engine = testbed.roaming.engine
+    engine = testbed.roaming
     assert engine.transfers.transfers_completed >= 1
     counters = engine.transfers.station_counters
     assert counters["station-1"]["state_bytes_sent"] > 0

@@ -180,17 +180,17 @@ def test_random_federated_scenarios_drain_without_orphans(case):
     )
     assert result.pending_events_after_teardown == 0
     manager = result.testbed.manager
-    assert manager.region_count == 2
-    # No orphaned assignments: the frontend's region index and each
-    # region's table agree exactly, in both directions.
-    for region_index, region in enumerate(manager.regions):
-        for assignment_id in region.assignments:
-            assert manager._assignment_region.get(assignment_id) == region_index
+    assert manager.region_count == 2 and manager.total_shard_count == 4
+    # No orphaned assignments: the frontend's leaf index and each leaf's
+    # table agree exactly, in both directions.
+    for shard_index, shard in enumerate(manager.shards):
+        for assignment_id in shard.assignments:
+            assert manager._assignment_shard.get(assignment_id) == shard_index
             assert assignment_id in manager.assignments
-    for assignment_id, region_index in manager._assignment_region.items():
+    for assignment_id, shard_index in manager._assignment_shard.items():
         assignment = manager.assignments[assignment_id]
         if assignment.state.value == "active":
-            assert assignment_id in manager.regions[region_index].assignments
+            assert assignment_id in manager.shards[shard_index].assignments
     # No orphaned segments: after teardown, any still-running chain
     # container belongs to an ACTIVE assignment (faults may have ended the
     # scenario with chains legitimately up; nothing REMOVED may linger).

@@ -1,12 +1,14 @@
 """Tests for the sharded control plane: station->shard routing, ControlBus
 coalescing, aggregate views through the frontend, cross-shard roaming
-handoffs, and digest-invariance of the shard count."""
+handoffs, and digest-invariance of the shard count.  The region labels,
+rollup exactness and the region x shard digest matrix are gated by
+``tests/test_federation.py`` against the same ``ShardedManager``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.api import NFNotificationMessage
+from repro.core.api import ClientEvent, NFNotificationMessage
 from repro.core.chain import ServiceChain
 from repro.core.manager import AssignmentState, GNFManager
 from repro.core.sharding import ShardedManager, StationShardMap
@@ -102,6 +104,46 @@ def test_notifications_flow_through_bus_to_shared_centre():
     assert stored[0].delivery_latency_s > 0
 
 
+def test_receive_client_event_direct_entry_matches_bus_path():
+    """``ShardedManager.receive_client_event`` (tests, synthetic drivers)
+    does exactly what an Agent-reported event arriving over the bus does:
+    leaf counters and directory, global directory, listeners."""
+
+    def drive(send):
+        testbed = GNFTestbed(TestbedConfig(station_count=4, shard_count=2))
+        manager = testbed.manager
+        heard = []
+        manager.add_client_event_listener(heard.append)
+        testbed.start()
+        testbed.run(0.5)
+        send(
+            testbed,
+            ClientEvent(
+                station_name="station-3",
+                client_ip="10.10.99.1",
+                client_name="phone",
+                cell_name="station-3-cell1",
+                event="connected",
+                time=testbed.simulator.now,
+            ),
+        )
+        testbed.run(0.5)
+        return (
+            manager.client_locations,
+            manager.client_names,
+            manager.client_events_processed,
+            [shard.client_locations for shard in manager.shards],
+            [shard.client_events_processed for shard in manager.shards],
+            heard,
+        )
+
+    over_bus = drive(lambda testbed, event: testbed.agents["station-3"]._manager_event_sink(event))
+    direct = drive(lambda testbed, event: testbed.manager.receive_client_event(event))
+    assert direct == over_bus
+    assert direct[0] == {"10.10.99.1": "station-3"}
+    assert direct[3] == [{}, {"10.10.99.1": "station-3"}]
+
+
 # ---------------------------------------------------------------------------
 # Aggregate views through the frontend
 # ---------------------------------------------------------------------------
@@ -124,13 +166,15 @@ def test_overview_and_station_views_aggregate_across_shards():
     for key in ("online_stations", "offline_stations", "connected_clients",
                 "assignments", "active_assignments", "enabled_nfs", "heartbeats_processed"):
         assert lone[key] == fanned[key], key
-    assert fanned["shards"] == 4
+    assert fanned["shards"] == 4 and fanned["regions"] == 1
+    assert fanned == sharded.manager.full_scan_overview()
+    assert sharded.manager.station_provenance()["station-3"] == "shard-2"
     # The placement view spans every station regardless of shard ownership.
     names = [view.name for view in sharded.manager.station_views("station-1")]
     assert sorted(names) == single.station_names()
-    # Health and per-station stats route through the facades.
+    # Health and per-station stats route through the rollup-backed views.
     now = sharded.simulator.now
-    assert sharded.manager.health.online_stations(now) == single.station_names()
+    assert list(sharded.manager.health.online_stations(now)) == single.station_names()
     assert sharded.manager.health.is_online("station-2", now)
     assert len(sharded.manager.health) == 4
     assert set(sharded.manager.last_heartbeat) == set(single.station_names())
