@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.agent import GNFAgent
 from repro.core.bundles import BundleUpgradeOrchestrator, default_catalogue
@@ -30,7 +30,6 @@ from repro.core.seeds import derive_seed
 from repro.core.sharding import ShardedManager
 from repro.core.ui import GNFDashboard
 from repro.netem.fluid import SIMULATION_MODES, FluidFlow, FluidPath, HybridScheduler
-from repro.netem.link import Link
 from repro.netem.simulator import Simulator
 from repro.netem.topology import EdgeTopology, StationProfile, TopologyConfig
 from repro.wireless.cell import Cell
@@ -244,13 +243,12 @@ class GNFTestbed:
             mode=self.config.simulation_mode,
             epoch_s=self.config.fluid_epoch_s,
         )
-        self.hybrid.chain_predicate = self._flow_has_chain
-        self.hybrid.migration_stations = (
-            lambda: self.roaming.transfers.active_transfer_stations()
-        )
+        self.hybrid.chained_clients = self._chained_client_ips
+        self.hybrid.migration_stations = self.roaming.transfers.active_transfer_stations
         self.hybrid.path_resolver = self._resolve_fluid_path
-        self.hybrid.switch_for = self._switch_for
-        self._server_core_links: Dict[str, Link] = {}
+        #: One :class:`FluidPath` per ``(station, dst_ip)``: the links between
+        #: a station and a server are fixed once the topology is built.
+        self._fluid_paths: Dict[Tuple[str, str], FluidPath] = {}
         self.agents: Dict[str, GNFAgent] = {}
         self.cells: Dict[str, Cell] = {}
         self.clients: Dict[str, MobileClient] = {}
@@ -276,57 +274,55 @@ class GNFTestbed:
 
     # ---------------------------------------------------------- hybrid wiring
 
-    def _flow_has_chain(self, flow: FluidFlow) -> bool:
-        """Fidelity island: the flow's client has a live NF chain attached."""
-        client = flow.client
-        if client is None:
-            return False
-        for assignment in self.manager.assignments_for_client(client.ip):
-            if assignment.state not in (AssignmentState.REMOVED, AssignmentState.FAILED):
-                return True
-        return False
-
-    def _switch_for(self, station_name: str):
-        station = self.topology.stations.get(station_name)
-        return station.switch if station is not None else None
-
-    def _server_core_link(self, server_ip: str) -> Optional[Link]:
-        """The core-switch--server link carrying ``server_ip``'s traffic."""
-        link = self._server_core_links.get(server_ip)
-        if link is None:
-            by_name = {candidate.name: candidate for candidate in self.topology.links}
-            for name, server in self.topology.servers.items():
-                candidate = by_name.get(f"{name}-core-link")
-                if candidate is not None and server.ip is not None:
-                    self._server_core_links[server.ip] = candidate
-            link = self._server_core_links.get(server_ip)
-        return link
+    def _chained_client_ips(self) -> Set[str]:
+        """Fidelity island: IPs of the clients with a live NF chain attached."""
+        dead = (AssignmentState.REMOVED, AssignmentState.FAILED)
+        return {
+            assignment.client_ip
+            for assignment in self.manager.assignments.values()
+            if assignment.state not in dead
+        }
 
     def _resolve_fluid_path(self, flow: FluidFlow) -> Optional[FluidPath]:
         """Shared links an upload from ``flow.client`` to ``flow.dst_ip`` crosses.
 
+        Keyed by the client's *current* station, so a roaming client's flow
+        picks up the other station's path at the next epoch.  Unroutable
+        flows (client not associated anywhere) resolve to ``None`` and stay
+        packet-level.
+        """
+        cell = getattr(flow.client, "associated_cell", None)
+        if cell is None:
+            return None
+        key = (cell.station_name, flow.dst_ip)
+        path = self._fluid_paths.get(key)
+        if path is None:
+            path = self._build_fluid_path(*key)
+            if path is not None:
+                self._fluid_paths[key] = path
+        return path
+
+    def _build_fluid_path(self, station_name: str, dst_ip: str) -> Optional[FluidPath]:
+        """The path from ``station_name`` to ``dst_ip``, or None for an unknown station.
+
         Direction keys follow the attach order in
         :class:`~repro.netem.topology.EdgeTopology`: station->gateway and
         gateway->core are the links' ``a_to_b`` sides, core->server is the
-        server link's ``b_to_a`` side.  Unroutable flows (client not
-        associated anywhere) resolve to ``None`` and stay packet-level.
+        server link's ``b_to_a`` side.
         """
-        client = flow.client
-        station_name = getattr(client, "current_station_name", None)
-        if station_name is None:
-            return None
         uplink = self.topology.uplink_links.get(station_name)
         if uplink is None:
             return None
-        links: List[Tuple[object, str]] = [(uplink, "a_to_b")]
-        for candidate in self.topology.links:
-            if candidate.name == "gw-core-link":
-                links.append((candidate, "a_to_b"))
-                break
-        server_link = self._server_core_link(flow.dst_ip)
+        links: List[Tuple[object, str]] = [(uplink, "a_to_b"), (self.topology.core_link, "a_to_b")]
+        server_link = self.topology.server_links.get(dst_ip)
         if server_link is not None:
             links.append((server_link, "b_to_a"))
-        return FluidPath(station=station_name, links=links)
+        return FluidPath(
+            station=station_name,
+            links=links,
+            counters=self.hybrid.station_counters_for(station_name),
+            switch=self.topology.stations[station_name].switch,
+        )
 
     # ----------------------------------------------------------------- build
 
@@ -342,7 +338,7 @@ class GNFTestbed:
             if self.hybrid.hybrid_enabled:
                 agent.collector.add_source(
                     "fluid",
-                    lambda name=station_name: dict(self.hybrid._station_counters(name)),
+                    lambda name=station_name: dict(self.hybrid.station_counters_for(name)),
                 )
             self.agents[station_name] = agent
             self.manager.register_agent(agent)
@@ -391,6 +387,7 @@ class GNFTestbed:
 
     def add_server(self, name: str, http_body_bytes: Optional[int] = None):
         """Add an extra application server in the core."""
+        self._fluid_paths.clear()  # a path interned before the server existed lacks its link
         return self.topology.add_server(name, http_body_bytes=http_body_bytes)
 
     # --------------------------------------------------------------- running

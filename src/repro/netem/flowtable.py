@@ -12,6 +12,7 @@ Agent can remove them atomically.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 from dataclasses import dataclass, field
@@ -125,7 +126,13 @@ _rule_ids = itertools.count(1)
 
 @dataclass
 class FlowRule:
-    """A priority, match, action-list triple with counters."""
+    """A priority, match, action-list triple with counters.
+
+    ``priority``, ``cookie``, ``match`` and ``rule_id`` are immutable once the
+    rule is installed: :class:`FlowTable` files the rule under them when it
+    goes in and trusts them when it comes out.  Nothing in ``src/`` mutates
+    them; to change one, remove the rule and install a new one.
+    """
 
     priority: int
     match: Match
@@ -146,16 +153,27 @@ class FlowTable:
     Rules are evaluated highest priority first; among equal priorities the
     most recently installed rule wins (mirroring OVS behaviour closely enough
     for the reproduction's purposes).
+
+    The list is *kept* in that order rather than re-sorted: ``install``
+    inserts at the bisect position of ``(-priority, -rule_id)``, a per-cookie
+    rule count lets ``remove_by_cookie`` answer "absent" without a scan, and
+    a per-metadata-key reference count keeps ``referenced_metadata_keys``
+    current without walking the rules.
     """
 
     def __init__(self, name: str = "table0") -> None:
         self.name = name
         self._rules: List[FlowRule] = []
-        #: Bumped on every rule install/remove.  The switch's flow cache stamps
-        #: each verdict with the generation it was compiled under, so cache
-        #: entries self-invalidate the moment the table changes (critical for
-        #: roaming: a migration must not leave stale verdicts steering traffic
-        #: to the old station).
+        #: ``(-priority, -rule_id)`` of ``_rules[i]``: the list bisect searches.
+        self._sort_keys: List[Tuple[int, int]] = []
+        self._cookie_counts: Dict[str, int] = {}
+        self._metadata_refs: Dict[str, int] = {}
+        #: Bumped on every install, every removal that removed something and
+        #: every ``clear()`` of a non-empty table.  The switch's flow cache
+        #: stamps each verdict with the generation it was compiled under, so
+        #: cache entries self-invalidate the moment the table changes
+        #: (critical for roaming: a migration must not leave stale verdicts
+        #: steering traffic to the old station).
         self.generation = 0
         self._metadata_keys: Tuple[str, ...] = ()
 
@@ -169,18 +187,26 @@ class FlowTable:
         """
         return self._metadata_keys
 
-    def _bump_generation(self) -> None:
-        self.generation += 1
-        keys = {key for rule in self._rules for key, _ in rule.match.metadata}
-        self._metadata_keys = tuple(sorted(keys))
-
     # ------------------------------------------------------------ mutation
 
     def install(self, rule: FlowRule) -> FlowRule:
-        """Add a rule and keep the table sorted by descending priority."""
-        self._rules.append(rule)
-        self._rules.sort(key=lambda r: (-r.priority, -r.rule_id))
-        self._bump_generation()
+        """Add a rule at its place in descending-priority order.
+
+        Equal keys go after the ones already there, which is where the
+        stable re-sort this replaces left them.
+        """
+        sort_key = (-rule.priority, -rule.rule_id)
+        index = bisect.bisect_right(self._sort_keys, sort_key)
+        self._sort_keys.insert(index, sort_key)
+        self._rules.insert(index, rule)
+        self._cookie_counts[rule.cookie] = self._cookie_counts.get(rule.cookie, 0) + 1
+        if rule.match.metadata:
+            refs = self._metadata_refs
+            for key, _ in rule.match.metadata:
+                refs[key] = refs.get(key, 0) + 1
+            if len(refs) != len(self._metadata_keys):
+                self._metadata_keys = tuple(sorted(refs))
+        self.generation += 1
         return rule
 
     def add(
@@ -193,28 +219,48 @@ class FlowTable:
         """Convenience wrapper constructing and installing a rule."""
         return self.install(FlowRule(priority=priority, match=match, actions=list(actions), cookie=cookie))
 
+    def _remove_at(self, indices: List[int]) -> int:
+        """Drop the rules at ``indices`` (ascending); returns how many."""
+        if not indices:
+            return 0
+        refs = self._metadata_refs
+        for index in reversed(indices):
+            rule = self._rules.pop(index)
+            del self._sort_keys[index]
+            remaining = self._cookie_counts[rule.cookie] - 1
+            if remaining:
+                self._cookie_counts[rule.cookie] = remaining
+            else:
+                del self._cookie_counts[rule.cookie]
+            for key, _ in rule.match.metadata:
+                refs[key] -= 1
+                if not refs[key]:
+                    del refs[key]
+        if len(refs) != len(self._metadata_keys):
+            self._metadata_keys = tuple(sorted(refs))
+        self.generation += 1
+        return len(indices)
+
     def remove_rule(self, rule_id: int) -> bool:
         """Remove a single rule by id; returns True if something was removed."""
-        before = len(self._rules)
-        self._rules = [rule for rule in self._rules if rule.rule_id != rule_id]
-        removed = len(self._rules) != before
-        if removed:
-            self._bump_generation()
-        return removed
+        return bool(
+            self._remove_at([i for i, rule in enumerate(self._rules) if rule.rule_id == rule_id])
+        )
 
     def remove_by_cookie(self, cookie: str) -> int:
         """Remove every rule installed under ``cookie``; returns the count."""
-        before = len(self._rules)
-        self._rules = [rule for rule in self._rules if rule.cookie != cookie]
-        removed = before - len(self._rules)
-        if removed:
-            self._bump_generation()
-        return removed
+        if cookie not in self._cookie_counts:
+            return 0
+        return self._remove_at([i for i, rule in enumerate(self._rules) if rule.cookie == cookie])
 
     def clear(self) -> None:
         if self._rules:
             self._rules.clear()
-            self._bump_generation()
+            self._sort_keys.clear()
+            self._cookie_counts.clear()
+            self._metadata_refs.clear()
+            self._metadata_keys = ()
+            self.generation += 1
 
     # ------------------------------------------------------------- lookup
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,17 +50,39 @@ SIMULATION_MODES = ("packet", "hybrid")
 _RATE_EPS = 1e-6
 
 
-@dataclass
+def new_station_counters() -> Dict[str, float]:
+    """The per-station ``fluid.*`` gauges, all zero."""
+    return {
+        "bytes_fluid": 0.0,
+        "flows_fluid": 0.0,
+        "flows_promoted": 0.0,
+        "flows_demoted": 0.0,
+    }
+
+
+@dataclass(frozen=True, eq=False)
 class FluidPath:
     """Where a fluid flow's bytes travel: its station and the shared links.
 
     ``links`` lists ``(link, direction_key)`` pairs -- the same per-direction
     state the packet world serializes against, so fluid occupancy and packet
     queueing meet on the exact same resource.
+
+    Immutable and compared by identity, so flows that travel the same way can
+    share one object and the scheduler can group them by it.  The path also
+    carries what the scheduler would otherwise look up per flow: the
+    station's counter dict (:meth:`HybridScheduler.station_counters_for`; a
+    private one when the path is built without) and the station switch
+    whose fluid-transit bytes it feeds (optional).
     """
 
     station: str
-    links: List[Tuple[object, str]] = field(default_factory=list)
+    links: Tuple[Tuple[object, str], ...] = ()
+    counters: Dict[str, float] = field(default_factory=new_station_counters)
+    switch: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "links", tuple(self.links))
 
 
 class FluidFlow:
@@ -211,11 +233,16 @@ class HybridScheduler:
 
     The testbed wires the three island predicates plus the path resolver:
 
-    * ``chain_predicate(flow)`` -- the client has an active NF chain,
+    * ``chained_clients()`` -- IPs of the clients with an active NF chain,
     * ``migration_stations()`` -- stations with in-flight state transfers,
     * fault windows via :meth:`enter_fault_island` / :meth:`exit_fault_island`,
-    * ``path_resolver(flow)`` -> :class:`FluidPath`,
-    * ``switch_for(station)`` -> the station switch (fluid byte counters).
+    * ``path_resolver(flow)`` -> :class:`FluidPath`.
+
+    The first two are asked once per epoch (and once per registration), not
+    once per flow.  Byte and load sums accumulate flow by flow in
+    ``self.flows`` order: they feed the digest and, through residual
+    bandwidth, packet serialization delay, so their floating-point order is
+    part of the contract.
     """
 
     def __init__(
@@ -248,10 +275,9 @@ class HybridScheduler:
         self._loaded_links: Dict[Tuple[int, str], Tuple[object, str]] = {}
         # Wiring (set by the testbed; every hook is optional so the solver
         # and scheduler stay unit-testable in isolation).
-        self.chain_predicate: Optional[Callable[[FluidFlow], bool]] = None
+        self.chained_clients: Optional[Callable[[], Collection[str]]] = None
         self.migration_stations: Optional[Callable[[], Iterable[str]]] = None
         self.path_resolver: Optional[Callable[[FluidFlow], Optional[FluidPath]]] = None
-        self.switch_for: Optional[Callable[[str], object]] = None
         # Counters (``fluid.*`` telemetry).
         self.flows_registered = 0
         self.flows_completed = 0
@@ -272,15 +298,11 @@ class HybridScheduler:
     def active_flows(self) -> List[FluidFlow]:
         return list(self.flows.values())
 
-    def _station_counters(self, station: str) -> Dict[str, float]:
+    def station_counters_for(self, station: str) -> Dict[str, float]:
+        """The published counter dict of ``station`` (created on first use)."""
         counters = self.station_counters.get(station)
         if counters is None:
-            counters = self.station_counters[station] = {
-                "bytes_fluid": 0.0,
-                "flows_fluid": 0.0,
-                "flows_promoted": 0.0,
-                "flows_demoted": 0.0,
-            }
+            counters = self.station_counters[station] = new_station_counters()
         return counters
 
     # ---------------------------------------------------------------- control
@@ -317,7 +339,7 @@ class HybridScheduler:
         if self.hybrid_enabled:
             self._settle()
             flow.path = self.path_resolver(flow) if self.path_resolver else None
-            if self._must_stay_packet(flow):
+            if self._must_stay_packet(flow, *self._island_inputs()):
                 flow.mode = "packet"
             else:
                 flow.mode = "fluid"
@@ -381,20 +403,28 @@ class HybridScheduler:
 
     # -------------------------------------------------------- classification
 
-    def _must_stay_packet(self, flow: FluidFlow) -> bool:
+    def _island_inputs(self) -> Tuple[Collection[str], Collection[str]]:
+        """``(chained client IPs, migrating stations)`` as of this instant."""
+        chained = self.chained_clients() if self.chained_clients is not None else ()
+        migrating = set(self.migration_stations()) if self.migration_stations is not None else ()
+        return chained, migrating
+
+    def _must_stay_packet(
+        self, flow: FluidFlow, chained: Collection[str], migrating: Collection[str]
+    ) -> bool:
         """True when any fidelity island covers the flow right now."""
-        if flow.path is None:
+        path = flow.path
+        if path is None:
             # Unroutable (client mid-handover): a fluid flow would just
             # stall at rate zero, but packet mode records the disconnect
             # honestly, so unroutable flows stay packet-level.
             return True
-        if flow.path.station in self._fault_islands:
+        if path.station in self._fault_islands:
             return True
-        if self.chain_predicate is not None and self.chain_predicate(flow):
+        if chained and flow.client is not None and flow.client.ip in chained:
             return True
-        if self.migration_stations is not None:
-            if flow.path.station in set(self.migration_stations()):
-                return True
+        if path.station in migrating:
+            return True
         return False
 
     def _demote(self, flow: FluidFlow) -> None:
@@ -403,7 +433,7 @@ class HybridScheduler:
         flow.demotions += 1
         self.flows_demoted += 1
         if flow.path is not None:
-            self._station_counters(flow.path.station)["flows_demoted"] += 1.0
+            flow.path.counters["flows_demoted"] += 1.0
         if flow.on_mode_change is not None:
             flow.on_mode_change("packet")
 
@@ -412,7 +442,7 @@ class HybridScheduler:
         flow.promotions += 1
         self.flows_promoted += 1
         if flow.path is not None:
-            self._station_counters(flow.path.station)["flows_promoted"] += 1.0
+            flow.path.counters["flows_promoted"] += 1.0
         if flow.on_mode_change is not None:
             flow.on_mode_change("fluid")
 
@@ -436,12 +466,15 @@ class HybridScheduler:
         self._resolve()
 
     def _reclassify(self) -> None:
+        chained, migrating = self._island_inputs()
+        resolver = self.path_resolver
         for flow in list(self.flows.values()):
-            flow.path = self.path_resolver(flow) if self.path_resolver else flow.path
-            islanded = self._must_stay_packet(flow)
-            if flow.mode == "fluid" and islanded:
-                self._demote(flow)
-            elif flow.mode == "packet" and not islanded:
+            if resolver is not None:
+                flow.path = resolver(flow)
+            if self._must_stay_packet(flow, chained, migrating):
+                if flow.mode == "fluid":
+                    self._demote(flow)
+            elif flow.mode == "packet":
                 self._promote(flow)
 
     def _settle(self) -> None:
@@ -455,20 +488,22 @@ class HybridScheduler:
         for flow in self.flows.values():
             if flow.mode != "fluid" or flow.allocated_bps <= _RATE_EPS:
                 continue
-            moved = min(flow.allocated_bps * dt / 8.0, flow.remaining_bytes)
+            # ``flow.remaining_bytes``, written out (here and below): two
+            # property calls per flow per epoch otherwise.
+            remaining = flow.total_bytes - (flow.bytes_fluid + flow.bytes_packet)
+            moved = min(flow.allocated_bps * dt / 8.0, remaining if remaining > 0.0 else 0.0)
             if moved <= 0:
                 continue
             flow.bytes_fluid += moved
             self.bytes_fluid_total += moved
-            if flow.path is not None:
-                self._station_counters(flow.path.station)["bytes_fluid"] += moved
-                for link, direction_key in flow.path.links:
+            path = flow.path
+            if path is not None:
+                path.counters["bytes_fluid"] += moved
+                for link, direction_key in path.links:
                     link.add_fluid_bytes(direction_key, moved)
-                if self.switch_for is not None:
-                    switch = self.switch_for(flow.path.station)
-                    if switch is not None:
-                        switch.record_fluid_transit(moved)
-            if flow.remaining_bytes <= 0:
+                if path.switch is not None:
+                    path.switch.record_fluid_transit(moved)
+            if flow.total_bytes - (flow.bytes_fluid + flow.bytes_packet) <= 0.0:
                 finished.append(flow)
         for flow in finished:
             self._complete(flow)
@@ -488,48 +523,57 @@ class HybridScheduler:
             for flow in self.flows.values()
             if flow.mode == "fluid" and flow.path is not None
         ]
-        # Collect the shared link set in first-seen order (deterministic).
+        # Group the flows by path object -- path -> (its link rows, its flow
+        # indices) -- and collect the shared link set in first-seen order
+        # (deterministic): work per distinct path, not per flow-link.
         resources: Dict[Tuple[int, str], Tuple[object, str]] = {}
-        for flow in fluid_flows:
-            assert flow.path is not None
-            for link, direction_key in flow.path.links:
-                resources.setdefault((id(link), direction_key), (link, direction_key))
+        row_of: Dict[Tuple[int, str], int] = {}
+        groups: Dict[FluidPath, Tuple[List[int], List[int]]] = {}
+        for f_index, flow in enumerate(fluid_flows):
+            group = groups.get(flow.path)
+            if group is None:
+                rows = []
+                for hop in flow.path.links:
+                    key = (id(hop[0]), hop[1])
+                    row = row_of.get(key)
+                    if row is None:
+                        row = row_of[key] = len(resources)
+                        resources[key] = hop
+                    rows.append(row)
+                group = groups[flow.path] = (rows, [])
+            group[1].append(f_index)
+        loads = [0.0] * len(resources)
         if fluid_flows:
-            keys = list(resources)
-            index_of = {key: i for i, key in enumerate(keys)}
             capacities = np.array(
-                [resources[key][0].bandwidth_bps for key in keys], dtype=float
+                [link.bandwidth_bps for link, _ in resources.values()], dtype=float
             )
-            membership = np.zeros((len(keys), len(fluid_flows)), dtype=bool)
-            demands = np.empty(len(fluid_flows), dtype=float)
-            for f_index, flow in enumerate(fluid_flows):
-                demands[f_index] = flow.demand_bps
-                assert flow.path is not None
-                for link, direction_key in flow.path.links:
-                    membership[index_of[(id(link), direction_key)], f_index] = True
-            rates = FluidSolver.max_min_rates(capacities, membership, demands)
-            for f_index, flow in enumerate(fluid_flows):
-                flow.allocated_bps = float(rates[f_index])
-        # Push the new occupancy; zero out links that fell out of the set.
-        loads: Dict[Tuple[int, str], float] = {key: 0.0 for key in resources}
-        for flow in fluid_flows:
-            assert flow.path is not None
-            if flow.allocated_bps <= _RATE_EPS:
-                continue
-            for link, direction_key in flow.path.links:
-                loads[(id(link), direction_key)] += flow.allocated_bps
-        for key, (link, direction_key) in resources.items():
-            link.set_fluid_load(direction_key, loads[key])
+            membership = np.zeros((len(resources), len(fluid_flows)), dtype=bool)
+            for rows, members in groups.values():
+                membership[np.ix_(rows, members)] = True
+            demands = np.array([flow.demand_bps for flow in fluid_flows], dtype=float)
+            rates = FluidSolver.max_min_rates(capacities, membership, demands).tolist()
+            # Push the new occupancy, flow by flow: each link's load is the
+            # sum of its flows' rates in ``self.flows`` order.
+            for flow, rate in zip(fluid_flows, rates):
+                flow.allocated_bps = rate
+                if rate <= _RATE_EPS:
+                    continue
+                for row in groups[flow.path][0]:
+                    loads[row] += rate
+        for (link, direction_key), load in zip(resources.values(), loads):
+            link.set_fluid_load(direction_key, load)
+        # Zero out links that fell out of the set.
         for key, (link, direction_key) in self._loaded_links.items():
             if key not in resources:
                 link.set_fluid_load(direction_key, 0.0)
-        self._loaded_links = dict(resources)
+        self._loaded_links = resources
         # Refresh the per-station fluid-flow gauge.
         for counters in self.station_counters.values():
             counters["flows_fluid"] = 0.0
-        for flow in fluid_flows:
-            assert flow.path is not None
-            self._station_counters(flow.path.station)["flows_fluid"] += 1.0
+        for path in groups:
+            path.counters["flows_fluid"] = 0.0
+        for path, (_, members) in groups.items():
+            path.counters["flows_fluid"] += float(len(members))
 
     def _clear_link_loads(self) -> None:
         for link, direction_key in self._loaded_links.values():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
+from repro.netem import packet as pkt
 from repro.netem.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -288,8 +289,6 @@ class Server(Host):
         self.bulk_bytes_received = 0
 
     def handle_packet(self, packet: "Packet", interface: Interface) -> None:
-        from repro.netem import packet as pkt
-
         # Ignore traffic not addressed to this server (e.g. flooded frames).
         if packet.ip is None or (self.ip is not None and packet.ip.dst != self.ip):
             return

@@ -277,6 +277,8 @@ class EdgeTopology:
         self.links: List[Link] = []
         #: station name -> its uplink to the gateway (fault-injection handle).
         self.uplink_links: Dict[str, Link] = {}
+        #: server IP -> its link to the core switch.
+        self.server_links: Dict[str, Link] = {}
         self._build_core()
         for index in range(self.config.station_count):
             self.add_station(f"station-{index + 1}")
@@ -302,6 +304,8 @@ class EdgeTopology:
         )
         link.attach(gw_core_iface, core_port_iface)
         self.links.append(link)
+        #: The gateway--core-switch link every upstream flow crosses.
+        self.core_link = link
 
     def add_station(
         self,
@@ -371,6 +375,7 @@ class EdgeTopology:
         link.attach(server_iface, core_iface)
         self.links.append(link)
         assert server_iface.ip is not None
+        self.server_links[server_iface.ip] = link
         self.gateway.register_server(server_iface.ip, server_iface.mac)
         self.servers[name] = server
         return server

@@ -52,6 +52,8 @@ class Cell(Host):
         self._client_radio_ifaces: Dict[str, Interface] = {}
         self._client_links: Dict[str, Link] = {}
         self._clients: Dict[str, "MobileClient"] = {}
+        #: client IP -> client name, kept beside ``_clients`` for the downstream relay.
+        self._client_name_by_ip: Dict[str, str] = {}
         self._association_listeners: List[AssociationListener] = []
         self._disassociation_listeners: List[AssociationListener] = []
         self.frames_relayed_upstream = 0
@@ -108,6 +110,7 @@ class Cell(Host):
         self._client_radio_ifaces[client.name] = cell_iface
         self._client_links[client.name] = link
         self._clients[client.name] = client
+        self._client_name_by_ip[client.ip] = client.name
         client.attach_to_cell(self)
         for listener in self._association_listeners:
             listener(client, self)
@@ -121,6 +124,7 @@ class Cell(Host):
         link.set_up(False)
         self.interfaces.pop(cell_iface.name, None)
         del self._clients[client.name]
+        del self._client_name_by_ip[client.ip]
         client.detach_from_cell(self)
         for listener in self._disassociation_listeners:
             listener(client, self)
@@ -143,12 +147,12 @@ class Cell(Host):
         if packet.ip is None:
             self.frames_dropped += 1
             return
-        for client_name, client in self._clients.items():
-            if client.ip == packet.ip.dst:
-                self.frames_relayed_downstream += 1
-                self._client_radio_ifaces[client_name].send(packet)
-                return
-        self.frames_dropped += 1
+        client_name = self._client_name_by_ip.get(packet.ip.dst)
+        if client_name is None:
+            self.frames_dropped += 1
+            return
+        self.frames_relayed_downstream += 1
+        self._client_radio_ifaces[client_name].send(packet)
 
     def summary(self) -> Dict[str, float]:
         """Per-cell statistics reported in Agent heartbeats."""

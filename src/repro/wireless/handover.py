@@ -10,9 +10,10 @@ the new station.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.netem.simulator import PeriodicTask, Simulator
 from repro.netem.topology import EdgeTopology
@@ -42,6 +43,50 @@ class HandoverEvent:
 
 
 HandoverListener = Callable[[HandoverEvent], None]
+
+#: What one cell contributes to a scan, by value: ``(name, enabled, position,
+#: tx_power_dbm, reference_loss_db, 10 * path_loss_exponent,
+#: reference_distance_m)``.
+RadioRow = Tuple[str, bool, Tuple[float, float], float, float, float, float]
+
+
+def radio_rows(cells: Iterable[Cell]) -> List[RadioRow]:
+    """Snapshot every cell's radio inputs, one :data:`RadioRow` per cell."""
+    rows = []
+    for cell in cells:
+        environment = cell.radio_environment
+        rows.append(
+            (
+                cell.name,
+                cell.enabled,
+                cell.position,
+                cell.tx_power_dbm,
+                environment.reference_loss_db,
+                10 * environment.path_loss_exponent,
+                environment.reference_distance_m,
+            )
+        )
+    return rows
+
+
+def rssi_survey(rows: List[RadioRow], position: Tuple[float, float]) -> List[float]:
+    """RSSI of every row's cell at ``position``: ``Cell.rssi_to``, straight-line.
+
+    Performs the floating-point operations of ``Cell.rssi_to`` ->
+    :meth:`RadioEnvironment.rssi_between` in the same order, so each entry
+    equals the oracle bit for bit; a one-ulp difference could flip a
+    hysteresis comparison.  (That is also why this is ``math``, not numpy.)
+    """
+    x, y = position
+    survey = []
+    for _, enabled, (cell_x, cell_y), tx_power_dbm, reference_loss_db, ten_n, reference_m in rows:
+        if not enabled:
+            survey.append(-math.inf)
+            continue
+        distance = math.hypot(cell_x - x, cell_y - y)
+        clamped = reference_m if reference_m > distance else distance
+        survey.append(tx_power_dbm - (reference_loss_db + ten_n * math.log10(clamped / reference_m)))
+    return survey
 
 
 class HandoverManager:
@@ -79,6 +124,12 @@ class HandoverManager:
         self._completed_listeners: List[HandoverListener] = []
         self._scan_task: Optional[PeriodicTask] = None
         self._in_progress: Dict[str, HandoverEvent] = {}
+        #: Clients whose last scan ended in "no action", by name -> the
+        #: ``(position, associated_cell)`` that scan saw.  An entry is good
+        #: while both are unchanged and ``_radio_signature`` is; a scan whose
+        #: signature differs drops them all.
+        self._settled: Dict[str, Tuple[Tuple[float, float], Cell]] = {}
+        self._radio_signature: Optional[tuple] = None
 
     # ---------------------------------------------------------- membership
 
@@ -99,9 +150,12 @@ class HandoverManager:
 
     def start(self) -> "HandoverManager":
         """Associate every client with its best cell and begin periodic scans."""
+        cells, rows = self._radio_snapshot()
         for client in self.clients.values():
-            if not client.is_connected:
-                self._initial_associate(client)
+            if client.associated_cell is None:
+                best, _ = self._strongest(cells, rows, client.position)
+                if best is not None:
+                    self._initial_associate(client, best)
         if self._scan_task is None:
             jitter_fn = None
             if self.scan_jitter_s > 0:
@@ -122,16 +176,27 @@ class HandoverManager:
         Exact RSSI ties (two equidistant cells) resolve by cell name, so the
         winner does not depend on the order cells were registered in.
         """
+        return self._strongest(*self._radio_snapshot(), client.position)[0]
+
+    def _radio_snapshot(self) -> Tuple[List[Cell], List[RadioRow]]:
+        """The registered cells and their rows (``rows[i]`` is ``cells[i]``)."""
+        cells = list(self.cells.values())
+        return cells, radio_rows(cells)
+
+    def _strongest(
+        self, cells: List[Cell], rows: List[RadioRow], position: Tuple[float, float]
+    ) -> Tuple[Optional[Cell], float]:
+        """Best audible cell at ``position`` and its RSSI."""
         best: Optional[Cell] = None
-        best_rssi = float("-inf")
-        for cell in self.cells.values():
-            rssi = cell.rssi_to(client.position)
-            if rssi < self.sensitivity_dbm:
+        best_rssi = -math.inf
+        sensitivity = self.sensitivity_dbm
+        for cell, rssi in zip(cells, rssi_survey(rows, position)):
+            if rssi < sensitivity:
                 continue
             if best is None or rssi > best_rssi or (rssi == best_rssi and cell.name < best.name):
                 best = cell
                 best_rssi = rssi
-        return best
+        return best, best_rssi
 
     def station_link_rates(self, client_ip: str) -> Dict[str, float]:
         """Best achievable PHY rate (bps) towards each station for one client.
@@ -154,30 +219,46 @@ class HandoverManager:
         return rates
 
     def scan(self) -> None:
-        """One scan round over every client (called periodically)."""
+        """One scan round over every client (called periodically).
+
+        A *settled* client is skipped: its last scan ended in "no action" and
+        nothing that scan read has changed since -- its position, its serving
+        cell, and the radio signature (sensitivity, hysteresis and every
+        cell's :data:`RadioRow`, compared by value once per scan, so a
+        ``cell.enabled`` or ``client.position`` assigned directly is seen).
+        """
+        cells, rows = self._radio_snapshot()
+        signature = (self.sensitivity_dbm, self.hysteresis_db, rows)
+        if signature != self._radio_signature:
+            self._radio_signature = signature
+            self._settled.clear()
+        settled = self._settled
         for client in self.clients.values():
-            if client.name in self._in_progress:
-                continue
-            best = self.best_cell_for(client)
-            if best is None:
+            name = client.name
+            if name in self._in_progress:
                 continue
             current = client.associated_cell
-            if current is None:
-                self._initial_associate(client, best)
-                continue
-            if best.name == current.name:
-                continue
-            current_rssi = current.rssi_to(client.position)
-            best_rssi = best.rssi_to(client.position)
-            if best_rssi >= current_rssi + self.hysteresis_db or current_rssi < self.sensitivity_dbm:
-                self._start_handover(client, current, best)
+            position = client.position
+            if current is not None:
+                seen = settled.get(name)
+                if seen is not None and seen[1] is current and seen[0] == position:
+                    continue
+            best, best_rssi = self._strongest(cells, rows, position)
+            if best is not None:
+                if current is None:
+                    self._initial_associate(client, best)
+                    continue
+                if best.name != current.name:
+                    current_rssi = current.rssi_to(position)
+                    if best_rssi >= current_rssi + self.hysteresis_db or current_rssi < self.sensitivity_dbm:
+                        self._start_handover(client, current, best)
+                        continue
+            if current is not None:
+                settled[name] = (position, current)
 
     # ------------------------------------------------------------ internals
 
-    def _initial_associate(self, client: MobileClient, cell: Optional[Cell] = None) -> None:
-        target = cell or self.best_cell_for(client)
-        if target is None:
-            return
+    def _initial_associate(self, client: MobileClient, target: Cell) -> None:
         target.associate(client, self.topology.addresses.allocate_mac)
         station = self.topology.station(target.station_name)
         station.register_client(client.ip, target.name)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netem import packet as pkt
 from repro.netem.flowtable import Action, ActionType, FlowRule, FlowTable, Match
@@ -300,3 +301,87 @@ def test_broadcast_frames_are_flooded(simulator):
     packet.eth.dst = pkt.BROADCAST_MAC
     inject(simulator, switch, packet, 1)
     assert len(sinks[2].packets) == 1 and len(sinks[3].packets) == 1
+
+
+# --------------------------------------------------------------------------
+# FlowTable against its naive oracle
+# --------------------------------------------------------------------------
+
+
+class _ReferenceTable:
+    """What FlowTable did before it was kept ordered: append and re-sort."""
+
+    def __init__(self):
+        self.rules, self.generation = [], 0
+
+    def mutate(self, rules):
+        changed = len(rules) != len(self.rules)
+        self.rules = sorted(rules, key=lambda r: (-r.priority, -r.rule_id))
+        self.generation += changed
+        return changed
+
+    def install(self, rule):
+        self.mutate(self.rules + [rule])
+
+    def remove(self, doomed):
+        before = len(self.rules)
+        self.mutate([rule for rule in self.rules if not doomed(rule)])
+        return before - len(self.rules)
+
+    @property
+    def metadata_keys(self):
+        return tuple(sorted({key for rule in self.rules for key, _ in rule.match.metadata}))
+
+
+_priorities = st.integers(min_value=0, max_value=3)
+_cookies = st.sampled_from(["", "assoc:a", "assoc:b", "chain:1"])
+_matches = st.sampled_from(
+    [Match(), Match(in_port=1), Match(metadata=(("gnf_dir", "up"),)),
+     Match(metadata=(("gnf_dir", "down"), ("gnf_hop", 2)))]
+)
+_table_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("install"), _priorities, _matches, _cookies),
+        st.tuples(st.just("add"), _priorities, _matches, _cookies),
+        st.tuples(st.just("reinstall"), st.integers(min_value=0, max_value=30)),
+        st.tuples(st.just("remove_rule"), st.integers(min_value=0, max_value=30)),
+        st.tuples(st.just("remove_by_cookie"), _cookies),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=40,
+)
+
+
+@given(_table_ops)
+@settings(max_examples=200, deadline=None)
+def test_flow_table_matches_append_and_resort_reference(ops):
+    table, reference, ever_installed = FlowTable(), _ReferenceTable(), []
+    for op, *args in ops:
+        if op == "install":
+            rule = FlowRule(priority=args[0], match=args[1], actions=[Action.drop()], cookie=args[2])
+            assert table.install(rule) is rule
+            reference.install(rule)
+            ever_installed.append(rule)
+        elif op == "add":
+            rule = table.add(args[0], args[1], [Action.drop()], cookie=args[2])
+            reference.install(rule)
+            ever_installed.append(rule)
+        elif op == "reinstall" and ever_installed:
+            # A previously installed rule object, whether or not it is still in.
+            rule = ever_installed[args[0] % len(ever_installed)]
+            table.install(rule)
+            reference.install(rule)
+        elif op == "remove_rule" and ever_installed:
+            rule_id = ever_installed[args[0] % len(ever_installed)].rule_id
+            assert table.remove_rule(rule_id) == bool(reference.remove(lambda r: r.rule_id == rule_id))
+        elif op == "remove_by_cookie":
+            assert table.remove_by_cookie(args[0]) == reference.remove(lambda r: r.cookie == args[0])
+        elif op == "clear":
+            table.clear()
+            reference.remove(lambda r: True)
+        assert [id(rule) for rule in table.rules()] == [id(rule) for rule in reference.rules]
+        assert table.referenced_metadata_keys == reference.metadata_keys
+        assert table.generation == reference.generation
+        assert len(table) == len(reference.rules)
+    for cookie in ("", "assoc:a", "assoc:b", "chain:1"):
+        assert table.rules(cookie) == [rule for rule in reference.rules if rule.cookie == cookie]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem.fluid import FluidFlow, FluidPath, FluidSolver, HybridScheduler
 from repro.netem.link import Link
 from repro.netem.simulator import Simulator
@@ -179,6 +180,109 @@ def test_flow_finished_counts_packet_completions():
     assert flow.flow_id not in scheduler.flows
     scheduler.flow_finished(flow)  # idempotent
     assert scheduler.flows_completed == 1
+
+
+# ---------------------------------------------------------------------------
+# Per-epoch work: one path per (station, server), island inputs once
+# ---------------------------------------------------------------------------
+
+
+def test_flows_share_one_path_per_station_and_server_and_follow_a_roaming_client():
+    testbed = GNFTestbed(TestbedConfig(station_count=2, simulation_mode="hybrid", fluid_epoch_s=0.25))
+    near_a, also_a, near_b = (
+        testbed.add_client(name, position=position)
+        for name, position in (("a1", (0.0, 0.0)), ("a2", (2.0, 0.0)), ("b1", (80.0, 0.0)))
+    )
+    testbed.start()
+    testbed.run(1.0)
+    server_ip = testbed.topology.any_server_ip()
+    flows = [
+        testbed.hybrid.register(FluidFlow(client.name, demand_bps=1e5, total_bytes=1e9, client=client, dst_ip=server_ip))
+        for client in (near_a, also_a, near_b)
+    ]
+    assert flows[0].path is flows[1].path
+    assert flows[0].path.station == "station-1"
+    assert flows[2].path is not flows[0].path
+    assert flows[0].path.counters is testbed.hybrid.station_counters["station-1"]
+    assert flows[0].path.switch is testbed.topology.stations["station-1"].switch
+    # The client roams: at the next epoch its flow rides station-2's path object.
+    near_a.position = (80.0, 0.0)
+    testbed.run(2.0)
+    assert near_a.current_station_name == "station-2"
+    assert flows[0].path is flows[2].path
+    assert flows[1].path.station == "station-1"
+
+
+class _Endpoint:
+    def __init__(self, ip):
+        self.ip = ip
+
+
+def test_island_inputs_are_asked_once_per_epoch_not_once_per_flow():
+    simulator, scheduler, _ = _rig(epoch_s=0.1)
+    asked = {"migration": 0, "chained": 0}
+
+    def migration_stations():
+        asked["migration"] += 1
+        return ()
+
+    def chained_clients():
+        asked["chained"] += 1
+        return set()
+
+    scheduler.migration_stations = migration_stations
+    scheduler.chained_clients = chained_clients
+    for index in range(5):
+        scheduler.register(FluidFlow(f"bulk-{index}", 8e5, 1e9, client=_Endpoint(f"10.0.0.{index}")))
+    before = dict(asked)
+    simulator.run(until=0.35)
+    assert scheduler.solver_epochs == 3
+    assert asked == {key: count + 3 for key, count in before.items()}
+
+
+def test_flow_is_demoted_while_its_client_has_a_chain_and_promoted_after_detach():
+    simulator, scheduler, _ = _rig(epoch_s=0.1)
+    chained = set()
+    scheduler.chained_clients = lambda: chained
+    flow = scheduler.register(FluidFlow("bulk", 8e5, 1e9, client=_Endpoint("10.0.0.7")))
+    other = scheduler.register(FluidFlow("other", 8e5, 1e9, client=_Endpoint("10.0.0.8")))
+    assert flow.mode == other.mode == "fluid"
+    chained.add("10.0.0.7")  # a chain attaches mid-run
+    simulator.run(until=0.15)
+    assert (flow.mode, flow.demotions, other.mode) == ("packet", 1, "fluid")
+    chained.clear()  # detached
+    simulator.run(until=0.25)
+    assert (flow.mode, flow.promotions, other.demotions) == ("fluid", 1, 0)
+
+
+def test_link_load_is_the_flow_ordered_sum_exactly():
+    simulator = Simulator()
+    scheduler = HybridScheduler(simulator, mode="hybrid", epoch_s=0.1)
+    uplink = Link(simulator, bandwidth_bps=2e6, delay_s=0.0, name="uplink")
+    core = Link(simulator, bandwidth_bps=1e9, delay_s=0.0, name="core")
+    # Three path objects over the same uplink (one also crosses the core):
+    # the per-link sum must not depend on how flows group by path.
+    paths = [
+        FluidPath("station-1", [(uplink, "a_to_b")]),
+        FluidPath("station-1", [(uplink, "a_to_b"), (core, "a_to_b")]),
+        FluidPath("station-2", [(uplink, "a_to_b")]),
+    ]
+    scheduler.path_resolver = lambda flow: paths[flow.flow_id % 3]
+    scheduler.start()
+    for index in range(40):
+        # A few demand-limited flows, the rest share-limited.
+        scheduler.register(FluidFlow(f"bulk-{index}", demand_bps=1e4 * (index + 1) / 3.0, total_bytes=1e9))
+    simulator.run(until=0.15)
+    on_uplink = on_core = 0.0  # plain loops: sum() may compensate
+    for flow in scheduler.flows.values():
+        on_uplink += flow.allocated_bps
+        if flow.path is paths[1]:
+            on_core += flow.allocated_bps
+    rates = [flow.allocated_bps for flow in scheduler.flows.values()]
+    assert {flow.mode for flow in scheduler.flows.values()} == {"fluid"}
+    assert len(set(rates)) > 10 and rates.count(max(rates)) > 1  # demand- and share-limited
+    assert uplink.fluid_load("a_to_b") == on_uplink  # ==, not approx
+    assert core.fluid_load("a_to_b") == on_core
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ handover."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netem import packet as pkt
 from repro.netem.simulator import Simulator
 from repro.netem.topology import EdgeTopology, TopologyConfig
+from repro.wireless import handover
 from repro.wireless.cell import Cell
 from repro.wireless.client import MobileClient
 from repro.wireless.handover import HandoverManager
@@ -391,3 +393,171 @@ def test_station_link_rates_reflects_radio_quality(simulator):
     assert manager.station_link_rates("10.99.99.99") == {}
     client.position = (5000.0, 5000.0)
     assert set(manager.station_link_rates(client.ip).values()) == {0.0}
+
+
+# --------------------------------------------------------------------------
+# Settled-client scans and the straight-line RSSI, against their oracles
+# --------------------------------------------------------------------------
+
+SCAN_POSITIONS = [(0.0, 0.0), (10.0, 0.0), (20.0, 5.0), (30.0, 0.0), (50.0, 0.0), (70.0, 0.0)]
+
+
+def _scan_world(simulator, positions=SCAN_POSITIONS):
+    topology, cell_a, cell_b, manager = two_cell_setup(simulator)
+    for index, position in enumerate(positions):
+        manager.add_client(
+            MobileClient(
+                simulator, f"phone-{index}", ip=f"10.10.0.{index + 1}",
+                mac=f"02:00:00:00:01:{index + 1:02x}", position=position,
+            )
+        )
+    return topology, cell_a, cell_b, manager
+
+
+@pytest.fixture
+def survey_calls(monkeypatch):
+    """Positions handed to ``rssi_survey``: one entry per client a scan evaluates."""
+    calls = []
+    original = handover.rssi_survey
+
+    def counted(rows, position):
+        calls.append(position)
+        return original(rows, position)
+
+    monkeypatch.setattr(handover, "rssi_survey", counted)
+    return calls
+
+
+def _scan(simulator, manager):
+    manager.scan()
+    simulator.run(until=simulator.now + 0.1)  # lets a started handover complete
+
+
+def test_second_scan_over_static_clients_evaluates_nobody(simulator, survey_calls):
+    _, _, _, manager = _scan_world(simulator)
+    _scan(simulator, manager)  # associates everyone
+    _scan(simulator, manager)  # first look at them associated: all settle
+    assert len(survey_calls) == 2 * len(SCAN_POSITIONS)
+    del survey_calls[:]
+    _scan(simulator, manager)
+    assert survey_calls == []
+
+
+def test_moving_one_client_re_evaluates_only_that_client(simulator, survey_calls):
+    _, _, _, manager = _scan_world(simulator)
+    _scan(simulator, manager)
+    _scan(simulator, manager)
+    del survey_calls[:]
+    manager.clients["phone-2"].position = (21.0, 5.0)
+    _scan(simulator, manager)
+    assert survey_calls == [(21.0, 5.0)]
+    _scan(simulator, manager)  # and it settles again where it now stands
+    assert survey_calls == [(21.0, 5.0)]
+
+
+def _disable_cell_a_by_attribute(simulator, topology, cell_a, cell_b, manager):
+    cell_a.enabled = False
+
+
+def _raise_cell_b_power(simulator, topology, cell_a, cell_b, manager):
+    cell_b.tx_power_dbm = 40.0
+
+
+def _drop_hysteresis(simulator, topology, cell_a, cell_b, manager):
+    manager.hysteresis_db = 1.0
+
+
+def _add_cell_late(simulator, topology, cell_a, cell_b, manager):
+    manager.add_cell(build_cell(simulator, topology, station="station-2", position=(35.0, 0.0), name="cell-c"))
+
+
+def _play(change, remember):
+    """Associate, settle, apply ``change``, scan twice; ``remember=False``
+    defeats the skip with a fresh manager (no scan memory) per scan."""
+    simulator = Simulator()
+    topology, cell_a, cell_b, manager = _scan_world(simulator)
+    events, evaluated = [], []
+
+    def scan():
+        nonlocal manager
+        if not remember:
+            fresh = HandoverManager(
+                simulator, topology, hysteresis_db=manager.hysteresis_db, handover_delay_s=0.05
+            )
+            for cell in manager.cells.values():
+                fresh.add_cell(cell)
+            for client in manager.clients.values():
+                fresh.add_client(client)
+            manager = fresh
+        seen = len(manager.events)
+        _scan(simulator, manager)
+        events.extend(manager.events[seen:])
+
+    scan()
+    # Where cell-b beats phone-3's serving cell-a by less than the 4 dB
+    # hysteresis: only a changed hysteresis moves it.
+    manager.clients["phone-3"].position = (45.0, 0.0)
+    scan()
+    change(simulator, topology, cell_a, cell_b, manager)
+    scan()
+    scan()
+    return [(e.time, e.client_name, e.old_cell, e.new_cell, e.completed_at) for e in events]
+
+
+@pytest.mark.parametrize(
+    "change", [_disable_cell_a_by_attribute, _raise_cell_b_power, _drop_hysteresis, _add_cell_late]
+)
+def test_radio_signature_change_re_evaluates_everyone(change, survey_calls):
+    expected = _play(change, remember=False)
+    assert expected, "the change must cause at least one handover for the comparison to bite"
+    del survey_calls[:]
+    assert _play(change, remember=True) == expected
+    # associate: 6, settle: 6 (phone-3 moved anyway), after the change: all 6
+    # again, last scan: only the clients the change handed over (new serving cell).
+    assert len(survey_calls) == 3 * len(SCAN_POSITIONS) + len(expected)
+
+
+def test_client_of_a_disabled_cell_hands_over_on_the_next_scan(simulator, survey_calls):
+    _, cell_a, _, manager = _scan_world(simulator)
+    _scan(simulator, manager)
+    _scan(simulator, manager)
+    _scan(simulator, manager)
+    assert manager.events == []
+    cell_a.enabled = False
+    _scan(simulator, manager)
+    moved = {event.client_name for event in manager.events}
+    assert moved == {f"phone-{index}" for index in range(4)}  # everyone cell-a served
+    assert all(client.current_cell_name == "cell-b" for client in manager.clients.values())
+
+
+_coordinates = st.floats(min_value=-500.0, max_value=500.0, allow_nan=False)
+_positions = st.tuples(_coordinates, _coordinates)
+
+
+@given(
+    cell_position=_positions,
+    offset=st.one_of(st.just((0.0, 0.0)), st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), _positions),
+    tx_power_dbm=st.floats(min_value=-10.0, max_value=40.0),
+    exponent=st.floats(min_value=2.0, max_value=4.5),
+    reference_distance_m=st.sampled_from([1.0, 2.5]),
+    enabled=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_straight_line_rssi_equals_the_oracle_bit_for_bit(
+    cell_position, offset, tx_power_dbm, exponent, reference_distance_m, enabled
+):
+    simulator = Simulator()
+    environment = RadioEnvironment(path_loss_exponent=exponent, reference_distance_m=reference_distance_m)
+    cell = Cell(
+        simulator, "cell-a", "station-1", cell_position, mac="02:00:00:00:00:01",
+        tx_power_dbm=tx_power_dbm, radio_environment=environment,
+    )
+    cell.enabled = enabled
+    # Offsets inside the reference distance exercise the clamp.
+    position = (cell_position[0] + offset[0], cell_position[1] + offset[1])
+    (rssi,) = handover.rssi_survey(handover.radio_rows([cell]), position)
+    assert rssi == cell.rssi_to(position)
+    if enabled:
+        assert rssi == environment.rssi_between(tx_power_dbm, cell_position, position)
+    else:
+        assert rssi == float("-inf")
