@@ -1,7 +1,7 @@
 """E12 -- Hybrid fluid/packet simulation core: bulk-transfer speedup.
 
 The hybrid core (``src/repro/netem/fluid.py``) moves long-lived bulk flows
-as fluid rate processes -- one solver epoch per ``fluid_epoch_s`` instead of
+as fluid rate processes -- one solver epoch per 0.25 s instead of
 one event chain per packet -- while keeping packet-level fidelity islands at
 chained NFs, migrating stations and fault windows.  This benchmark runs the
 *same* large bulk-transfer scenario under ``--sim-mode packet`` and

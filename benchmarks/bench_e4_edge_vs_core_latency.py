@@ -15,7 +15,6 @@ from _bench_utils import run_once
 from repro.analysis.report import ExperimentResult
 from repro.analysis.stats import ratio
 from repro.baselines.core_nfv import CoreNFVScenario
-from repro.core.placement import ClosestAgentPlacement, LatencyAwarePlacement, LoadAwarePlacement
 from repro.core.testbed import TestbedConfig
 
 
@@ -24,10 +23,10 @@ def _run_experiment():
     core = CoreNFVScenario(edge_nf=False, mean_think_time_s=0.2).run(duration_s=40.0)
 
     ablation = []
-    for placement in (ClosestAgentPlacement(), LoadAwarePlacement(), LatencyAwarePlacement()):
-        config = TestbedConfig(station_count=2, placement=placement)
+    for placement in ("closest-agent", "load-aware", "latency-aware"):
+        config = TestbedConfig(station_count=2, placement_strategy=placement)
         run = CoreNFVScenario(edge_nf=True, mean_think_time_s=0.2, config=config).run(duration_s=30.0)
-        ablation.append((placement.name, run))
+        ablation.append((placement, run))
     return edge, core, ablation
 
 

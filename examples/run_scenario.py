@@ -26,8 +26,23 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.scenarios import build_scenario, run_scenario, scenario_names
-from repro.scenarios.spec import PLACEMENT_STRATEGIES, SIMULATION_MODES
+from repro.scenarios import ScenarioSpecError, TopologySpec, build_scenario, run_scenario, scenario_names
+
+#: (flag, deployment-config field, help): the knobs the CLI can override.  The
+#: flag's type is the type of the field's default; validation and the valid
+#: names come from the config itself.
+OVERRIDE_FLAGS = (
+    ("--shards", "shard_count", "control-plane shard count"),
+    ("--regions", "region_count", "federation region count; --shards then means shards per region"),
+    ("--strategy", "migration_strategy", "migration strategy name"),
+    ("--placement", "placement_strategy", "placement strategy name"),
+    (
+        "--sim-mode",
+        "simulation_mode",
+        "simulation engine: 'packet' (pure packet-level) or 'hybrid' "
+        "(fluid bulk flows with packet fidelity islands)",
+    ),
+)
 
 
 def _print_result(result) -> None:
@@ -50,43 +65,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("scenario", nargs="?", help="canned scenario name (see --list)")
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="control-plane shard count (default: the scenario's own setting)",
-    )
-    parser.add_argument(
-        "--regions",
-        type=int,
-        default=None,
-        help=(
-            "federation region count; --shards then means shards per region "
-            "(default: the scenario's own setting)"
-        ),
-    )
-    parser.add_argument(
-        "--strategy",
-        choices=["cold", "stateful", "precopy"],
-        default=None,
-        help="migration strategy override (default: the scenario's own setting)",
-    )
-    parser.add_argument(
-        "--placement",
-        choices=list(PLACEMENT_STRATEGIES),
-        default=None,
-        help="placement strategy override (default: the scenario's own setting)",
-    )
-    parser.add_argument(
-        "--sim-mode",
-        choices=list(SIMULATION_MODES),
-        default=None,
-        help=(
-            "simulation engine override: 'packet' (pure packet-level) or "
-            "'hybrid' (fluid bulk flows with packet fidelity islands); "
-            "default: the scenario's own setting"
-        ),
-    )
+    defaults = TopologySpec()
+    for flag, field, help_text in OVERRIDE_FLAGS:
+        parser.add_argument(
+            flag,
+            dest=field,
+            type=type(getattr(defaults, field)),
+            default=None,
+            help=f"{help_text} (default: the scenario's own setting)",
+        )
     parser.add_argument("--list", action="store_true", help="list canned scenarios and exit")
     parser.add_argument(
         "--list-bundles",
@@ -124,15 +111,11 @@ def main(argv=None) -> int:
             print(f"  {name:22s} {spec.description}")
         return 0
 
-    result = run_scenario(
-        args.scenario,
-        seed=args.seed,
-        shard_count=args.shards,
-        region_count=args.regions,
-        migration_strategy=args.strategy,
-        placement_strategy=args.placement,
-        simulation_mode=args.sim_mode,
-    )
+    overrides = {field: getattr(args, field) for _, field, _ in OVERRIDE_FLAGS}
+    try:
+        result = run_scenario(args.scenario, seed=args.seed, **overrides)
+    except ScenarioSpecError as exc:
+        parser.error(str(exc))
     _print_result(result)
     if not result.drained:
         print(
@@ -144,13 +127,8 @@ def main(argv=None) -> int:
         # Replay with the spec's own shard/region counts: digests must match
         # across both replays *and* those knobs, so one comparison checks
         # determinism plus shard- and region-count invariance.
-        again = run_scenario(
-            args.scenario,
-            seed=args.seed,
-            migration_strategy=args.strategy,
-            placement_strategy=args.placement,
-            simulation_mode=args.sim_mode,
-        )
+        overrides.update(shard_count=None, region_count=None)
+        again = run_scenario(args.scenario, seed=args.seed, **overrides)
         if result.digest != again.digest:
             print(
                 f"ERROR: scenario {args.scenario!r} is NOT deterministic; "

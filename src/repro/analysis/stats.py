@@ -46,8 +46,11 @@ def percentile(values: Sequence[float], q: float) -> float:
     upper = int(math.ceil(rank))
     if lower == upper:
         return ordered[lower]
-    fraction = rank - lower
-    return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
+    low, high = ordered[lower], ordered[upper]
+    # ``low + span * f`` cannot underflow both halves to zero the way
+    # ``low * (1 - f) + high * f`` does; the clamp keeps rounding (or an
+    # overflowing span) from leaving [low, high].
+    return min(max(low + (high - low) * (rank - lower), low), high)
 
 
 def stdev(values: Sequence[float]) -> float:

@@ -53,6 +53,7 @@ from repro.core.errors import (
     DeploymentError,
     GNFError,
     MigrationError,
+    ScenarioSpecError,
     ScheduleError,
     UnknownAgentError,
     UnknownAssignmentError,
@@ -150,4 +151,5 @@ __all__ = [
     "MigrationError",
     "CatalogError",
     "ScheduleError",
+    "ScenarioSpecError",
 ]

@@ -33,3 +33,7 @@ class CatalogError(GNFError):
 
 class ScheduleError(GNFError):
     """An invalid time schedule was supplied."""
+
+
+class ScenarioSpecError(ValueError):
+    """A scenario spec or a deployment config (``TestbedConfig``) failed validation."""

@@ -502,9 +502,9 @@ class EmbeddingPlacement:
         return priced(segments)
 
 
-#: Strategy names accepted by :func:`make_strategy` (and by the
-#: ``TestbedConfig.placement_strategy`` / ``TopologySpec.placement_strategy``
-#: knobs and the ``run_scenario.py --placement`` CLI flag).
+#: Strategy names accepted by :func:`make_strategy`; the
+#: ``TestbedConfig.placement_strategy`` knob (and so the ``run_scenario.py
+#: --placement`` flag) accepts exactly these keys.
 STRATEGY_FACTORIES: Dict[str, Callable[[], PlacementStrategy]] = {
     "closest-agent": ClosestAgentPlacement,
     "least-loaded": LeastLoadedPlacement,

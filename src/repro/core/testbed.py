@@ -11,18 +11,19 @@ the scenario instead of the wiring.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.agent import GNFAgent
 from repro.core.bundles import BundleUpgradeOrchestrator, default_catalogue
+from repro.core.errors import ScenarioSpecError
 from repro.core.manager import AssignmentState, GNFManager
-from repro.core.migration import MigrationEngine
+from repro.core.migration import VALID_STRATEGIES, MigrationEngine
 from repro.core.placement import (
+    STRATEGY_FACTORIES,
     AdmissionPolicy,
     NFAutoscaler,
     PlacementEngine,
-    PlacementStrategy,
     make_strategy,
 )
 from repro.core.repository import NFRepository
@@ -31,7 +32,7 @@ from repro.core.sharding import ShardedManager
 from repro.core.ui import GNFDashboard
 from repro.netem.fluid import SIMULATION_MODES, FluidFlow, FluidPath, HybridScheduler
 from repro.netem.simulator import Simulator
-from repro.netem.topology import EdgeTopology, StationProfile, TopologyConfig
+from repro.netem.topology import STATION_PROFILES, EdgeTopology, TopologyConfig
 from repro.wireless.cell import Cell
 from repro.wireless.client import MobileClient
 from repro.wireless.handover import HandoverManager
@@ -40,7 +41,14 @@ from repro.wireless.radio import RadioEnvironment
 
 @dataclass
 class TestbedConfig:
-    """Knobs for the emulated deployment."""
+    """Every knob of the emulated deployment, declared once.
+
+    Plain data: names and numbers only, so a config compares, copies
+    (``dataclasses.replace``) and serialises (:meth:`to_dict`) as a value.
+    ``repro.scenarios.TopologySpec`` is this class; a scenario's
+    ``topology`` is one of these and run-time overrides are a ``replace``
+    on it.  :meth:`validate` is the only place a knob is checked.
+    """
 
     # Not a pytest test class, despite the name.
     __test__ = False
@@ -49,22 +57,21 @@ class TestbedConfig:
     #: workload generators, handover jitter, fault schedules) derives its own
     #: child seed from this one via :func:`repro.core.seeds.derive_seed`, so
     #: two testbeds built from the same config replay identically and varying
-    #: this single knob varies every random decision at once.
+    #: this single knob varies every random decision at once.  A scenario run
+    #: ignores the value on ``spec.topology`` and writes ``ScenarioSpec.seed``
+    #: (or the runner's ``seed=`` override) into its own copy.
     seed: int = 0
     station_count: int = 2
     cells_per_station: int = 1
-    station_profile: StationProfile = field(default_factory=StationProfile.router_class)
+    #: Station compute class by name, a key of
+    #: :data:`repro.netem.topology.STATION_PROFILES` (``router``/``server``).
+    station_profile: str = "router"
     station_spacing_m: float = 80.0
-    cell_tx_power_dbm: float = 20.0
     uplink_bandwidth_bps: float = 100e6
-    uplink_delay_s: float = 0.005
-    core_delay_s: float = 0.010
     server_count: int = 1
     dns_zone: Dict[str, List[str]] = field(default_factory=lambda: {"cdn.example.com": ["203.0.113.10"]})
+    #: ``cold``/``stateful``/``precopy`` (see :mod:`repro.core.migration`).
     migration_strategy: str = "cold"
-    #: Chunk size the migration engine uses when it moves checkpoint bytes
-    #: over the backhaul links (one chunk = one packet on the wire).
-    migration_chunk_bytes: int = 65536
     #: Iterative pre-copy knobs: maximum dirty-delta rounds before the
     #: freeze, the downtime the final copy must fit into, and how much of
     #: the state is re-dirtied between rounds.
@@ -73,29 +80,25 @@ class TestbedConfig:
     precopy_dirty_fraction: float = 0.25
     heartbeat_interval_s: float = 2.0
     scan_interval_s: float = 0.5
-    handover_delay_s: float = 0.05
-    handover_hysteresis_db: float = 4.0
     #: Uniform +/- jitter applied to every handover scan interval (models
     #: unsynchronised Wi-Fi scan timers).  0 keeps scans strictly periodic.
     handover_scan_jitter_s: float = 0.0
-    #: Placement strategy *object* (takes precedence when set); most callers
-    #: use the ``placement_strategy`` name knob instead.
-    placement: Optional[PlacementStrategy] = None
-    #: Placement strategy by registry name (``closest-agent`` --- the paper's
-    #: behaviour and the historical default --- ``least-loaded``,
-    #: ``latency-weighted``, ``bin-packing``, ``load-aware``,
-    #: ``latency-aware``, ``embedding``).  See :mod:`repro.core.placement`.
+    #: Placement strategy, a key of
+    #: :data:`repro.core.placement.STRATEGY_FACTORIES`.  ``closest-agent`` is
+    #: the paper's behaviour; the load-aware strategies only diverge from it
+    #: when stations saturate, so the canned library digests are
+    #: strategy-invariant.
     placement_strategy: str = "closest-agent"
     #: Manager-side admission control: when on, deployments aimed at a
     #: saturated station are queued (retried as capacity frees, timed out
     #: after ``admission_queue_timeout_s``) instead of dispatched to fail at
     #: the runtime.  Off by default -- the historical behaviour.
     admission_control: bool = False
-    admission_max_utilization: float = 0.85
     admission_queue_timeout_s: float = 30.0
     #: Utilization-driven autoscaler: scales hot chains horizontally with
     #: load-balancer-fronted replicas on nearby stations and rebalances via
-    #: the migration engine.  Off by default.
+    #: the migration engine.  Off by default (no autoscaler events are
+    #: scheduled when disabled).
     autoscale_enabled: bool = False
     autoscale_interval_s: float = 5.0
     autoscale_up_threshold: float = 0.8
@@ -121,8 +124,58 @@ class TestbedConfig:
     #: Non-bulk workloads are packet-level in both modes, so scenarios
     #: without bulk traffic digest identically across this knob.
     simulation_mode: str = "packet"
-    #: Fluid solver epoch length in simulated seconds (hybrid mode only).
-    fluid_epoch_s: float = 0.25
+
+    def validate(self) -> "TestbedConfig":
+        """Check every knob; raise :class:`ScenarioSpecError` for the first bad one."""
+
+        def reject(name: str, rule: str) -> None:
+            raise ScenarioSpecError(f"{name} {rule}, got {getattr(self, name)!r}")
+
+        for name, registry in (
+            ("station_profile", STATION_PROFILES),
+            ("migration_strategy", VALID_STRATEGIES),
+            ("placement_strategy", STRATEGY_FACTORIES),
+            ("simulation_mode", SIMULATION_MODES),
+        ):
+            if getattr(self, name) not in registry:
+                reject(name, f"must be one of {list(registry)}")
+        for name in (
+            "station_count",
+            "cells_per_station",
+            "server_count",
+            "precopy_max_rounds",
+            "shard_count",
+            "region_count",
+        ):
+            if getattr(self, name) < 1:
+                reject(name, "must be >= 1")
+        for name in (
+            "uplink_bandwidth_bps",
+            "precopy_downtime_target_s",
+            "heartbeat_interval_s",
+            "scan_interval_s",
+            "admission_queue_timeout_s",
+            "autoscale_interval_s",
+        ):
+            if getattr(self, name) <= 0:
+                reject(name, "must be positive")
+        for name in ("handover_scan_jitter_s", "autoscale_max_replicas"):
+            if getattr(self, name) < 0:
+                reject(name, "must be >= 0")
+        if not 0.0 < self.precopy_dirty_fraction < 1.0:
+            reject("precopy_dirty_fraction", "must be in (0, 1)")
+        if not 0.0 < self.autoscale_down_threshold < self.autoscale_up_threshold:
+            raise ScenarioSpecError(
+                "need 0 < autoscale_down_threshold < autoscale_up_threshold, got "
+                f"{self.autoscale_down_threshold} and {self.autoscale_up_threshold}"
+            )
+        if self.region_count > self.station_count:
+            reject("region_count", f"cannot exceed station_count ({self.station_count})")
+        return self
+
+    def to_dict(self) -> Dict[str, object]:
+        """The config as plain JSON-able data (``TestbedConfig(**d)`` rebuilds it)."""
+        return asdict(self)
 
 
 class GNFTestbed:
@@ -140,35 +193,29 @@ class GNFTestbed:
     """
 
     def __init__(self, config: Optional[TestbedConfig] = None) -> None:
-        self.config = config or TestbedConfig()
+        # Validate before anything is built: a bad knob leaves nothing behind.
+        self.config = (config or TestbedConfig()).validate()
         self.simulator = Simulator()
         self.topology = EdgeTopology(
             self.simulator,
             TopologyConfig(
                 station_count=self.config.station_count,
-                station_profile=self.config.station_profile,
+                station_profile=STATION_PROFILES[self.config.station_profile],
                 station_spacing_m=self.config.station_spacing_m,
                 uplink_bandwidth_bps=self.config.uplink_bandwidth_bps,
-                uplink_delay_s=self.config.uplink_delay_s,
-                core_delay_s=self.config.core_delay_s,
                 server_count=self.config.server_count,
-                dns_zone=dict(self.config.dns_zone),
+                # Copied, so a run never mutates the config it was built from.
+                dns_zone={name: list(ips) for name, ips in self.config.dns_zone.items()},
                 fastpath_enabled=self.config.fastpath_enabled,
             ),
         )
         self.repository = NFRepository.with_default_catalog()
-        if self.config.shard_count < 1:
-            raise ValueError(f"shard_count must be >= 1, got {self.config.shard_count}")
-        if self.config.region_count < 1:
-            raise ValueError(f"region_count must be >= 1, got {self.config.region_count}")
-        strategy = self.config.placement or make_strategy(self.config.placement_strategy)
         self.placement_engine = PlacementEngine(
             self.simulator,
-            strategy=strategy,
+            strategy=make_strategy(self.config.placement_strategy),
             repository=self.repository,
             admission=AdmissionPolicy(
                 enabled=self.config.admission_control,
-                max_utilization=self.config.admission_max_utilization,
                 queue_timeout_s=self.config.admission_queue_timeout_s,
             ),
             # Commitments only need to bridge the heartbeat blind window.
@@ -197,8 +244,6 @@ class GNFTestbed:
             self.topology,
             radio_environment=self.radio,
             scan_interval_s=self.config.scan_interval_s,
-            hysteresis_db=self.config.handover_hysteresis_db,
-            handover_delay_s=self.config.handover_delay_s,
             scan_jitter_s=self.config.handover_scan_jitter_s,
             jitter_rng=random.Random(self.seed_for("handover", "scan-jitter")),
         )
@@ -212,7 +257,6 @@ class GNFTestbed:
             self.simulator,
             self.manager,
             strategy=self.config.migration_strategy,
-            chunk_bytes=self.config.migration_chunk_bytes,
             precopy_max_rounds=self.config.precopy_max_rounds,
             precopy_downtime_target_s=self.config.precopy_downtime_target_s,
             precopy_dirty_fraction=self.config.precopy_dirty_fraction,
@@ -233,16 +277,7 @@ class GNFTestbed:
             catalogue=default_catalogue(),
         )
         self.ui = GNFDashboard(self.manager)
-        if self.config.simulation_mode not in SIMULATION_MODES:
-            raise ValueError(
-                f"unknown simulation_mode {self.config.simulation_mode!r}; "
-                f"valid: {SIMULATION_MODES}"
-            )
-        self.hybrid = HybridScheduler(
-            self.simulator,
-            mode=self.config.simulation_mode,
-            epoch_s=self.config.fluid_epoch_s,
-        )
+        self.hybrid = HybridScheduler(self.simulator, mode=self.config.simulation_mode)
         self.hybrid.chained_clients = self._chained_client_ips
         self.hybrid.migration_stations = self.roaming.transfers.active_transfer_stations
         self.hybrid.path_resolver = self._resolve_fluid_path
@@ -253,12 +288,12 @@ class GNFTestbed:
         self.cells: Dict[str, Cell] = {}
         self.clients: Dict[str, MobileClient] = {}
         self._build_stations()
-        if self.agents:
-            # Price the runtime's per-container bookkeeping into placement's
-            # memory estimates, so fit checks match what admission charges.
-            self.placement_engine.nf_overhead_mb = next(
-                iter(self.agents.values())
-            ).runtime.per_container_overhead_mb
+        # Price the runtime's per-container bookkeeping into placement's
+        # memory estimates, so fit checks match what admission charges
+        # (validate() guarantees at least one station, hence one agent).
+        self.placement_engine.nf_overhead_mb = next(
+            iter(self.agents.values())
+        ).runtime.per_container_overhead_mb
         self.manager.start()
 
     # ----------------------------------------------------------------- seeds
@@ -360,7 +395,6 @@ class GNFTestbed:
             station_name=station_name,
             position=position,
             mac=self.topology.addresses.allocate_mac(),
-            tx_power_dbm=self.config.cell_tx_power_dbm,
             radio_environment=self.radio,
         )
         self.topology.connect_cell(cell, station_name, cell.wired_interface)

@@ -55,6 +55,13 @@ class StationProfile:
         return cls(name="server-class", cpu_mhz=4 * 3000.0, memory_mb=16_384.0, switch_forwarding_delay_s=5e-6)
 
 
+#: The names a deployment config may give its ``station_profile``.
+STATION_PROFILES: Dict[str, StationProfile] = {
+    "router": StationProfile.router_class(),
+    "server": StationProfile.server_class(),
+}
+
+
 @dataclass
 class TopologyConfig:
     """Tunable parameters of the emulated edge deployment."""

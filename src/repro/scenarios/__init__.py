@@ -17,13 +17,12 @@ The spec schema
 ``name``           scenario identifier (also the registry key when canned)
 ``seed``           master seed; every RNG derives a child seed from it
 ``duration_s``     how long the scenario runs (simulated seconds)
-``topology``       a ``TopologySpec``: ``station_count``,
-                   ``cells_per_station``, ``station_spacing_m``,
-                   ``station_profile`` (``"router"``/``"server"``),
-                   ``server_count``, ``migration_strategy``
-                   (``cold``/``stateful``/``precopy``), ``fastpath_enabled``,
-                   ``shard_count`` (control-plane shards; digest-invariant),
-                   ``handover_scan_jitter_s``, ``dns_zone``, ...
+``topology``       a ``TopologySpec`` -- which *is*
+                   :class:`repro.core.testbed.TestbedConfig`, the one
+                   declaration of every deployment knob (``station_count``,
+                   ``migration_strategy``, ``shard_count`` ...).  Any field
+                   can be overridden per run:
+                   ``ScenarioRunner(spec).start(shard_count=4)``
 ``fleets``         ``ClientFleetSpec`` list: ``count`` clients named
                    ``<name>-1..N`` at ``position`` (+ up to ``spread_m`` of
                    seeded scatter), appearing at ``appear_at_s`` spaced by

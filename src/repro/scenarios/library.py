@@ -66,37 +66,16 @@ def build_scenario(name: str, seed: int = 0) -> ScenarioSpec:
     return builder(seed).validate()
 
 
-def run_scenario(
-    name: str,
-    seed: int = 0,
-    shard_count: Optional[int] = None,
-    migration_strategy: Optional[str] = None,
-    placement_strategy: Optional[str] = None,
-    simulation_mode: Optional[str] = None,
-    region_count: Optional[int] = None,
-) -> ScenarioResult:
+def run_scenario(name: str, seed: int = 0, **overrides) -> ScenarioResult:
     """Build and run a canned scenario in one call.
 
-    ``shard_count`` overrides the control-plane shard count (None keeps the
-    spec's own setting); the digest is identical for any value.
-    ``migration_strategy`` overrides the topology's migration strategy, so
-    any canned scenario can be replayed cold/stateful/precopy.
-    ``placement_strategy`` overrides the placement strategy name the same
-    way (``closest-agent``/``least-loaded``/``latency-weighted``/
-    ``bin-packing``/...), which is how benchmark E11 ablates placement.
-    ``simulation_mode`` overrides the topology's ``packet``/``hybrid``
-    engine selection; scenarios without bulk workloads (see
-    :func:`scenario_has_bulk`) digest identically under either mode.
-    ``region_count`` overrides the federation region count (shard_count then
-    means shards *per region*); the digest is identical for any value.
+    ``overrides`` replace fields of the scenario's deployment config for this
+    run (``shard_count=4``, ``placement_strategy="least-loaded"`` ...; see
+    :meth:`ScenarioRunner.start`), which is how the benchmarks ablate
+    migration and placement strategies and how the digest-invariance
+    matrices vary shard count, region count and simulation mode.
     """
-    return ScenarioRunner(build_scenario(name, seed)).run(
-        shard_count=shard_count,
-        migration_strategy=migration_strategy,
-        placement_strategy=placement_strategy,
-        simulation_mode=simulation_mode,
-        region_count=region_count,
-    )
+    return ScenarioRunner(build_scenario(name, seed)).run(**overrides)
 
 
 def scenario_has_bulk(spec: ScenarioSpec) -> bool:
@@ -1191,17 +1170,17 @@ def _pandemic_surge(seed: int) -> ScenarioSpec:
             TrafficEraSpec(
                 at_s=0.0,
                 name="office-hours",
-                shares={"http": 0.40, "dns": 0.25, "quic": 0.25, "abr": 0.10},
+                shares={"abr": 0.10, "dns": 0.25, "http": 0.40, "quic": 0.25},
             ),
             TrafficEraSpec(
                 at_s=30.0,
                 name="lockdown-shift",
-                shares={"http": 0.15, "dns": 0.10, "quic": 0.30, "abr": 0.45},
+                shares={"abr": 0.45, "dns": 0.10, "http": 0.15, "quic": 0.30},
             ),
             TrafficEraSpec(
                 at_s=60.0,
                 name="evening-streaming",
-                shares={"http": 0.10, "dns": 0.05, "quic": 0.25, "abr": 0.60},
+                shares={"abr": 0.60, "dns": 0.05, "http": 0.10, "quic": 0.25},
             ),
         ],
     )

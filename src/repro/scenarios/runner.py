@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.chain import ChainSLO, NFRequirements, NFSpec, ServiceChain
@@ -42,7 +42,6 @@ from repro.core.errors import UnknownClientError
 from repro.core.manager import Assignment, AssignmentState
 from repro.core.scheduler import TimeSchedule
 from repro.core.testbed import GNFTestbed, TestbedConfig
-from repro.netem.topology import StationProfile
 from repro.netem.trafficgen import (
     ABRVideoGenerator,
     BulkTransferGenerator,
@@ -55,9 +54,6 @@ from repro.netem.trafficgen import (
 from repro.scenarios.digest import MetricsDigest
 from repro.scenarios.faults import FaultInjector
 from repro.scenarios.spec import (
-    MIGRATION_STRATEGIES,
-    PLACEMENT_STRATEGIES,
-    SIMULATION_MODES,
     ClientFleetSpec,
     MobilitySpec,
     ScenarioSpec,
@@ -130,94 +126,17 @@ class ScenarioResult:
 class ScenarioRun:
     """A live, started scenario (returned by :meth:`ScenarioRunner.start`)."""
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        seed: Optional[int] = None,
-        shard_count: Optional[int] = None,
-        migration_strategy: Optional[str] = None,
-        placement_strategy: Optional[str] = None,
-        simulation_mode: Optional[str] = None,
-        region_count: Optional[int] = None,
-    ) -> None:
+    def __init__(self, spec: ScenarioSpec, seed: Optional[int] = None, **overrides) -> None:
         self.spec = spec.validate()
         self.seed = spec.seed if seed is None else seed
-        topo = spec.topology
-        self.shard_count = topo.shard_count if shard_count is None else shard_count
-        if self.shard_count < 1:
-            # The override must obey the same rule TopologySpec.validate()
-            # enforces on the spec's own value.
-            raise ScenarioSpecError(f"shard_count must be >= 1, got {self.shard_count}")
-        self.region_count = topo.region_count if region_count is None else region_count
-        if self.region_count < 1:
-            raise ScenarioSpecError(f"region_count must be >= 1, got {self.region_count}")
-        if self.region_count > topo.station_count:
-            raise ScenarioSpecError(
-                f"region_count ({self.region_count}) cannot exceed "
-                f"station_count ({topo.station_count})"
-            )
-        self.migration_strategy = (
-            topo.migration_strategy if migration_strategy is None else migration_strategy
-        )
-        if self.migration_strategy not in MIGRATION_STRATEGIES:
-            raise ScenarioSpecError(
-                f"unknown migration strategy {self.migration_strategy!r}; "
-                f"valid: {MIGRATION_STRATEGIES}"
-            )
-        self.placement_strategy = (
-            topo.placement_strategy if placement_strategy is None else placement_strategy
-        )
-        if self.placement_strategy not in PLACEMENT_STRATEGIES:
-            raise ScenarioSpecError(
-                f"unknown placement strategy {self.placement_strategy!r}; "
-                f"valid: {PLACEMENT_STRATEGIES}"
-            )
-        self.simulation_mode = (
-            topo.simulation_mode if simulation_mode is None else simulation_mode
-        )
-        if self.simulation_mode not in SIMULATION_MODES:
-            raise ScenarioSpecError(
-                f"unknown simulation mode {self.simulation_mode!r}; "
-                f"valid: {SIMULATION_MODES}"
-            )
-        profile = (
-            StationProfile.server_class()
-            if topo.station_profile == "server"
-            else StationProfile.router_class()
-        )
-        self.testbed = GNFTestbed(
-            TestbedConfig(
-                seed=self.seed,
-                station_count=topo.station_count,
-                cells_per_station=topo.cells_per_station,
-                station_profile=profile,
-                station_spacing_m=topo.station_spacing_m,
-                uplink_bandwidth_bps=topo.uplink_bandwidth_bps,
-                server_count=topo.server_count,
-                dns_zone={name: list(ips) for name, ips in topo.dns_zone.items()},
-                migration_strategy=self.migration_strategy,
-                migration_chunk_bytes=topo.migration_chunk_bytes,
-                precopy_max_rounds=topo.precopy_max_rounds,
-                precopy_downtime_target_s=topo.precopy_downtime_target_s,
-                precopy_dirty_fraction=topo.precopy_dirty_fraction,
-                heartbeat_interval_s=topo.heartbeat_interval_s,
-                scan_interval_s=topo.scan_interval_s,
-                handover_scan_jitter_s=topo.handover_scan_jitter_s,
-                fastpath_enabled=topo.fastpath_enabled,
-                placement_strategy=self.placement_strategy,
-                admission_control=topo.admission_control,
-                admission_queue_timeout_s=topo.admission_queue_timeout_s,
-                autoscale_enabled=topo.autoscale_enabled,
-                autoscale_interval_s=topo.autoscale_interval_s,
-                autoscale_up_threshold=topo.autoscale_up_threshold,
-                autoscale_down_threshold=topo.autoscale_down_threshold,
-                autoscale_max_replicas=topo.autoscale_max_replicas,
-                shard_count=self.shard_count,
-                region_count=self.region_count,
-                simulation_mode=self.simulation_mode,
-                fluid_epoch_s=topo.fluid_epoch_s,
-            )
-        )
+        knobs = [f.name for f in fields(TestbedConfig)]
+        unknown = sorted(set(overrides) - set(knobs))
+        if unknown:
+            raise ScenarioSpecError(f"unknown deployment knob(s) {unknown}; valid: {knobs}")
+        given = {name: value for name, value in overrides.items() if value is not None}
+        # The spec is never touched: the run gets its own (validated) copy of
+        # the deployment config, carrying the run seed and the overrides.
+        self.testbed = GNFTestbed(replace(spec.topology, seed=self.seed, **given))
         self.simulator = self.testbed.simulator
         self.faults = FaultInjector(
             self.testbed, rng=random.Random(self.testbed.seed_for("faults"))
@@ -739,15 +658,7 @@ class ScenarioRunner:
     def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec.validate()
 
-    def start(
-        self,
-        seed: Optional[int] = None,
-        shard_count: Optional[int] = None,
-        migration_strategy: Optional[str] = None,
-        placement_strategy: Optional[str] = None,
-        simulation_mode: Optional[str] = None,
-        region_count: Optional[int] = None,
-    ) -> ScenarioRun:
+    def start(self, seed: Optional[int] = None, **overrides) -> ScenarioRun:
         """Build and start a live run (use for phased/mid-run observation).
 
         ``seed`` overrides the *runtime* master seed only: mobility, workload,
@@ -757,48 +668,19 @@ class ScenarioRunner:
         identical scenario shape.  To reseed the structure too, rebuild via
         ``build_scenario(name, seed)``.
 
-        ``shard_count`` overrides the spec topology's control-plane shard
-        count; the run's telemetry digest is identical for any value (the
-        E10 determinism matrix asserts this).  ``migration_strategy``
-        overrides the topology's strategy (``cold``/``stateful``/``precopy``)
-        so the same scenario shape can be compared across strategies.
-        ``placement_strategy`` likewise overrides the topology's placement
-        strategy name (benchmark E11's ablation knob); with the default
-        strategy the digest matches the historical closest-agent behaviour.
-        ``simulation_mode`` overrides the topology's ``packet``/``hybrid``
-        engine selection; scenarios without bulk workloads digest
-        identically under either mode.  ``region_count`` overrides the
-        topology's federation region count; like shard_count, the digest is
-        identical for any value (the federation invariance matrix asserts
-        1 region x K shards == R regions x K shards each).
+        ``overrides`` name fields of the deployment config
+        (:class:`~repro.core.testbed.TestbedConfig`, e.g. ``shard_count=4``,
+        ``migration_strategy="precopy"``): the run is built from
+        ``dataclasses.replace(spec.topology, **overrides)``, validated like
+        any other config, and the spec itself is left untouched.  ``None``
+        keeps the spec's value; a name that is not a config field raises
+        :class:`ScenarioSpecError`.  ``run.testbed.config`` is what the run
+        actually used.
         """
-        return ScenarioRun(
-            self.spec,
-            seed=seed,
-            shard_count=shard_count,
-            migration_strategy=migration_strategy,
-            placement_strategy=placement_strategy,
-            simulation_mode=simulation_mode,
-            region_count=region_count,
-        )
+        return ScenarioRun(self.spec, seed=seed, **overrides)
 
-    def run(
-        self,
-        seed: Optional[int] = None,
-        shard_count: Optional[int] = None,
-        migration_strategy: Optional[str] = None,
-        placement_strategy: Optional[str] = None,
-        simulation_mode: Optional[str] = None,
-        region_count: Optional[int] = None,
-    ) -> ScenarioResult:
-        """Run the whole scenario; ``seed`` overrides runtime RNGs (see start)."""
-        run = self.start(
-            seed=seed,
-            shard_count=shard_count,
-            migration_strategy=migration_strategy,
-            placement_strategy=placement_strategy,
-            simulation_mode=simulation_mode,
-            region_count=region_count,
-        )
+    def run(self, seed: Optional[int] = None, **overrides) -> ScenarioResult:
+        """Run the whole scenario; ``seed`` and ``overrides`` as for :meth:`start`."""
+        run = self.start(seed=seed, **overrides)
         run.advance(self.spec.duration_s)
         return run.finalize()

@@ -12,8 +12,11 @@ All times are in simulated seconds relative to scenario start (t=0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Dict, List, Optional, Tuple, Union
+
+from repro.core.errors import ScenarioSpecError
+from repro.core.testbed import TestbedConfig
 
 MOBILITY_MODELS = ("static", "linear", "waypoint", "commuter", "trace")
 WORKLOAD_KINDS = ("cbr", "http", "dns", "video", "bulk", "quic", "abr")
@@ -21,33 +24,18 @@ WORKLOAD_KINDS = ("cbr", "http", "dns", "video", "bulk", "quic", "abr")
 #: pacing is a byte-budget contract owned by the hybrid fluid core, and
 #: scaling it would break packet/hybrid digest equivalence.
 ERA_SCALABLE_KINDS = ("cbr", "http", "dns", "video", "quic", "abr")
-SIMULATION_MODES = ("packet", "hybrid")
 FAULT_KINDS = ("station-crash", "link-degrade", "link-down", "container-oom")
-STATION_PROFILES = ("router", "server")
-MIGRATION_STRATEGIES = ("cold", "stateful", "precopy")
-#: Placement strategy names a spec (or the ``--placement`` CLI flag) may
-#: select; kept in lockstep with ``repro.core.placement.STRATEGY_FACTORIES``
-#: (asserted by the placement-engine tests) so the spec layer stays free of
-#: live-code imports.
-PLACEMENT_STRATEGIES = (
-    "closest-agent",
-    "least-loaded",
-    "latency-weighted",
-    "bin-packing",
-    "load-aware",
-    "latency-aware",
-    "embedding",
-)
 
-
-class ScenarioSpecError(ValueError):
-    """A scenario spec failed validation."""
+#: A scenario's deployment shape *is* the testbed's config: every knob is
+#: declared, defaulted, documented and validated on
+#: :class:`~repro.core.testbed.TestbedConfig` and nowhere else.
+TopologySpec = TestbedConfig
 
 
 def _as_dict(value: Any) -> Any:
     """Recursively convert a spec tree into plain JSON-able data."""
-    if hasattr(value, "to_dict"):
-        return value.to_dict()
+    if is_dataclass(value):
+        return {f.name: _as_dict(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(key): _as_dict(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -55,8 +43,16 @@ def _as_dict(value: Any) -> Any:
     return value
 
 
+class _Spec:
+    """Base of every spec dataclass: serialisation comes from the fields."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The spec (and everything nested in it) as plain JSON-able data."""
+        return _as_dict(self)
+
+
 @dataclass
-class MobilitySpec:
+class MobilitySpec(_Spec):
     """How a fleet's clients move.
 
     ``model`` selects the class from :mod:`repro.wireless.mobility`;
@@ -77,12 +73,9 @@ class MobilitySpec:
         if self.start_s < 0:
             raise ScenarioSpecError(f"mobility start_s must be >= 0, got {self.start_s}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"model": self.model, "start_s": self.start_s, "params": _as_dict(self.params)}
-
 
 @dataclass
-class WorkloadSpec:
+class WorkloadSpec(_Spec):
     """One traffic generator attached to every client of a fleet.
 
     ``kind`` selects the generator from :mod:`repro.netem.trafficgen`
@@ -109,18 +102,9 @@ class WorkloadSpec:
         if self.stop_s is not None and self.stop_s <= self.start_s:
             raise ScenarioSpecError(f"workload stop_s ({self.stop_s}) must be after start_s ({self.start_s})")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "start_s": self.start_s,
-            "stop_s": self.stop_s,
-            "era_scaled": self.era_scaled,
-            "params": _as_dict(self.params),
-        }
-
 
 @dataclass
-class TrafficEraSpec:
+class TrafficEraSpec(_Spec):
     """One step of a piecewise per-protocol traffic-share schedule.
 
     At ``at_s`` the scenario's generators are rescaled so every workload
@@ -167,16 +151,9 @@ class TrafficEraSpec:
             return None
         return self.shares[kind] * len(self.shares)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "at_s": self.at_s,
-            "shares": {kind: self.shares[kind] for kind in sorted(self.shares)},
-            "name": self.name,
-        }
-
 
 @dataclass
-class ClientFleetSpec:
+class ClientFleetSpec(_Spec):
     """A homogeneous group of mobile clients.
 
     Clients are named ``<name>-1 .. <name>-count`` and placed at
@@ -209,24 +186,12 @@ class ClientFleetSpec:
         for workload in self.workloads:
             workload.validate()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "count": self.count,
-            "position": list(self.position),
-            "spread_m": self.spread_m,
-            "appear_at_s": self.appear_at_s,
-            "appear_stagger_s": self.appear_stagger_s,
-            "mobility": self.mobility.to_dict(),
-            "workloads": [workload.to_dict() for workload in self.workloads],
-        }
-
 
 NFEntry = Union[str, Dict[str, Any]]
 
 
 @dataclass
-class ChainAssignmentSpec:
+class ChainAssignmentSpec(_Spec):
     """Attach an NF chain to every client of a fleet.
 
     ``nfs`` lists the chain positions first-to-last; each entry is either a
@@ -315,24 +280,12 @@ class ChainAssignmentSpec:
                         f"{key} must be >= 0, got {value}"
                     )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "fleet": self.fleet,
-            "nfs": [entry if isinstance(entry, str) else _as_dict(entry) for entry in self.nfs],
-            "attach_at_s": self.attach_at_s,
-            "detach_at_s": self.detach_at_s,
-            "daily_window": list(self.daily_window) if self.daily_window else None,
-            "day_length_s": self.day_length_s,
-            "slo_max_latency_s": self.slo_max_latency_s,
-            "slo_min_bandwidth_mbps": self.slo_min_bandwidth_mbps,
-        }
-
 
 UPGRADE_MODES = ("precopy", "stateful")
 
 
 @dataclass
-class BundleAssignmentSpec:
+class BundleAssignmentSpec(_Spec):
     """Instantiate a catalogued service bundle for every client of a fleet.
 
     ``bundle`` names a :class:`repro.core.bundles.BundleSpec` in the default
@@ -365,19 +318,9 @@ class BundleAssignmentSpec:
                 f"detach_at_s ({self.detach_at_s}) must be after attach_at_s ({self.attach_at_s})"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "fleet": self.fleet,
-            "bundle": self.bundle,
-            "version": self.version,
-            "slice": self.slice,
-            "attach_at_s": self.attach_at_s,
-            "detach_at_s": self.detach_at_s,
-        }
-
 
 @dataclass
-class BundleUpgradeSpec:
+class BundleUpgradeSpec(_Spec):
     """Roll every live instance of ``bundle`` to ``to_version`` at ``at_s``.
 
     ``mode`` picks the state-copy discipline: ``precopy`` (iterative dirty
@@ -400,17 +343,9 @@ class BundleUpgradeSpec:
         if self.mode not in UPGRADE_MODES:
             raise ScenarioSpecError(f"unknown upgrade mode {self.mode!r}; valid: {UPGRADE_MODES}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "bundle": self.bundle,
-            "to_version": self.to_version,
-            "at_s": self.at_s,
-            "mode": self.mode,
-        }
-
 
 @dataclass
-class FaultSpec:
+class FaultSpec(_Spec):
     """One injected fault.
 
     ``kind`` is one of ``station-crash`` (cells off, uplink down, running
@@ -442,183 +377,13 @@ class FaultSpec:
         if isinstance(self.station, int) and self.station < 1:
             raise ScenarioSpecError(f"fault station index must be >= 1, got {self.station}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "station": self.station,
-            "at_s": self.at_s,
-            "duration_s": self.duration_s,
-            "params": _as_dict(self.params),
-        }
-
 
 @dataclass
-class TopologySpec:
-    """Deployment shape, mapped onto :class:`repro.core.testbed.TestbedConfig`."""
-
-    station_count: int = 2
-    cells_per_station: int = 1
-    station_spacing_m: float = 80.0
-    server_count: int = 1
-    station_profile: str = "router"
-    migration_strategy: str = "cold"
-    #: Migration-engine knobs (see :mod:`repro.core.migration`): the wire
-    #: chunk size for link-routed state transfers and the iterative
-    #: pre-copy round budget / downtime target / dirty-delta fraction.
-    migration_chunk_bytes: int = 65536
-    precopy_max_rounds: int = 4
-    precopy_downtime_target_s: float = 0.05
-    precopy_dirty_fraction: float = 0.25
-    fastpath_enabled: bool = True
-    #: Placement strategy name (see :mod:`repro.core.placement`).  The
-    #: default is the paper's closest-agent behaviour; the load-aware
-    #: strategies only diverge from it when stations saturate, so the
-    #: existing canned library digests are strategy-invariant.
-    placement_strategy: str = "closest-agent"
-    #: Manager-side admission control (queue deployments aimed at saturated
-    #: stations instead of letting the runtime reject them).
-    admission_control: bool = False
-    admission_queue_timeout_s: float = 30.0
-    #: Utilization-driven horizontal autoscaling of hot chains (off by
-    #: default; no autoscaler events are scheduled when disabled).
-    autoscale_enabled: bool = False
-    autoscale_interval_s: float = 5.0
-    autoscale_up_threshold: float = 0.8
-    autoscale_down_threshold: float = 0.4
-    autoscale_max_replicas: int = 2
-    #: Control-plane shards per region (1 x 1 = the single historical
-    #: Manager).  A scenario replays to the identical MetricsDigest for any
-    #: shard count -- the knob trades control-plane event overhead, not
-    #: behaviour.
-    shard_count: int = 1
-    #: Regions: contiguous station bands labelling the
-    #: :class:`~repro.core.sharding.ShardedManager`'s ``region_count *
-    #: shard_count`` leaves; a scenario replays to the identical
-    #: MetricsDigest for any region count.
-    region_count: int = 1
-    #: ``packet`` or ``hybrid`` (fluid bulk flows with packet fidelity
-    #: islands; see :mod:`repro.netem.fluid`).  Scenarios without ``bulk``
-    #: workloads digest identically across this knob.
-    simulation_mode: str = "packet"
-    fluid_epoch_s: float = 0.25
-    uplink_bandwidth_bps: float = 100e6
-    heartbeat_interval_s: float = 2.0
-    scan_interval_s: float = 0.5
-    handover_scan_jitter_s: float = 0.0
-    dns_zone: Dict[str, List[str]] = field(
-        default_factory=lambda: {"cdn.example.com": ["203.0.113.10"]}
-    )
-
-    def validate(self) -> None:
-        if self.station_count < 1:
-            raise ScenarioSpecError(f"station_count must be >= 1, got {self.station_count}")
-        if self.cells_per_station < 1:
-            raise ScenarioSpecError(f"cells_per_station must be >= 1, got {self.cells_per_station}")
-        if self.server_count < 1:
-            raise ScenarioSpecError(f"server_count must be >= 1, got {self.server_count}")
-        if self.station_profile not in STATION_PROFILES:
-            raise ScenarioSpecError(
-                f"unknown station profile {self.station_profile!r}; valid: {STATION_PROFILES}"
-            )
-        if self.migration_strategy not in MIGRATION_STRATEGIES:
-            raise ScenarioSpecError(
-                f"unknown migration strategy {self.migration_strategy!r}; valid: {MIGRATION_STRATEGIES}"
-            )
-        if self.migration_chunk_bytes < 1:
-            raise ScenarioSpecError(
-                f"migration_chunk_bytes must be >= 1, got {self.migration_chunk_bytes}"
-            )
-        if self.precopy_max_rounds < 1:
-            raise ScenarioSpecError(
-                f"precopy_max_rounds must be >= 1, got {self.precopy_max_rounds}"
-            )
-        if self.precopy_downtime_target_s <= 0:
-            raise ScenarioSpecError(
-                f"precopy_downtime_target_s must be positive, got {self.precopy_downtime_target_s}"
-            )
-        if not 0.0 < self.precopy_dirty_fraction < 1.0:
-            raise ScenarioSpecError(
-                f"precopy_dirty_fraction must be in (0, 1), got {self.precopy_dirty_fraction}"
-            )
-        if self.placement_strategy not in PLACEMENT_STRATEGIES:
-            raise ScenarioSpecError(
-                f"unknown placement strategy {self.placement_strategy!r}; "
-                f"valid: {PLACEMENT_STRATEGIES}"
-            )
-        if self.admission_queue_timeout_s <= 0:
-            raise ScenarioSpecError(
-                f"admission_queue_timeout_s must be positive, got {self.admission_queue_timeout_s}"
-            )
-        if self.autoscale_interval_s <= 0:
-            raise ScenarioSpecError(
-                f"autoscale_interval_s must be positive, got {self.autoscale_interval_s}"
-            )
-        if not 0.0 < self.autoscale_down_threshold < self.autoscale_up_threshold:
-            raise ScenarioSpecError(
-                "autoscale thresholds must satisfy 0 < down < up, got "
-                f"down={self.autoscale_down_threshold}, up={self.autoscale_up_threshold}"
-            )
-        if self.autoscale_max_replicas < 0:
-            raise ScenarioSpecError(
-                f"autoscale_max_replicas must be >= 0, got {self.autoscale_max_replicas}"
-            )
-        if self.shard_count < 1:
-            raise ScenarioSpecError(f"shard_count must be >= 1, got {self.shard_count}")
-        if self.region_count < 1:
-            raise ScenarioSpecError(f"region_count must be >= 1, got {self.region_count}")
-        if self.region_count > self.station_count:
-            raise ScenarioSpecError(
-                f"region_count ({self.region_count}) cannot exceed "
-                f"station_count ({self.station_count})"
-            )
-        if self.simulation_mode not in SIMULATION_MODES:
-            raise ScenarioSpecError(
-                f"unknown simulation mode {self.simulation_mode!r}; valid: {SIMULATION_MODES}"
-            )
-        if self.fluid_epoch_s <= 0:
-            raise ScenarioSpecError(
-                f"fluid_epoch_s must be positive, got {self.fluid_epoch_s}"
-            )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "station_count": self.station_count,
-            "cells_per_station": self.cells_per_station,
-            "station_spacing_m": self.station_spacing_m,
-            "server_count": self.server_count,
-            "station_profile": self.station_profile,
-            "migration_strategy": self.migration_strategy,
-            "migration_chunk_bytes": self.migration_chunk_bytes,
-            "precopy_max_rounds": self.precopy_max_rounds,
-            "precopy_downtime_target_s": self.precopy_downtime_target_s,
-            "precopy_dirty_fraction": self.precopy_dirty_fraction,
-            "fastpath_enabled": self.fastpath_enabled,
-            "placement_strategy": self.placement_strategy,
-            "admission_control": self.admission_control,
-            "admission_queue_timeout_s": self.admission_queue_timeout_s,
-            "autoscale_enabled": self.autoscale_enabled,
-            "autoscale_interval_s": self.autoscale_interval_s,
-            "autoscale_up_threshold": self.autoscale_up_threshold,
-            "autoscale_down_threshold": self.autoscale_down_threshold,
-            "autoscale_max_replicas": self.autoscale_max_replicas,
-            "shard_count": self.shard_count,
-            "region_count": self.region_count,
-            "simulation_mode": self.simulation_mode,
-            "fluid_epoch_s": self.fluid_epoch_s,
-            "uplink_bandwidth_bps": self.uplink_bandwidth_bps,
-            "heartbeat_interval_s": self.heartbeat_interval_s,
-            "scan_interval_s": self.scan_interval_s,
-            "handover_scan_jitter_s": self.handover_scan_jitter_s,
-            "dns_zone": _as_dict(self.dns_zone),
-        }
-
-
-@dataclass
-class ScenarioSpec:
+class ScenarioSpec(_Spec):
     """A complete declarative scenario.
 
-    The five building blocks: a :class:`TopologySpec` (deployment shape,
-    including the control plane's ``shard_count``), :class:`ClientFleetSpec`
+    The five building blocks: a :class:`TopologySpec` (the deployment
+    config, i.e. a :class:`~repro.core.testbed.TestbedConfig`), :class:`ClientFleetSpec`
     fleets (who is there and how they move/talk), :class:`ChainAssignmentSpec`
     attachments (which NF chains follow which fleet, on what schedule),
     :class:`FaultSpec` injections, and the master ``seed`` from which every
@@ -632,6 +397,9 @@ class ScenarioSpec:
 
     name: str
     description: str = ""
+    #: Master seed of the run.  The runner writes it (or its ``seed=``
+    #: override) into its own copy of ``topology``, so ``topology.seed`` is
+    #: ignored by a scenario run.
     seed: int = 0
     duration_s: float = 60.0
     topology: TopologySpec = field(default_factory=TopologySpec)
@@ -707,18 +475,3 @@ class ScenarioSpec:
         for fleet in self.fleets:
             names.extend(fleet.client_names())
         return names
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "topology": self.topology.to_dict(),
-            "fleets": [fleet.to_dict() for fleet in self.fleets],
-            "assignments": [assignment.to_dict() for assignment in self.assignments],
-            "bundles": [bundle.to_dict() for bundle in self.bundles],
-            "upgrades": [upgrade.to_dict() for upgrade in self.upgrades],
-            "faults": [fault.to_dict() for fault in self.faults],
-            "eras": [era.to_dict() for era in self.eras],
-        }

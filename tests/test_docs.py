@@ -34,6 +34,20 @@ def test_benchmark_catalogue_matches_bench_modules():
     assert docs_check.check_bench_catalogue() == []
 
 
+def test_config_knob_table_matches_the_dataclass():
+    assert docs_check.check_config_table() == []
+
+
+def test_config_knob_table_detects_drift(tmp_path, monkeypatch):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    table = docs_check._read("docs/SCENARIOS.md").replace("| `shard_count` |", "| `warp_factor` |")
+    (docs / "SCENARIOS.md").write_text(table)
+    monkeypatch.setattr(docs_check, "REPO_ROOT", str(tmp_path))
+    problems = docs_check.check_config_table()
+    assert len(problems) == 2  # missing shard_count + stale warp_factor
+
+
 def test_bench_catalogue_detects_drift(tmp_path, monkeypatch):
     docs = tmp_path / "docs"
     docs.mkdir()

@@ -188,7 +188,7 @@ def test_flow_finished_counts_packet_completions():
 
 
 def test_flows_share_one_path_per_station_and_server_and_follow_a_roaming_client():
-    testbed = GNFTestbed(TestbedConfig(station_count=2, simulation_mode="hybrid", fluid_epoch_s=0.25))
+    testbed = GNFTestbed(TestbedConfig(station_count=2, simulation_mode="hybrid"))
     near_a, also_a, near_b = (
         testbed.add_client(name, position=position)
         for name, position in (("a1", (0.0, 0.0)), ("a2", (2.0, 0.0)), ("b1", (80.0, 0.0)))

@@ -37,8 +37,7 @@ from repro.core.placement import (
 from repro.core.repository import NFRepository
 from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem.simulator import Simulator
-from repro.scenarios import run_scenario
-from repro.scenarios.spec import PLACEMENT_STRATEGIES
+from repro.scenarios import ScenarioSpecError, run_scenario
 
 CLIENT_IP = "10.10.99.1"
 
@@ -63,11 +62,14 @@ def _view(name, free=80.0, util=0.1, latency=0.01, chains=0, allocatable=90.0, u
 
 
 def test_strategy_factory_matches_spec_registry():
-    assert set(PLACEMENT_STRATEGIES) == set(STRATEGY_FACTORIES)
-    for name in PLACEMENT_STRATEGIES:
+    # The registry is the only list of names: the config accepts exactly its keys.
+    for name in STRATEGY_FACTORIES:
         assert make_strategy(name).name == name
+        assert TestbedConfig(placement_strategy=name).validate().placement_strategy == name
     with pytest.raises(DeploymentError):
         make_strategy("teleport")
+    with pytest.raises(ScenarioSpecError, match="closest-agent.*embedding"):
+        TestbedConfig(placement_strategy="teleport").validate()
 
 
 def test_least_loaded_prefers_local_until_loaded():

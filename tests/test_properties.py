@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.stats import mean, percentile, summarize
 from repro.containers.cgroups import AdmissionError, ResourceAccount, ResourceRequest
@@ -210,12 +210,18 @@ def test_firewall_state_export_import_is_lossless(hosts):
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=200))
 @settings(max_examples=100, deadline=None)
+@example([5e-324, 5e-324])  # lo*(1-f) + hi*f underflows both halves to 0.0
 def test_percentile_bounds_and_summary_consistency(values):
     assert min(values) <= percentile(values, 50) <= max(values)
     block = summarize(values)
     assert block["min"] <= block["median"] <= block["max"]
     assert block["min"] <= block["mean"] <= block["max"]
     assert block["p95"] <= block["max"] + 1e-9
+
+
+def test_percentile_stays_within_its_neighbours_at_the_float_extremes():
+    assert percentile([5e-324, 5e-324], 50) == 5e-324
+    assert -1e308 <= percentile([-1e308, 1e308], 25) <= 1e308  # the span overflows
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0, max_value=1e4, allow_nan=False),

@@ -10,8 +10,16 @@ moved.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import importlib.util
+import json
+import os
+
 import pytest
 
+from repro.core import errors
+from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.scenarios import (
     ChainAssignmentSpec,
     ClientFleetSpec,
@@ -77,9 +85,216 @@ def test_spec_round_trips_to_plain_data():
     assert data["topology"]["station_count"] == 3
     assert all(isinstance(fault["kind"], str) for fault in data["faults"])
     # to_dict must be pure data (JSON-able), no live objects.
-    import json
-
     json.dumps(data)
+
+
+def test_topology_spec_is_the_testbed_config():
+    assert TopologySpec is TestbedConfig
+    assert ScenarioSpecError is errors.ScenarioSpecError
+    assert issubclass(ScenarioSpecError, ValueError)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_every_canned_spec_round_trips_through_plain_data(name):
+    spec = build_scenario(name, seed=3)
+    data = spec.to_dict()
+    json.dumps(data)
+    assert list(data["topology"]) == [f.name for f in dataclasses.fields(TestbedConfig)]
+    assert TestbedConfig(**spec.topology.to_dict()) == spec.topology
+    assert data["topology"] == spec.topology.to_dict()
+
+
+def test_to_dict_of_a_hand_built_spec_is_the_expected_literal():
+    spec = ScenarioSpec(
+        name="tiny",
+        seed=4,
+        duration_s=5.0,
+        fleets=[
+            ClientFleetSpec(
+                name="f",
+                position=(1.0, 2.0),
+                mobility=MobilitySpec(model="linear", params={"velocity_mps": (1.0, 0.0)}),
+                workloads=[WorkloadSpec(kind="dns", stop_s=3.0, params={"names": ["a.example"]})],
+            )
+        ],
+        assignments=[
+            ChainAssignmentSpec(fleet="f", nfs=["firewall", {"nf_type": "ids", "config": {"x": 1}}]),
+            ChainAssignmentSpec(fleet="f", nfs=["nat"], daily_window=(10.0, 20.0)),
+        ],
+        faults=[FaultSpec(kind="link-down", station=2, at_s=1.0)],
+    )
+    data = spec.validate().to_dict()
+    assert data.pop("topology") == dataclasses.asdict(TestbedConfig())
+    chain = {
+        "attach_at_s": 1.0,
+        "detach_at_s": None,
+        "day_length_s": 86_400.0,
+        "slo_max_latency_s": None,
+        "slo_min_bandwidth_mbps": 0.0,
+    }
+    assert data == {
+        "name": "tiny",
+        "description": "",
+        "seed": 4,
+        "duration_s": 5.0,
+        "fleets": [
+            {
+                "name": "f",
+                "count": 1,
+                "position": [1.0, 2.0],
+                "spread_m": 0.0,
+                "appear_at_s": 0.0,
+                "appear_stagger_s": 0.0,
+                "mobility": {
+                    "model": "linear",
+                    "start_s": 0.0,
+                    "params": {"velocity_mps": [1.0, 0.0]},
+                },
+                "workloads": [
+                    {
+                        "kind": "dns",
+                        "start_s": 0.0,
+                        "stop_s": 3.0,
+                        "era_scaled": True,
+                        "params": {"names": ["a.example"]},
+                    }
+                ],
+            }
+        ],
+        "assignments": [
+            {
+                "fleet": "f",
+                "nfs": ["firewall", {"nf_type": "ids", "config": {"x": 1}}],
+                "daily_window": None,
+                **chain,
+            },
+            {"fleet": "f", "nfs": ["nat"], "daily_window": [10.0, 20.0], **chain},
+        ],
+        "bundles": [],
+        "upgrades": [],
+        "faults": [
+            {"kind": "link-down", "station": 2, "at_s": 1.0, "duration_s": None, "params": {}}
+        ],
+        "eras": [],
+    }
+
+
+# ---------------------------------------------------------------------------
+# One deployment config: overrides and rejections
+# ---------------------------------------------------------------------------
+
+_OTHER_NAME = {
+    "station_profile": "server",
+    "migration_strategy": "precopy",
+    "placement_strategy": "least-loaded",
+    "simulation_mode": "hybrid",
+}
+
+
+def _non_default(field: dataclasses.Field):
+    """A legal value for ``field`` that differs from its default."""
+    default = getattr(TestbedConfig(), field.name)
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default + 1
+    if isinstance(default, float):
+        return default * 0.75 or 0.125
+    if isinstance(default, dict):
+        return {"edge.example.com": ["198.51.100.7"]}
+    return _OTHER_NAME[field.name]  # a new name-valued knob needs its other name here
+
+
+def _knob_spec() -> ScenarioSpec:
+    return ScenarioSpec(name="knobs", seed=2, duration_s=1.0, fleets=[ClientFleetSpec(name="f")])
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(TestbedConfig), ids=lambda f: f.name)
+def test_every_config_field_is_a_run_time_override(field):
+    spec = _knob_spec()
+    before = copy.deepcopy(spec.topology)
+    value = _non_default(field)
+    assert value != getattr(before, field.name)
+    run = ScenarioRunner(spec).start(**{field.name: value})
+    assert getattr(run.testbed.config, field.name) == value
+    assert spec.topology == before and run.testbed.config is not spec.topology
+    assert run.finalize().drained
+
+
+BAD_KNOBS = [
+    {"station_count": 0},
+    {"cells_per_station": 0},
+    {"server_count": 0},
+    {"station_profile": "mainframe"},
+    {"uplink_bandwidth_bps": 0},
+    {"migration_strategy": "teleport"},
+    {"precopy_max_rounds": 0},
+    {"precopy_downtime_target_s": 0.0},
+    {"precopy_dirty_fraction": 1.0},
+    {"heartbeat_interval_s": -1},
+    {"scan_interval_s": 0},
+    {"handover_scan_jitter_s": -0.1},
+    {"placement_strategy": "teleport"},
+    {"admission_queue_timeout_s": 0.0},
+    {"autoscale_interval_s": 0.0},
+    {"autoscale_up_threshold": 0.2, "autoscale_down_threshold": 0.9},
+    {"autoscale_down_threshold": 0.0},
+    {"autoscale_max_replicas": -1},
+    {"shard_count": 0},
+    {"region_count": 0},
+    {"region_count": 3},  # more regions than the two stations
+    {"simulation_mode": "quantum"},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_KNOBS, ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+def test_a_bad_knob_is_rejected_the_same_way_through_every_door(bad):
+    with pytest.raises(ScenarioSpecError, match=next(iter(bad))):
+        TestbedConfig(**bad).validate()
+    with pytest.raises(ScenarioSpecError):
+        GNFTestbed(TestbedConfig(**bad))
+    with pytest.raises(ScenarioSpecError):
+        ScenarioRunner(_knob_spec()).start(**bad)
+    with pytest.raises(ScenarioSpecError):
+        ScenarioSpec(name="x", topology=TopologySpec(**bad)).validate()
+
+
+def test_unknown_override_is_rejected_and_none_keeps_the_spec_value():
+    spec = _knob_spec()
+    spec.topology.shard_count = 2
+    with pytest.raises(ScenarioSpecError, match="warp_factor"):
+        ScenarioRunner(spec).start(warp_factor=9)
+    run = ScenarioRunner(spec).start(shard_count=None, migration_strategy=None)
+    assert run.testbed.config.shard_count == 2
+    assert run.testbed.config.migration_strategy == "cold"
+    assert run.testbed.config.seed == spec.seed == 2  # the run seed, not topology.seed
+    run.finalize()
+
+
+# ---------------------------------------------------------------------------
+# The CLI passes its flags through as config fields
+# ---------------------------------------------------------------------------
+
+
+def _cli_main():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "examples", "run_scenario.py")
+    module_spec = importlib.util.spec_from_file_location("run_scenario_cli", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module.main
+
+
+def test_cli_overrides_and_determinism_check(capsys):
+    assert _cli_main()(["fig2-roaming", "--regions", "2", "--shards", "1", "--check-determinism"]) == 0
+    assert "determinism       : OK" in capsys.readouterr().out
+
+
+def test_cli_rejects_a_bad_knob_with_the_valid_names(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _cli_main()(["fig2-roaming", "--placement", "nope"])
+    assert exit_info.value.code != 0
+    message = capsys.readouterr().err
+    assert "nope" in message and "closest-agent" in message and "embedding" in message
 
 
 def test_chain_assignment_normalises_nf_entries():

@@ -8,6 +8,7 @@ from repro.baselines.core_nfv import CoreNFVScenario
 from repro.baselines.vm_nfv import VMNFVBaseline, vm_image_for
 from repro.containers.runtime import RuntimeTimings
 from repro.core.chain import ServiceChain
+from repro.core.errors import ScenarioSpecError
 from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem.simulator import Simulator
 from repro.netem.topology import StationProfile
@@ -45,6 +46,44 @@ def test_testbed_run_until():
     testbed = GNFTestbed(TestbedConfig(station_count=1))
     testbed.run_until(2.0)
     assert testbed.simulator.now == pytest.approx(2.0)
+
+
+def test_a_bad_config_is_rejected_before_anything_is_built(monkeypatch):
+    def no_simulator(*args, **kwargs):
+        raise AssertionError("GNFTestbed built a Simulator before validating its config")
+
+    monkeypatch.setattr("repro.core.testbed.Simulator", no_simulator)
+    for bad in (
+        {"cells_per_station": 0},
+        {"autoscale_up_threshold": 0.2, "autoscale_down_threshold": 0.9},
+        {"station_count": 2, "region_count": 3},
+        {"migration_strategy": "teleport"},
+        {"placement_strategy": "teleport"},
+        {"simulation_mode": "quantum"},
+    ):
+        with pytest.raises(ScenarioSpecError):
+            GNFTestbed(TestbedConfig(**bad))
+
+
+def test_constants_that_used_to_be_knobs_did_not_move():
+    testbed = GNFTestbed()
+    assert testbed.handover.hysteresis_db == 4.0
+    assert testbed.handover.handover_delay_s == 0.05
+    assert [cell.tx_power_dbm for cell in testbed.cells.values()] == [20.0, 20.0]
+    assert testbed.topology.config.uplink_delay_s == 0.005
+    assert testbed.topology.config.core_delay_s == 0.010
+    assert testbed.placement_engine.admission.max_utilization == 0.85
+    assert testbed.roaming.transfers.chunk_bytes == 65536
+    assert testbed.hybrid.epoch_s == 0.25
+
+
+def test_a_testbed_never_mutates_or_shares_its_configs_dns_zone():
+    config = TestbedConfig(station_count=1)
+    testbed = GNFTestbed(config)
+    assert testbed.config is config
+    assert testbed.topology.config.dns_zone == config.dns_zone
+    assert testbed.topology.config.dns_zone is not config.dns_zone
+    assert testbed.topology.config.dns_zone["cdn.example.com"] is not config.dns_zone["cdn.example.com"]
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,9 @@ Verifies that the documentation cannot silently rot:
    ``name@vN`` refs registered in the default bundle catalogue.
 5. Every experiment range the README quotes (``E1–E16``, ``E1..E16``)
    ends at the last experiment of the benchmark catalogue.
-6. (``--run-snippets``) The README's Python quickstart snippets execute
+6. The "Deployment knobs" table in ``docs/SCENARIOS.md`` has *exactly* one
+   row per ``TestbedConfig`` field.
+7. (``--run-snippets``) The README's Python quickstart snippets execute
    successfully against the current tree.
 
 Run from the repository root::
@@ -31,6 +33,7 @@ into CI as the ``docs-check`` job and into tier-1 via ``tests/test_docs.py``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import os
 import re
@@ -70,6 +73,9 @@ _BENCH_MODULE_NUMBER = re.compile(r"bench_e(\d+)[a-z]?_")
 
 #: Rows of the bundle table in docs/ARCHITECTURE.md: | `name@vN` | ... |
 _BUNDLE_TABLE_ROW = re.compile(r"^\|\s*`([a-z0-9\-]+@v\d+)`\s*\|", re.MULTILINE)
+
+#: Rows of the "Deployment knobs" table in docs/SCENARIOS.md: | `field` | ... |
+_CONFIG_TABLE_ROW = re.compile(r"^\|\s*`([a-z0-9_]+)`\s*\|", re.MULTILINE)
 
 _PYTHON_FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
@@ -172,6 +178,25 @@ def check_bundle_catalogue() -> List[str]:
     return problems
 
 
+def check_config_table() -> List[str]:
+    """docs/SCENARIOS.md must table exactly the ``TestbedConfig`` fields."""
+    from repro.core.testbed import TestbedConfig
+
+    declared = {field.name for field in dataclasses.fields(TestbedConfig)}
+    heading = "### Deployment knobs"
+    scenarios_doc = _read("docs/SCENARIOS.md")
+    if heading not in scenarios_doc:
+        return [f"docs/SCENARIOS.md: missing the {heading!r} section"]
+    section = scenarios_doc.split(heading, 1)[1].split("\n## ", 1)[0]
+    documented = set(_CONFIG_TABLE_ROW.findall(section))
+    problems: List[str] = []
+    for missing in sorted(declared - documented):
+        problems.append(f"docs/SCENARIOS.md: TestbedConfig field {missing!r} missing from the knob table")
+    for stale in sorted(documented - declared):
+        problems.append(f"docs/SCENARIOS.md: knob table lists unknown field {stale!r}")
+    return problems
+
+
 def readme_snippets() -> List[Tuple[int, str]]:
     """The README's ```python fences, with their ordinal for error messages."""
     return list(enumerate(_PYTHON_FENCE.findall(_read("README.md")), start=1))
@@ -204,6 +229,7 @@ def main(argv: List[str] = None) -> int:
         + check_bench_catalogue()
         + check_experiment_range()
         + check_bundle_catalogue()
+        + check_config_table()
     )
     if args.run_snippets:
         problems += run_readme_snippets()
