@@ -1,8 +1,8 @@
 """Setuptools entry point.
 
-Kept alongside ``pyproject.toml`` so that ``pip install -e .`` works in fully
-offline environments (no ``wheel`` package available for PEP 660 editable
-wheels): pip falls back to the legacy ``setup.py develop`` code path.
+The only packaging file (there is no ``pyproject.toml``), so ``pip install -e .``
+works in fully offline environments (no ``wheel`` package available for PEP 660
+editable wheels): pip falls back to the legacy ``setup.py develop`` code path.
 """
 
 from setuptools import find_packages, setup
@@ -18,6 +18,6 @@ setup(
     python_requires=">=3.9",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=[],
+    install_requires=["numpy"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

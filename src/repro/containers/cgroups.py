@@ -68,6 +68,11 @@ class ResourceAccount:
         self.memory_mb = memory_mb
         self.system_reserved_mb = system_reserved_mb
         self._entries: Dict[str, CgroupEntry] = {}
+        #: Sum of the admitted reservations.  ``admit``/``release`` re-sum it in admission
+        #: order: a running ``+=``/``-=`` would reorder the floats placement decides on.
+        self.allocated_memory_mb = 0.0
+        #: CPU seconds of released workloads, so the station total never goes down.
+        self._released_cpu_seconds = 0.0
         self.admission_failures = 0
 
     # --------------------------------------------------------- admission
@@ -76,10 +81,6 @@ class ResourceAccount:
     def allocatable_memory_mb(self) -> float:
         """Memory available to workloads in total."""
         return self.memory_mb - self.system_reserved_mb
-
-    @property
-    def allocated_memory_mb(self) -> float:
-        return sum(entry.memory_mb for entry in self._entries.values())
 
     @property
     def free_memory_mb(self) -> float:
@@ -105,11 +106,15 @@ class ResourceAccount:
             )
         entry = CgroupEntry(owner=owner, request=request)
         self._entries[owner] = entry
+        self.allocated_memory_mb = sum(e.memory_mb for e in self._entries.values())
         return entry
 
     def release(self, owner: str) -> None:
         """Free the resources held by ``owner`` (no-op if unknown)."""
-        self._entries.pop(owner, None)
+        entry = self._entries.pop(owner, None)
+        if entry is not None:
+            self._released_cpu_seconds += entry.cpu_seconds_consumed
+            self.allocated_memory_mb = sum(e.memory_mb for e in self._entries.values())
 
     def entry(self, owner: str) -> Optional[CgroupEntry]:
         return self._entries.get(owner)
@@ -133,7 +138,8 @@ class ResourceAccount:
         return entry.cpu_seconds_consumed if entry is not None else 0.0
 
     def total_cpu_seconds(self) -> float:
-        return sum(entry.cpu_seconds_consumed for entry in self._entries.values())
+        """Cumulative CPU seconds charged on this station (released workloads included)."""
+        return self._released_cpu_seconds + sum(entry.cpu_seconds_consumed for entry in self._entries.values())
 
     def cpu_share_fraction(self, owner: str) -> float:
         """Fraction of CPU the owner is entitled to under contention."""

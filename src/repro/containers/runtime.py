@@ -102,7 +102,10 @@ class ContainerRuntime:
         #: Memory the engine itself spends per container (netns, veth, conmon).
         self.per_container_overhead_mb = per_container_overhead_mb
         self.checkpoint_engine = CheckpointEngine()
+        #: Every container created here and not destroyed, terminal ones included.
         self.containers: Dict[str, Container] = {}
+        #: Those not yet made terminal, in creation order: what periodic readers walk.
+        self._live: Dict[str, Container] = {}
         self.image_cache: Dict[str, ContainerImage] = {}
         self.layer_cache: Set[str] = set()
         self.pulls_performed = 0
@@ -164,6 +167,7 @@ class ContainerRuntime:
             labels=labels,
         )
         self.containers[name] = container
+        self._live[name] = container
         return container
 
     def start(
@@ -194,7 +198,7 @@ class ContainerRuntime:
         container.mark_stopping(self.simulator.now)
         if container.state is ContainerState.STOPPED:
             # Never-started container: discarded immediately.
-            self.resources.release(container.name)
+            self._retire(container)
             if on_stopped is not None:
                 self.simulator.schedule(0.0, on_stopped, container)
             return 0.0
@@ -203,7 +207,7 @@ class ContainerRuntime:
         def _finish() -> None:
             if container.state is ContainerState.STOPPING:
                 container.mark_stopped(self.simulator.now)
-                self.resources.release(container.name)
+                self._retire(container)
                 if on_stopped is not None:
                     on_stopped(container)
 
@@ -213,15 +217,20 @@ class ContainerRuntime:
     def fail(self, container: Container, reason: str = "") -> None:
         """Mark a container as failed (failure injection) and free its resources."""
         container.mark_failed(self.simulator.now, reason)
-        self.resources.release(container.name)
+        self._retire(container)
         self.containers_failed += 1
 
     def destroy(self, container: Container) -> None:
         """Forget a terminal container."""
         if not container.is_terminal:
             raise RuntimeError(f"cannot destroy container {container.name!r} in state {container.state.value}")
-        self.resources.release(container.name)
+        self._retire(container)
         self.containers.pop(container.name, None)
+
+    def _retire(self, container: Container) -> None:
+        """Free a terminal container's resources and drop it from the live walk."""
+        self.resources.release(container.name)
+        self._live.pop(container.name, None)
 
     # ------------------------------------------------------ checkpoint/restore
 
@@ -276,7 +285,7 @@ class ContainerRuntime:
         return self.containers[name]
 
     def running_containers(self) -> List[Container]:
-        return [c for c in self.containers.values() if c.is_running]
+        return [c for c in self._live.values() if c.is_running]
 
     @property
     def running_count(self) -> int:

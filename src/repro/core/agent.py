@@ -249,7 +249,6 @@ class GNFAgent:
         repository: NFRepository,
         pull_bandwidth_bps: float = 100e6,
         heartbeat_interval_s: float = 2.0,
-        collector_interval_s: float = 1.0,
         timings: Optional[RuntimeTimings] = None,
     ) -> None:
         self.simulator = simulator
@@ -275,11 +274,7 @@ class GNFAgent:
         self.mac_allocator = MACAllocator(prefix=0x06)
         self.deployments: Dict[str, ChainDeployment] = {}
         self.connected_clients: Dict[str, str] = {}  # client_ip -> cell name
-        self.collector = ResourceCollector(
-            simulator, interval_s=collector_interval_s, name=f"{station.name}-collector"
-        )
-        self.collector.add_source("resources", self.runtime.utilization)
-        self.collector.add_source("switch", lambda: {k: float(v) for k, v in self.station.switch.summary().items()})
+        self.collector = ResourceCollector(simulator)
         self.collector.add_source("fastpath", self.station.switch.flow_cache.stats)
         self.collector.add_source("flows", self._flow_tracker_metrics)
         self.collector.add_source("cache", self._cache_metrics)

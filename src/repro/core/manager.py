@@ -897,11 +897,8 @@ class GNFManager(ControlPlane):
                     control_latency_s=control_latency,
                     client_latency_s=client_latency,
                     allocatable_memory_mb=float(resources.get("allocatable_memory_mb", 0.0)),
-                    containers_total=int(resources.get("containers_total", 0)),
                     chains=len(agent.deployments),
-                    cpu_seconds=float(resources.get("total_cpu_seconds", 0.0)),
                     uplink_utilization=uplink_utilization,
-                    admission_failures=int(resources.get("admission_failures", 0)),
                 )
             )
         return views

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.telemetry.metrics import MetricsRegistry
-
 
 @dataclass
 class Hotspot:

@@ -55,11 +55,8 @@ class StationView:
     :ivar control_latency_s: one-way Manager->station control latency.
     :ivar client_latency_s: one-way latency from the *client's* station.
     :ivar allocatable_memory_mb: total memory the runtime may hand to NFs.
-    :ivar containers_total: containers the runtime tracks (any state).
     :ivar chains: chain deployments currently hosted (chain density).
-    :ivar cpu_seconds: cumulative CPU seconds charged by hosted NFs.
     :ivar uplink_utilization: lifetime-average uplink usage fraction (0..1).
-    :ivar admission_failures: container admissions the runtime has refused.
     """
 
     name: str
@@ -69,11 +66,8 @@ class StationView:
     control_latency_s: float
     client_latency_s: float
     allocatable_memory_mb: float = 0.0
-    containers_total: int = 0
     chains: int = 0
-    cpu_seconds: float = 0.0
     uplink_utilization: float = 0.0
-    admission_failures: int = 0
 
     def load_score(self) -> float:
         """Composite load in ~[0, 1.1]: memory pressure dominates, uplink

@@ -3,18 +3,19 @@
 The emulated testbed mostly relies on the gateway's mobility-anchor
 forwarding (see :mod:`repro.netem.topology`), but routers, tests and the
 latency benchmarks also need a general longest-prefix-match routing table and
-a way to derive next hops from the topology graph.  ``compute_routes`` uses
-:mod:`networkx` shortest paths weighted by link delay, which is how the
-reproduction decides the "closest Agent" for NF placement as well.
+a way to derive next hops from the topology graph.  The graph is a plain
+adjacency mapping ``node -> {neighbour: delay}`` and ``compute_routes`` is a
+``heapq`` Dijkstra over it, so the package needs no graph library.
 """
 
 from __future__ import annotations
 
+import heapq
 import ipaddress
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-import networkx as nx
+DelayGraph = Dict[Hashable, Dict[Hashable, float]]
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,17 @@ class RoutingTable:
         return len(self._entries)
 
 
-def build_topology_graph(links: List[Tuple[Hashable, Hashable, float]]) -> nx.Graph:
+def build_topology_graph(links: List[Tuple[Hashable, Hashable, float]]) -> DelayGraph:
     """Build an undirected delay-weighted graph from (node, node, delay) triples."""
-    graph = nx.Graph()
+    graph: DelayGraph = {}
     for node_a, node_b, delay in links:
-        graph.add_edge(node_a, node_b, weight=delay)
+        graph.setdefault(node_a, {})[node_b] = delay
+        graph.setdefault(node_b, {})[node_a] = delay
     return graph
 
 
 def compute_routes(
-    graph: nx.Graph,
+    graph: DelayGraph,
     source: Hashable,
 ) -> Dict[Hashable, Tuple[List[Hashable], float]]:
     """Shortest paths (by delay) from ``source`` to every reachable node.
@@ -83,11 +85,22 @@ def compute_routes(
     """
     if source not in graph:
         raise KeyError(f"source {source!r} not in topology graph")
-    paths = nx.single_source_dijkstra_path(graph, source, weight="weight")
-    lengths = nx.single_source_dijkstra_path_length(graph, source, weight="weight")
-    return {node: (paths[node], lengths[node]) for node in paths}
+    routes: Dict[Hashable, Tuple[List[Hashable], float]] = {}
+    # The push counter breaks delay ties, so node keys are never compared.
+    frontier = [(0.0, 0, source, [source])]
+    pushed = 1
+    while frontier:
+        delay, _, node, path = heapq.heappop(frontier)
+        if node in routes:
+            continue
+        routes[node] = (path, delay)
+        for neighbour, hop_delay in graph[node].items():
+            if neighbour not in routes:
+                heapq.heappush(frontier, (delay + hop_delay, pushed, neighbour, path + [neighbour]))
+                pushed += 1
+    return routes
 
 
-def path_delay(graph: nx.Graph, source: Hashable, destination: Hashable) -> float:
+def path_delay(graph: DelayGraph, source: Hashable, destination: Hashable) -> float:
     """Total propagation delay along the shortest path between two nodes."""
-    return float(nx.dijkstra_path_length(graph, source, destination, weight="weight"))
+    return float(compute_routes(graph, source)[destination][1])

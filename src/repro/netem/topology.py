@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.netem.addressing import AddressPlan
 from repro.netem.flowtable import Action, Match
 from repro.netem.host import Host, Interface, Server
 from repro.netem.link import Link
 from repro.netem.packet import Packet
+from repro.netem.routing import DelayGraph, build_topology_graph
 from repro.netem.simulator import Simulator
 from repro.netem.switch import SoftwareSwitch
 
@@ -431,17 +430,13 @@ class EdgeTopology:
         assert server.ip is not None
         return server.ip
 
-    def graph(self) -> nx.Graph:
+    def graph(self) -> DelayGraph:
         """Delay-weighted topology graph used by routing, placement and benches."""
-        graph = nx.Graph()
-        graph.add_node("gateway")
-        graph.add_node("core")
-        graph.add_edge("gateway", "core", weight=self.config.core_delay_s)
-        for name in self.stations:
-            graph.add_edge(name, "gateway", weight=self.config.uplink_delay_s)
-        for name in self.servers:
-            graph.add_edge("core", name, weight=0.0005)
-        return graph
+        return build_topology_graph(
+            [("gateway", "core", self.config.core_delay_s)]
+            + [(name, "gateway", self.config.uplink_delay_s) for name in self.stations]
+            + [("core", name, 0.0005) for name in self.servers]
+        )
 
     def control_latency(self, station_name: str) -> float:
         """One-way control-plane latency between the Manager (at the core) and a station."""

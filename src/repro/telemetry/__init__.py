@@ -1,11 +1,12 @@
-"""Telemetry: counters, gauges, time series, periodic collection and export.
+"""Telemetry: latest-value collection, rollups, export and metric primitives.
 
 The demo's UI continuously shows "real-time statistics (network traffic, CPU
-load, memory usage)" for every station and NF.  This package is the plumbing
-behind that: Agents sample their runtime/switch/NF statistics into
-:class:`~repro.telemetry.metrics.MetricsRegistry` objects, heartbeats carry
-snapshots to the Manager, and :mod:`repro.telemetry.export` renders the
-aggregated view the UI (and the benchmarks) consume.
+load, memory usage)" for every station and NF.  Each Agent's
+:class:`~repro.telemetry.collector.ResourceCollector` keeps the latest value
+of its station's ``cache.*``/``fastpath.*``/``flows.*`` metrics (no history),
+heartbeats carry snapshots to the Manager's :mod:`~repro.telemetry.rollup`
+tree and :mod:`~repro.telemetry.export` renders the view the UI consumes.
+:mod:`~repro.telemetry.metrics` (counter/gauge/series) has no user in ``src/``.
 """
 
 from repro.telemetry.metrics import Counter, Gauge, TimeSeries, MetricsRegistry

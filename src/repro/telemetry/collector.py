@@ -1,10 +1,10 @@
 """Periodic resource collection.
 
 A :class:`ResourceCollector` samples a set of *sources* (callables returning
-``{metric_name: value}``) on a fixed interval and appends every value to a
-time series in a shared registry.  Agents use one collector per station to
-build the CPU / memory / traffic history the Manager's monitoring view and
-the UI charts are drawn from.
+``{metric_name: value}``) on a fixed interval and keeps the most recent value
+of every ``<prefix>.<metric>`` it has seen -- no history: nothing reads more
+than the last sample.  Agents run one collector per station; its tick is also
+the station's housekeeping clock (see ``GNFAgent._flow_tracker_metrics``).
 """
 
 from __future__ import annotations
@@ -12,28 +12,20 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.netem.simulator import PeriodicTask, Simulator
-from repro.telemetry.metrics import MetricsRegistry
 
 MetricSource = Callable[[], Dict[str, float]]
 
 
 class ResourceCollector:
-    """Samples registered sources into a :class:`MetricsRegistry`."""
+    """Samples registered sources and keeps the latest value of each metric."""
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        registry: Optional[MetricsRegistry] = None,
-        interval_s: float = 1.0,
-        name: str = "collector",
-    ) -> None:
+    def __init__(self, simulator: Simulator, interval_s: float = 1.0) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
         self.simulator = simulator
-        self.registry = registry or MetricsRegistry(name=name)
         self.interval_s = interval_s
-        self.name = name
         self._sources: Dict[str, MetricSource] = {}
+        self._latest: Dict[str, float] = {}
         self._task: Optional[PeriodicTask] = None
         self.samples_taken = 0
 
@@ -65,21 +57,20 @@ class ResourceCollector:
 
     def sample_once(self) -> Dict[str, float]:
         """Collect one sample from every source (also called by the periodic task)."""
-        now = self.simulator.now
         collected: Dict[str, float] = {}
         for prefix, source in self._sources.items():
             try:
                 values = source()
             except Exception:  # noqa: BLE001 - a broken source must not kill the collector
-                self.registry.counter(f"{prefix}.collection_errors").increment()
+                errors = f"{prefix}.collection_errors"
+                self._latest[errors] = self._latest.get(errors, 0.0) + 1.0
                 continue
             for metric_name, value in values.items():
-                qualified = f"{prefix}.{metric_name}"
-                self.registry.series(qualified).record(now, float(value))
-                collected[qualified] = float(value)
+                collected[f"{prefix}.{metric_name}"] = float(value)
+        self._latest.update(collected)
         self.samples_taken += 1
         return collected
 
     def latest(self) -> Dict[str, float]:
-        """Most recent value of every collected series."""
-        return self.registry.snapshot()
+        """Most recent value of every metric ever collected (a fresh dict)."""
+        return dict(self._latest)

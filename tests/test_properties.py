@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.stats import mean, percentile, summarize
 from repro.containers.cgroups import AdmissionError, ResourceAccount, ResourceRequest
+from repro.containers.image import ImageRegistry, default_nf_images
+from repro.containers.runtime import ContainerRuntime
 from repro.netem import packet as pkt
 from repro.netem.flowtable import Action, FlowTable, Match
 from repro.netem.simulator import Simulator
@@ -96,20 +98,101 @@ def test_flowtable_remove_by_cookie_removes_exactly_that_cookie(cookies):
 # --------------------------------------------------------------------------
 
 
-@given(st.lists(st.floats(min_value=1.0, max_value=64.0, allow_nan=False), min_size=1, max_size=40))
+# CPU charges are multiples of 1/1024 s so every sum below is exact in floats.
+account_steps = st.tuples(
+    st.sampled_from(["charge", "release"]),
+    st.integers(min_value=0, max_value=39),
+    st.integers(min_value=0, max_value=10_240).map(lambda ticks: ticks / 1024),
+)
+
+
+@given(
+    st.lists(st.floats(min_value=1.0, max_value=64.0, allow_nan=False), min_size=1, max_size=40),
+    st.lists(account_steps, max_size=40),
+)
 @settings(max_examples=50, deadline=None)
-def test_resource_account_never_overcommits(memory_requests):
+def test_resource_account_never_overcommits(memory_requests, steps):
     account = ResourceAccount(cpu_mhz=1000, memory_mb=256, system_reserved_mb=32)
-    admitted = 0
+    live = []  # owners in admission order
+    charged = 0.0
+    pending_steps = iter(steps)
     for index, memory in enumerate(memory_requests):
         try:
             account.admit(f"c{index}", ResourceRequest(memory_mb=memory))
-            admitted += 1
+            live.append(f"c{index}")
         except AdmissionError:
             pass
-    assert account.allocated_memory_mb <= account.allocatable_memory_mb + 1e-9
-    assert len(account.owners()) == admitted
-    assert 0.0 <= account.memory_utilization() <= 1.0
+        # Interleave one charge or release (of any owner so far, live or not).
+        kind, target, cpu_seconds = next(pending_steps, ("charge", 0, 0.0))
+        owner = f"c{target % (index + 1)}"
+        before = account.total_cpu_seconds()
+        if kind == "charge":
+            account.charge_cpu(owner, cpu_seconds)
+            charged += cpu_seconds if owner in live else 0.0
+        else:
+            account.release(owner)
+            if owner in live:
+                live.remove(owner)
+        # The station's CPU total is cumulative: a teardown never lowers it.
+        assert account.total_cpu_seconds() >= before
+        assert account.total_cpu_seconds() == charged
+        # The stored sum is the in-admission-order sum, bit for bit.
+        assert account.allocated_memory_mb == sum(account.entry(name).memory_mb for name in live)
+        assert account.allocated_memory_mb <= account.allocatable_memory_mb + 1e-9
+        assert account.owners() == sorted(live)
+        assert 0.0 <= account.memory_utilization() <= 1.0
+
+
+# Ledger == truth: whatever lifecycle calls a runtime sees, the live walk is
+# the state filter over everything it tracks and the account is the sum of
+# its entries.
+runtime_steps = st.lists(
+    st.tuples(st.sampled_from(["create", "start", "stop", "fail", "destroy", "behind-back", "run"]), st.integers(0, 7)),
+    max_size=60,
+)
+
+
+@given(runtime_steps)
+@settings(max_examples=60, deadline=None)
+def test_runtime_live_walk_and_account_match_a_full_scan(steps):
+    sim = Simulator()
+    registry = ImageRegistry()
+    for image in default_nf_images():
+        registry.push(image)
+    account = ResourceAccount(cpu_mhz=3000, memory_mb=96, system_reserved_mb=16)
+    runtime = ContainerRuntime(sim, "rt", account, registry=registry)
+    image, _ = runtime.ensure_image("gnf/firewall")
+    created = 0
+    for kind, pick in steps:
+        tracked = list(runtime.containers.values())
+        target = tracked[pick % len(tracked)] if tracked else None
+        try:
+            if kind == "create":
+                runtime.create(image, f"c{created}")
+                created += 1
+            elif kind == "run":
+                sim.run(until=sim.now + 0.3)
+            elif target is None:
+                continue
+            elif kind == "start":
+                runtime.start(target)
+            elif kind == "stop":
+                runtime.stop(target)
+            elif kind == "fail":
+                runtime.fail(target)
+            elif kind == "destroy":
+                runtime.destroy(target)
+            else:  # terminal behind the runtime's back: still filtered by state
+                target.mark_failed(sim.now, "behind the runtime's back")
+        except RuntimeError:  # admission refused, illegal transition or destroy of a live container
+            pass
+        assert runtime.running_containers() == [c for c in runtime.containers.values() if c.is_running]
+        assert runtime.running_count == len(runtime.running_containers())
+        entries = [account.entry(owner) for owner in account.owners()]
+        assert len(account) == len(entries)
+        in_admission_order = sorted(entries, key=lambda entry: int(entry.owner[1:]))
+        assert account.allocated_memory_mb == sum(entry.memory_mb for entry in in_admission_order)
+        assert runtime.utilization()["containers_total"] == float(len(runtime.containers))
 
 
 # --------------------------------------------------------------------------

@@ -90,11 +90,13 @@ def test_collector_samples_sources_periodically():
     collector.start()
     values["cpu"] = 5.0
     simulator.run(until=3.5)
-    series = collector.registry.series("host.cpu")
-    assert len(series) == 3
     assert collector.samples_taken == 3
-    assert collector.latest()["host.cpu"] == 5.0
+    assert collector.latest() == {"host.cpu": 5.0}
     collector.stop()
+    values["cpu"] = 9.0
+    simulator.run(until=6.0)
+    assert collector.samples_taken == 3
+    assert collector.latest() == {"host.cpu": 5.0}
 
 
 def test_collector_survives_broken_source():
@@ -108,8 +110,28 @@ def test_collector_survives_broken_source():
     collector.add_source("good", lambda: {"ok": 1.0})
     collector.start()
     simulator.run(until=2.5)
-    assert collector.registry.counters()["bad.collection_errors"] == 2
-    assert len(collector.registry.series("good.ok")) == 2
+    assert collector.samples_taken == 2
+    assert collector.latest() == {"bad.collection_errors": 2.0, "good.ok": 1.0}
+
+
+def test_collector_keeps_latest_values_only():
+    simulator = Simulator()
+    collector = ResourceCollector(simulator)
+    collector.add_source("a", lambda: {"x": 1})
+    collector.add_source("b", lambda: {"y": 2.5})
+    assert collector.sample_once() == {"a.x": 1.0, "b.y": 2.5}
+    # A removed source keeps its last value in latest(); the tick's own
+    # sample carries only what was collected on that tick.
+    collector.remove_source("a")
+    assert collector.sample_once() == {"b.y": 2.5}
+    assert collector.latest() == {"a.x": 1.0, "b.y": 2.5}
+    # latest() is a copy: callers cannot write into the collector.
+    view = collector.latest()
+    view["a.x"] = 99.0
+    view["new"] = 1.0
+    assert collector.latest() == {"a.x": 1.0, "b.y": 2.5}
+    assert collector.latest() is not collector.latest()
+    assert isinstance(collector.latest()["a.x"], float)
 
 
 def test_collector_source_management():

@@ -48,6 +48,25 @@ def test_compute_routes_unknown_source():
     graph = build_topology_graph([("a", "b", 1.0)])
     with pytest.raises(KeyError):
         compute_routes(graph, "zzz")
+    with pytest.raises(KeyError):
+        path_delay(graph, "a", "zzz")
+
+
+def test_compute_routes_never_compares_node_keys():
+    # Two equal-delay routes to "d", and node keys (1, "a") that do not
+    # order against each other: ties fall to discovery order.
+    graph = build_topology_graph(
+        [("s", 1, 1.0), ("s", "a", 1.0), (1, "d", 1.0), ("a", "d", 1.0), ("d", "island", 0.0)]
+    )
+    routes = compute_routes(graph, "s")
+    assert routes["s"] == (["s"], 0.0)
+    assert routes[1] == (["s", 1], 1.0) and routes["a"] == (["s", "a"], 1.0)
+    assert routes["d"] == (["s", 1, "d"], 2.0)
+    assert routes["island"] == (["s", 1, "d", "island"], 2.0)
+    assert set(routes) == set(graph)
+    # Unreachable nodes are simply absent.
+    graph.update(build_topology_graph([("x", "y", 1.0)]))
+    assert "x" not in compute_routes(graph, "s")
 
 
 # --------------------------------------------------------------------------
@@ -147,6 +166,9 @@ def test_station_client_association_rules(topology):
 def test_topology_graph_and_latencies(topology):
     graph = topology.graph()
     assert "gateway" in graph and "station-1" in graph
+    assert path_delay(graph, "station-1", "station-2") == pytest.approx(
+        topology.station_to_station_latency("station-1", "station-2")
+    )
     assert topology.control_latency("station-1") == pytest.approx(
         topology.config.uplink_delay_s + topology.config.core_delay_s
     )
