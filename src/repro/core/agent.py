@@ -94,7 +94,6 @@ class DeployedNF:
         ingress_port = self.station.switch.add_port(ingress.end_a, no_flood=True)
         egress_port = self.station.switch.add_port(egress.end_a, no_flood=True)
         ingress.end_b.delivery_override = self._on_ingress
-        ingress.end_b.batch_delivery_override = self._on_ingress_batch
         self.ingress_port = ingress_port.number
         self.egress_port = egress_port.number
         self._egress_container_iface = egress.end_b
@@ -141,49 +140,6 @@ class DeployedNF:
             heading_down = output.ip is not None and output.ip.dst == self.client_ip
             output.metadata["gnf_dir"] = "down" if heading_down else "up"
             self._egress_container_iface.send(output)
-
-    def _on_ingress_batch(self, packets: List[Packet], _interface: Interface) -> None:
-        """A whole burst steered into the container under one simulator event.
-
-        The batch is charged the same aggregate CPU time as per-packet
-        processing would be, but the deadline is tracked with a single heap
-        entry and the NF sees the burst through ``process_batch``.
-        """
-        if not self.container.is_running:
-            self.packets_dropped_not_running += len(packets)
-            return
-        processing_delay = self.nf.per_packet_cpu_us * 1e-6 * self.cpu_scale * len(packets)
-        self.runtime.charge_cpu(self.container.name, processing_delay)
-        self.simulator.schedule(processing_delay, self._finish_processing_batch, packets)
-
-    def _finish_processing_batch(self, packets: List[Packet]) -> None:
-        if not self.container.is_running or self._egress_container_iface is None:
-            self.packets_dropped_not_running += len(packets)
-            return
-        upstream: List[Packet] = []
-        downstream: List[Packet] = []
-        for packet in packets:
-            if packet.metadata.get("gnf_dir") == "down":
-                downstream.append(packet)
-            else:
-                upstream.append(packet)
-        outputs: List[Packet] = []
-        for group, direction in ((upstream, Direction.UPSTREAM), (downstream, Direction.DOWNSTREAM)):
-            if not group:
-                continue
-            context = ProcessingContext(
-                now=self.simulator.now,
-                direction=direction,
-                client_ip=self.client_ip,
-                station_name=self.station.name,
-            )
-            outputs.extend(self.nf.process_batch(group, context))
-        self.packets_processed += len(packets)
-        for output in outputs:
-            heading_down = output.ip is not None and output.ip.dst == self.client_ip
-            output.metadata["gnf_dir"] = "down" if heading_down else "up"
-        if outputs:
-            self._egress_container_iface.send_batch(outputs)
 
     def describe(self) -> Dict[str, object]:
         description = self.nf.describe()

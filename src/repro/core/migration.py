@@ -278,7 +278,6 @@ class StateTransferService:
         ip = addresses.allocate_ip("control", owner=f"migration:{station_name}")
         veth.end_b.ip = ip
         veth.end_b.delivery_override = self._on_chunk
-        veth.end_b.batch_delivery_override = self._on_chunk_batch
         # Steer arriving state chunks out of the flow pipeline into the
         # endpoint port (same priority band as chain rules: chunks must
         # never fall through to L2 flooding).
@@ -457,10 +456,6 @@ class StateTransferService:
             self._finish(transfer, success=True)
             return
         self._send_window(transfer)
-
-    def _on_chunk_batch(self, packets, interface) -> None:
-        for packet in packets:
-            self._on_chunk(packet, interface)
 
     def _watchdog(self, transfer: _Transfer) -> None:
         """Re-arm the window after a stall; give up after the retry budget."""

@@ -14,10 +14,9 @@ physical demo hardware (home routers, Wi-Fi cells, smartphones):
   software switch (learning switch + priority match/action flow table) used
   by GNF Agents to transparently steer a client's traffic through NF
   containers.
-* :mod:`repro.netem.fastpath` -- the flow-cached, batch-aware fast path
-  (microflow cache, compiled verdicts, packet batches) that lets switches
-  and NFs process steady-state flows without per-packet table walks or
-  per-packet simulator events.
+* :mod:`repro.netem.fastpath` -- the flow-cached fast path (microflow cache,
+  compiled verdicts) that lets switches forward steady-state flows without a
+  per-packet table walk or forwarding-delay event.
 * :mod:`repro.netem.topology` / :mod:`repro.netem.routing` -- edge topologies
   (core DC, gateway, edge stations, cells) and shortest-path routing.
 * :mod:`repro.netem.flows` / :mod:`repro.netem.trafficgen` -- flow bookkeeping
@@ -42,7 +41,7 @@ from repro.netem.addressing import MACAllocator, IPv4Allocator, Subnet
 from repro.netem.link import Link, LinkStats
 from repro.netem.host import Host, Interface
 from repro.netem.flowtable import FlowTable, FlowRule, Match, Action, ActionType
-from repro.netem.fastpath import CompiledVerdict, FlowCache, PacketBatch
+from repro.netem.fastpath import CompiledVerdict, FlowCache
 from repro.netem.switch import SoftwareSwitch
 from repro.netem.topology import EdgeTopology, TopologyConfig
 from repro.netem.routing import RoutingTable, compute_routes
@@ -83,7 +82,6 @@ __all__ = [
     "ActionType",
     "CompiledVerdict",
     "FlowCache",
-    "PacketBatch",
     "SoftwareSwitch",
     "EdgeTopology",
     "TopologyConfig",

@@ -18,13 +18,15 @@ common case into a dictionary hit:
   the table generation moves on (rule install/remove), which is what keeps
   roaming correct: a migration removes the old station's steering rules, the
   generation bumps, and every stale verdict dies on its next lookup.
-* :class:`PacketBatch` -- a burst of packets processed as one unit so links,
-  switches and NFs can amortize their per-packet simulator events.
+
+A hit skips the forwarding-delay event and the table walk of one switch
+traversal, so a packet crossing a ``k``-NF chain costs ``k`` simulator events
+inside the station (one processing delay per NF) instead of ``2k + 1``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.netem.flowtable import ActionType, FlowRule
 from repro.netem.packet import Packet, TCPHeader, UDPHeader
@@ -133,7 +135,7 @@ class CompiledVerdict:
     generation it was compiled under so it can be recognised as stale.
     """
 
-    __slots__ = ("rule", "generation", "ops", "hits", "fast_port", "fast_meta")
+    __slots__ = ("rule", "generation", "ops", "hits")
 
     def __init__(self, rule: FlowRule, generation: int) -> None:
         self.rule = rule
@@ -145,23 +147,6 @@ class CompiledVerdict:
             for action in rule.actions
         )
         self.hits = 0
-        # The overwhelmingly common GNF verdict shapes -- plain output, and
-        # set-one-metadata-then-output (chain steering) -- are pre-decoded so
-        # the batch hot loop can replay them without opcode dispatch.
-        self.fast_port: Optional[int] = None
-        self.fast_meta: Optional[Tuple[str, object]] = None
-        ops = self.ops
-        if len(ops) == 1 and ops[0][0] == OP_OUTPUT:
-            self.fast_port = ops[0][1]  # type: ignore[assignment]
-        elif len(ops) == 2 and ops[0][0] == OP_SET_METADATA and ops[1][0] == OP_OUTPUT:
-            meta = ops[0][1]
-            try:
-                hash(meta)  # the batch path groups by (port, meta)
-            except TypeError:
-                pass
-            else:
-                self.fast_meta = meta  # type: ignore[assignment]
-                self.fast_port = ops[1][1]  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"CompiledVerdict(rule={self.rule.rule_id}, gen={self.generation}, hits={self.hits})"
@@ -265,39 +250,3 @@ class FlowCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"FlowCache({self.name!r}, entries={len(self._entries)}, hit_rate={self.hit_rate:.2f})"
 
-
-class PacketBatch:
-    """A burst of packets moved through the data plane as one unit.
-
-    Links serialize a whole batch under a single deliver event, switches
-    classify it in one pass, and NFs process it through ``process_batch`` --
-    cutting the per-packet heap churn that dominates the slow path.
-    """
-
-    __slots__ = ("packets",)
-
-    def __init__(self, packets: Optional[Iterable[Packet]] = None) -> None:
-        self.packets: List[Packet] = list(packets) if packets is not None else []
-
-    def append(self, packet: Packet) -> None:
-        self.packets.append(packet)
-
-    def extend(self, packets: Iterable[Packet]) -> None:
-        self.packets.extend(packets)
-
-    def __len__(self) -> int:
-        return len(self.packets)
-
-    def __iter__(self) -> Iterator[Packet]:
-        return iter(self.packets)
-
-    def __bool__(self) -> bool:
-        return bool(self.packets)
-
-    @property
-    def size_bytes(self) -> int:
-        """Total on-the-wire size of the batch."""
-        return sum(packet.size_bytes for packet in self.packets)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"PacketBatch({len(self.packets)} packets, {self.size_bytes}B)"

@@ -1,7 +1,7 @@
 """Hybrid flow-level simulation core: fluid flows with packet fidelity islands.
 
-The per-packet fast path (flow cache + batching) still pays one event chain
-per packet, which caps the simulator at the bulk-transfer workloads the
+The per-packet fast path (the flow cache) still pays one event chain per
+packet, which caps the simulator at the bulk-transfer workloads the
 million-client north-star needs.  This module implements the classic hybrid
 fix from the simulation literature: long-lived bulk flows become *rate
 processes* -- a :class:`FluidFlow` carries a demand and a byte budget, a

@@ -9,7 +9,7 @@ composition users, via ``packet_handler``) override.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.netem import packet as pkt
 from repro.netem.simulator import Simulator
@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 PacketHandler = Callable[["Packet", "Interface"], None]
-BatchHandler = Callable[[List["Packet"], "Interface"], None]
 
 
 class Interface:
@@ -44,10 +43,6 @@ class Interface:
         self.owner = owner
         self.link: Optional["Link"] = None
         self.delivery_override: Optional[PacketHandler] = None
-        #: Batch-aware counterpart of ``delivery_override``: when set, an
-        #: arriving batch is handed over in one call (NF containers use this
-        #: to process a burst under a single simulator event).
-        self.batch_delivery_override: Optional[BatchHandler] = None
         self.rx_packets = 0
         self.rx_bytes = 0
         self.tx_packets = 0
@@ -70,25 +65,6 @@ class Interface:
         if owner is not None:
             owner.receive_packet(packet, self)
 
-    def deliver_batch(self, packets: Sequence["Packet"]) -> None:
-        """Batch counterpart of :meth:`deliver` (one call for a whole burst)."""
-        if not self.up:
-            return
-        packets = list(packets)
-        if not packets:
-            return
-        self.rx_packets += len(packets)
-        self.rx_bytes += sum(packet.size_bytes for packet in packets)
-        if self.batch_delivery_override is not None:
-            self.batch_delivery_override(packets, self)
-            return
-        if self.delivery_override is not None:
-            for packet in packets:
-                self.delivery_override(packet, self)
-            return
-        if self.owner is not None:
-            self.owner.receive_batch(packets, self)
-
     def send(self, packet: "Packet") -> bool:
         """Transmit a packet out of this interface.
 
@@ -103,25 +79,6 @@ class Interface:
         if link is not None:
             return link.transmit(packet, self)
         return False
-
-    def send_batch(self, packets: Sequence["Packet"]) -> int:
-        """Transmit a batch out of this interface; returns the accepted count.
-
-        On a link the whole batch is coalesced into a single deliver event
-        (:meth:`~repro.netem.link.Link.transmit_batch`); otherwise packets
-        fall back to :meth:`send` one by one (which covers veth-rewired
-        interfaces and test stubs that replace ``send``).
-        """
-        if not self.up:
-            return 0
-        packets = list(packets)
-        if not packets:
-            return 0
-        if self.link is not None:
-            self.tx_packets += len(packets)
-            self.tx_bytes += sum(packet.size_bytes for packet in packets)
-            return self.link.transmit_batch(packets, self)
-        return sum(1 for packet in packets if self.send(packet))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Interface({self.name!r}, mac={self.mac}, ip={self.ip})"
@@ -152,8 +109,6 @@ class VethPair:
         self._wire(self.end_b, self.end_a)
 
     def _wire(self, src: Interface, dst: Interface) -> None:
-        original_send = src.send
-
         def send_via_peer(packet: "Packet") -> bool:
             if not src.up:
                 return False
@@ -165,24 +120,8 @@ class VethPair:
                 dst.deliver(packet)
             return True
 
-        def send_batch_via_peer(packets: Sequence["Packet"]) -> int:
-            if not src.up:
-                return 0
-            packets = list(packets)
-            if not packets:
-                return 0
-            src.tx_packets += len(packets)
-            src.tx_bytes += sum(packet.size_bytes for packet in packets)
-            if self.crossing_delay_s > 0:
-                self.simulator.schedule(self.crossing_delay_s, dst.deliver_batch, packets)
-            else:
-                dst.deliver_batch(packets)
-            return len(packets)
-
         # Replace the bound send with the veth-crossing version.
         src.send = send_via_peer  # type: ignore[method-assign]
-        src.send_batch = send_batch_via_peer  # type: ignore[method-assign]
-        src._original_send = original_send  # type: ignore[attr-defined]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"VethPair({self.name!r})"
@@ -237,15 +176,6 @@ class Host:
             handler(packet, interface)
             return
         self.handle_packet(packet, interface)
-
-    def receive_batch(self, packets: Sequence["Packet"], interface: Interface) -> None:
-        """Entry point for packet batches; default unrolls to ``receive_packet``.
-
-        Batch-aware hosts (the software switch) override this to classify the
-        whole burst in one pass.
-        """
-        for packet in packets:
-            self.receive_packet(packet, interface)
 
     def handle_packet(self, packet: "Packet", interface: Interface) -> None:
         """Subclass hook; the base host silently consumes packets."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.netem.simulator import Simulator
 
@@ -32,14 +32,6 @@ class LinkStats:
     #: Bytes moved across this direction by the fluid model (hybrid mode);
     #: they never appear as packets, so they are counted separately.
     fluid_bytes: float = 0.0
-
-    def record_tx(self, size_bytes: int) -> None:
-        self.tx_packets += 1
-        self.tx_bytes += size_bytes
-
-    def record_drop(self, size_bytes: int) -> None:
-        self.dropped_packets += 1
-        self.dropped_bytes += size_bytes
 
 
 class _Direction:
@@ -208,48 +200,6 @@ class Link:
         )
         return True
 
-    def transmit_batch(self, packets: Iterable["Packet"], from_interface: "Interface") -> int:
-        """Send a batch towards the peer under a **single** deliver event.
-
-        The batch is serialized back to back at the link rate and the whole
-        burst arrives when its last bit has propagated -- one heap entry
-        instead of one per packet, which is where the slow path burns most of
-        its time at line rate.  Per-packet loss and drop-tail accounting are
-        unchanged.  Returns the number of packets accepted.
-        """
-        packets = list(packets)
-        if not packets:
-            return 0
-        direction, destination = self._egress(from_interface)
-
-        if not self.up:
-            for packet in packets:
-                direction.stats.record_drop(packet.size_bytes)
-            return 0
-
-        now = self.simulator.now
-        start = max(now, direction.busy_until)
-        lossy = self.loss_rate > 0.0
-        accepted: List[Tuple["Packet", bool]] = []
-        for packet in packets:
-            if direction.queue_depth >= self.max_queue_packets:
-                direction.stats.record_drop(packet.size_bytes)
-                continue
-            start += self._packet_serialization_delay(packet.size_bytes, direction)
-            direction.queue_depth += 1
-            lost = lossy and self._rng.random() < self.loss_rate
-            accepted.append((packet, lost))
-        if not accepted:
-            return 0
-
-        direction.busy_until = start
-        direction.stats.queued_high_water = max(
-            direction.stats.queued_high_water, direction.queue_depth
-        )
-        arrival = direction.busy_until + self.delay_s
-        self.simulator.schedule_at(arrival, self._deliver_batch, accepted, destination, direction)
-        return len(accepted)
-
     def _deliver(
         self,
         packet: "Packet",
@@ -269,24 +219,6 @@ class Link:
         stats.tx_bytes += size
         packet.hops += 1
         destination.deliver(packet)
-
-    def _deliver_batch(
-        self,
-        accepted: List[Tuple["Packet", bool]],
-        destination: "Interface",
-        direction: _Direction,
-    ) -> None:
-        direction.queue_depth -= len(accepted)
-        survivors: List["Packet"] = []
-        for packet, lost in accepted:
-            if lost or not self.up:
-                direction.stats.record_drop(packet.size_bytes)
-                continue
-            direction.stats.record_tx(packet.size_bytes)
-            packet.hops += 1
-            survivors.append(packet)
-        if survivors:
-            destination.deliver_batch(survivors)
 
     # --------------------------------------------------------- management
 

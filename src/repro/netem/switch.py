@@ -17,7 +17,7 @@ resource consumption" view shown in the demo UI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.netem.fastpath import (
     OP_DROP,
@@ -140,6 +140,7 @@ class SoftwareSwitch(Host):
             return
         self._interface_to_port.pop(port.interface.name, None)
         self.interfaces.pop(port.interface.name, None)
+        self._slowpath_busy_until.pop(port_number, None)
         # Drop any MAC table entries pointing at the removed port.
         self.mac_table = {mac: p for mac, p in self.mac_table.items() if p != port_number}
 
@@ -181,92 +182,14 @@ class SoftwareSwitch(Host):
                     )
                 else:
                     verdict.rule.record(packet)
-                    self._apply_verdict(packet, in_port, verdict, self._output)
+                    self._apply_verdict(packet, in_port, verdict)
                 return
         self._to_slow_path(packet, in_port)
 
     def receive_batch(self, packets: Sequence[Packet], interface: Interface) -> None:
-        """Classify and forward a whole batch in one pass.
-
-        Cache hits are grouped per verdict with their outputs coalesced (one
-        downstream link event per verdict instead of one per packet); misses
-        -- and hits on rare verdict shapes the batch path does not pre-decode
-        (flood, field rewrites) -- fall through to the per-packet slow path,
-        where the verdict is compiled into the cache for the rest of the flow.
-        Counters and metadata mutations are applied at flush time, after the
-        verdicts are confirmed still fresh.
-        """
-        packets = list(packets)
-        if not packets:
-            return
-        in_port = self._interface_to_port.get(interface.name)
-        if in_port is None:
-            self.rx_packets += len(packets)
-            self.packets_dropped += len(packets)
-            return
-        port = self.ports[in_port]
-        self.rx_packets += len(packets)
-        port.stats.rx_packets += len(packets)
-
-        mac_table = self.mac_table
-        fastpath = self.fastpath_enabled
-        cache = self.flow_cache
-        metadata_keys = self.flow_table.referenced_metadata_keys
-        generation = self.flow_table.generation
-        # Hit packets are grouped by what will be done to them -- (out_port,
-        # metadata tag) -- so different flows sharing an application (e.g.
-        # every client flow steered up the same chain hop) coalesce into one
-        # downstream batch.  Per-rule counter updates are remembered per
-        # packet and applied at flush time, once freshness is confirmed.
-        pending: Dict[tuple, List[Packet]] = {}
-        records: List[tuple] = []
-        complex_hits: List[tuple] = []
-        slow: List[Packet] = []
-        total_bytes = 0
-
-        extract = FlowKey.extract
+        """Identical to calling :meth:`receive_packet` on each packet in order."""
         for packet in packets:
-            size = packet.size_bytes
-            total_bytes += size
-            eth = packet.eth
-            if eth is not None and eth.src != BROADCAST_MAC:
-                mac_table[eth.src] = in_port
-            verdict = None
-            if fastpath:
-                try:
-                    verdict = cache.lookup(extract(packet, in_port, metadata_keys), generation)
-                except TypeError:  # unhashable metadata value: slow path
-                    verdict = None
-            if verdict is None:
-                slow.append(packet)
-                continue
-            if verdict.fast_port is None:
-                # Rare shapes (drop, flood, field rewrites) replay per packet
-                # at flush time -- still a cache hit, no table walk.
-                complex_hits.append((verdict, packet))
-                continue
-            records.append((verdict.rule, size))
-            group = (verdict.fast_port, verdict.fast_meta)
-            queue = pending.get(group)
-            if queue is None:
-                queue = pending[group] = []
-            queue.append(packet)
-
-        port.stats.rx_bytes += total_bytes
-        for packet in slow:
-            self._to_slow_path(packet, in_port)
-        # Hits must not overtake packets of the same port still deferred in
-        # the slow path (earlier arrivals, or misses of this very batch);
-        # note same-flow packets classify identically within one batch, so
-        # deferring the flush only reorders across flows, never within one.
-        deadline = self._slowpath_busy_until.get(in_port, 0.0)
-        if pending or complex_hits:
-            if deadline > self.simulator.now:
-                self.simulator.schedule_at(
-                    deadline, self._flush_pending, pending, records, complex_hits, in_port, generation
-                )
-            else:
-                self._flush_pending(pending, records, complex_hits, in_port, generation)
+            self.receive_packet(packet, interface)
 
     def _apply_deferred(self, packet: Packet, in_port: int, verdict: CompiledVerdict) -> None:
         """Apply a hit that was queued behind the slow path, unless it went stale.
@@ -281,38 +204,7 @@ class SoftwareSwitch(Host):
             self._pipeline(packet, in_port)
             return
         verdict.rule.record(packet)
-        self._apply_verdict(packet, in_port, verdict, self._output)
-
-    def _flush_pending(
-        self,
-        pending: Dict[tuple, List[Packet]],
-        records: List[tuple],
-        complex_hits: List[tuple],
-        in_port: int,
-        generation: int,
-    ) -> None:
-        if generation != self.flow_table.generation:
-            # Table changed while the flush was queued: the captured verdicts
-            # are stale, so every packet goes back through the pipeline
-            # untouched (no counters were recorded, no metadata was stamped).
-            for ready in pending.values():
-                for packet in ready:
-                    self._pipeline(packet, in_port)
-            for _, packet in complex_hits:
-                self._pipeline(packet, in_port)
-            return
-        for rule, size in records:
-            rule.packets_matched += 1
-            rule.bytes_matched += size
-        for (out_port, meta), ready in pending.items():
-            if meta is not None:
-                key, value = meta
-                for packet in ready:
-                    packet.metadata[key] = value
-            self._output_batch(ready, out_port)
-        for verdict, packet in complex_hits:
-            verdict.rule.record(packet)
-            self._apply_verdict(packet, in_port, verdict, self._output)
+        self._apply_verdict(packet, in_port, verdict)
 
     def _to_slow_path(self, packet: Packet, in_port: int) -> None:
         if self.forwarding_delay_s > 0:
@@ -346,17 +238,11 @@ class SoftwareSwitch(Host):
             return
         self._l2_forward(packet, in_port)
 
-    def _apply_verdict(
-        self,
-        packet: Packet,
-        in_port: int,
-        verdict: CompiledVerdict,
-        output: Callable[[Packet, int], None],
-    ) -> None:
-        """Replay a compiled verdict; ``output`` routes emitted packets."""
+    def _apply_verdict(self, packet: Packet, in_port: int, verdict: CompiledVerdict) -> None:
+        """Replay a compiled verdict."""
         for opcode, value in verdict.ops:
             if opcode == OP_OUTPUT:
-                output(packet, value)  # type: ignore[arg-type]
+                self._output(packet, value)  # type: ignore[arg-type]
             elif opcode == OP_DROP:
                 self.packets_dropped += 1
                 return
@@ -421,19 +307,6 @@ class SoftwareSwitch(Host):
         self.packets_forwarded += 1
         self.tx_packets += 1
         port.interface.send(packet)
-
-    def _output_batch(self, packets: List[Packet], port_number: int) -> None:
-        port = self.ports.get(port_number)
-        if port is None:
-            self.packets_dropped += len(packets)
-            return
-        count = len(packets)
-        size = sum(packet.size_bytes for packet in packets)
-        port.stats.tx_packets += count
-        port.stats.tx_bytes += size
-        self.packets_forwarded += count
-        self.tx_packets += count
-        port.interface.send_batch(packets)
 
     def _flood(self, packet: Packet, in_port: int) -> None:
         self.packets_flooded += 1

@@ -96,42 +96,11 @@ class NetworkFunction:
         return [packet]
 
     def process_batch(self, packets: Sequence[Packet], context: ProcessingContext) -> List[Packet]:
-        """Process a burst of same-direction packets and return the emissions.
-
-        Counter bookkeeping is done once for the whole batch, and NFs with a
-        vectorized :meth:`_process_batch` (firewall, rate limiter) amortize
-        their per-packet work across the burst.  Semantics are identical to
-        calling :meth:`process` on each packet in order.
-        """
-        packets = list(packets)
-        if not packets:
-            return []
-        # Ingress counters are taken before processing, exactly as process()
-        # does -- NFs may rewrite packets (and their sizes) in place.
-        self.packets_in += len(packets)
-        self.bytes_in += sum(packet.size_bytes for packet in packets)
-        per_packet_outputs = self._process_batch(packets, context)
+        """Identical to calling :meth:`process` on each packet in order."""
         outputs: List[Packet] = []
-        for packet_outputs in per_packet_outputs:
-            if not packet_outputs:
-                self.packets_dropped += 1
-                continue
-            outputs.extend(packet_outputs)
-        self.packets_out += len(outputs)
-        self.bytes_out += sum(packet.size_bytes for packet in outputs)
+        for packet in packets:
+            outputs.extend(self.process(packet, context))
         return outputs
-
-    def _process_batch(
-        self, packets: Sequence[Packet], context: ProcessingContext
-    ) -> List[List[Packet]]:
-        """Per-packet emissions for a batch; default unrolls to ``_process``.
-
-        Vectorized NFs override this.  Implementations must preserve the exact
-        per-packet semantics of ``_process`` (counter updates other than the
-        base traffic counters included) and return one output list per input
-        packet, in order.
-        """
-        return [self._process(packet, context) for packet in packets]
 
     # -------------------------------------------------------- notifications
 

@@ -180,53 +180,6 @@ class Firewall(NetworkFunction):
                 self._conntrack.add(key)
         return [packet]
 
-    def _process_batch(self, packets, context: ProcessingContext):
-        """Vectorized batch path: one pass with hoisted state and bulk counters.
-
-        Semantically identical to running ``_process`` per packet; the rule
-        walk, conntrack membership test and verdict counters are applied with
-        locals instead of attribute lookups, and the counters are committed
-        once per batch.
-        """
-        rules = self.rules
-        stateful = self.stateful
-        conntrack = self._conntrack
-        conntrack_limit = self.conntrack_limit
-        direction = context.direction
-        downstream = direction is Direction.DOWNSTREAM
-        upstream = direction is Direction.UPSTREAM
-        default_policy = self.default_policy
-        drop = FirewallAction.DROP
-        accepted = dropped = conntrack_hits = 0
-        outputs: List[List[Packet]] = []
-        for packet in packets:
-            if packet.ip is None:
-                outputs.append([packet])
-                continue
-            key = packet.flow_key
-            if stateful and downstream and key is not None and key.reversed() in conntrack:
-                conntrack_hits += 1
-                accepted += 1
-                outputs.append([packet])
-                continue
-            verdict = default_policy
-            for rule in rules:
-                if rule.matches(packet, direction):
-                    verdict = rule.action
-                    break
-            if verdict is drop:
-                dropped += 1
-                outputs.append([])
-                continue
-            accepted += 1
-            if stateful and upstream and key is not None and len(conntrack) < conntrack_limit:
-                conntrack.add(key)
-            outputs.append([packet])
-        self.accepted += accepted
-        self.dropped += dropped
-        self.conntrack_hits += conntrack_hits
-        return outputs
-
     # ------------------------------------------------------------ migration
 
     def export_state(self) -> Dict[str, object]:

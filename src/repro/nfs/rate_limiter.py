@@ -105,39 +105,6 @@ class RateLimiter(NetworkFunction):
         self.bytes_policed += packet.size_bytes
         return []
 
-    def _process_batch(self, packets, context: ProcessingContext):
-        """Vectorized batch path: one refill, one bulk token withdrawal.
-
-        When the bucket covers the whole burst the batch is admitted with a
-        single subtraction; otherwise the remaining tokens are consumed
-        greedily in arrival order, exactly as sequential ``_process`` calls at
-        the same instant would.
-        """
-        if context.direction is Direction.UPSTREAM and not self.limit_upstream:
-            return [[packet] for packet in packets]
-        if context.direction is Direction.DOWNSTREAM and not self.limit_downstream:
-            return [[packet] for packet in packets]
-        bucket = self._buckets[context.direction.value]
-        bucket.refill(context.now)
-        sizes = [packet.size_bytes for packet in packets]
-        total = sum(sizes)
-        if bucket.tokens >= total:
-            bucket.tokens -= total
-            return [[packet] for packet in packets]
-        outputs: List[List[Packet]] = []
-        policed = policed_bytes = 0
-        for packet, size in zip(packets, sizes):
-            if bucket.tokens >= size:
-                bucket.tokens -= size
-                outputs.append([packet])
-            else:
-                policed += 1
-                policed_bytes += size
-                outputs.append([])
-        self.packets_policed += policed
-        self.bytes_policed += policed_bytes
-        return outputs
-
     # ------------------------------------------------------------ migration
 
     def export_state(self) -> Dict[str, object]:

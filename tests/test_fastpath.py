@@ -1,9 +1,10 @@
-"""Tests for the flow-cached, batch-aware forwarding fast path.
+"""Tests for the flow-cached forwarding fast path.
 
-Covers the four layers the fast path spans: the netem cache/batch machinery
-(FlowKey, FlowCache, generation invalidation, Link.transmit_batch), the
-switch integration (cache-before-table, batch pipeline, event reduction),
-the NF batch API (vectorized firewall and rate limiter parity), and the
+Covers the layers the fast path spans: the netem cache machinery (FlowKey,
+FlowCache, generation invalidation), the switch integration
+(cache-before-table, event reduction, exact events per packet through a
+chain), back-to-back bursts on a link, the ``receive_batch`` /
+``process_batch`` loops and their parity with the per-packet path, and the
 telemetry export of the hit-rate counters.
 """
 
@@ -14,7 +15,7 @@ import pytest
 from repro.core.chain import ServiceChain
 from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem import packet as pkt
-from repro.netem.fastpath import CompiledVerdict, FlowCache, FlowKey, PacketBatch
+from repro.netem.fastpath import CompiledVerdict, FlowCache, FlowKey
 from repro.netem.flowtable import Action, ActionType, FlowTable, Match
 from repro.netem.host import Host, Interface
 from repro.netem.link import Link
@@ -146,10 +147,6 @@ class Sink:
         self.packets.append(packet)
         return True
 
-    def send_batch(self, packets):
-        self.packets.extend(packets)
-        return len(packets)
-
 
 def build_switch(simulator, fastpath=True, forwarding_delay_s=0.0, port_count=3):
     switch = SoftwareSwitch(
@@ -161,7 +158,6 @@ def build_switch(simulator, fastpath=True, forwarding_delay_s=0.0, port_count=3)
         switch.add_port(iface)
         sink = Sink()
         iface.send = sink.send
-        iface.send_batch = sink.send_batch
         sinks[number] = sink
     return switch, sinks
 
@@ -270,8 +266,7 @@ def test_receive_batch_matches_per_packet_outputs(simulator):
     # Warm the cache, then feed a batch.
     switch.receive_packet(tcp_packet(), switch.ports[1].interface)
     simulator.run()
-    batch = PacketBatch(tcp_packet() for _ in range(10))
-    switch.receive_batch(batch, switch.ports[1].interface)
+    switch.receive_batch([tcp_packet() for _ in range(10)], switch.ports[1].interface)
     simulator.run()
     assert len(sinks[2].packets) == 11
     assert switch.packets_forwarded == 11
@@ -361,27 +356,80 @@ def test_stale_verdict_not_replayed_from_deferral_window(simulator):
 
 
 # --------------------------------------------------------------------------
-# Link batching
+# Exact events per packet through a station chain
 # --------------------------------------------------------------------------
 
 
-class BatchRecorder(Host):
+def _station_chain_events(chain_length, fastpath, packets):
+    """Simulator events one 10 ms window costs with ``packets`` same-flow packets in it.
+
+    One station, a pass-through chain of ``chain_length`` NFs, the uplink
+    replaced by a sink, the flow warmed by one packet before the window.
+    """
+    testbed = GNFTestbed(TestbedConfig(station_count=1, fastpath_enabled=fastpath))
+    client = testbed.add_client("phone", position=(0.0, 0.0))
+    testbed.start()
+    testbed.run(1.0)
+    chain = ServiceChain.of(*["flow-monitor", "firewall"][:chain_length])
+    testbed.manager.attach_chain(client.ip, chain)
+    testbed.run(6.0)
+    station = testbed.topology.station("station-1")
+    switch = station.switch
+    sink = Sink()
+    switch.ports[station.uplink_port].interface.send = sink.send
+    cell_iface = switch.ports[next(iter(station.cell_ports.values()))].interface
+
+    def inject(count):
+        for _ in range(count):
+            packet = pkt.make_udp_packet(
+                client.ip, testbed.server_ip, 40_000, 9000, payload_bytes=500, src_mac=client.mac
+            )
+            switch.receive_packet(packet, cell_iface)
+
+    inject(1)
+    testbed.run(0.01)
+    before = testbed.simulator.events_processed
+    inject(packets)
+    testbed.run(0.01)
+    assert len(sink.packets) == 1 + packets  # every packet crossed the whole chain
+    return testbed.simulator.events_processed - before
+
+
+@pytest.mark.parametrize("chain_length", [1, 2])
+def test_station_chain_costs_exact_events_per_packet(chain_length):
+    """k events per packet on a cache hit, 2k+1 without the cache -- exactly.
+
+    Each NF schedules one processing-delay event; without the cache each of
+    the k+1 switch traversals adds one forwarding-delay event; veth crossings
+    are direct calls.  The same window with no packets in it is subtracted,
+    so periodic timers (heartbeat, collector, radio scan) cannot leak in.
+    """
+    packets = 50
+    for fastpath, per_packet in ((True, chain_length), (False, 2 * chain_length + 1)):
+        background = _station_chain_events(chain_length, fastpath, 0)
+        loaded = _station_chain_events(chain_length, fastpath, packets)
+        assert loaded - background == packets * per_packet
+
+
+# --------------------------------------------------------------------------
+# Back-to-back bursts on a link
+# --------------------------------------------------------------------------
+
+
+class Recorder(Host):
     def __init__(self, simulator, name):
         super().__init__(simulator, name)
-        self.batches = []
         self.packets = []
-
-    def receive_batch(self, packets, interface):
-        self.batches.append(list(packets))
-        self.packets.extend(packets)
+        self.arrivals = []
 
     def handle_packet(self, packet, interface):
         self.packets.append(packet)
+        self.arrivals.append(self.simulator.now)
 
 
 def wire_hosts(simulator, **link_kwargs):
-    a = BatchRecorder(simulator, "a")
-    b = BatchRecorder(simulator, "b")
+    a = Recorder(simulator, "a")
+    b = Recorder(simulator, "b")
     a_iface = a.add_interface(Interface("a0", mac="02:00:00:00:00:01", ip="10.0.0.1"))
     b_iface = b.add_interface(Interface("b0", mac="02:00:00:00:00:02", ip="10.0.0.2"))
     link = Link(simulator, **link_kwargs)
@@ -390,40 +438,47 @@ def wire_hosts(simulator, **link_kwargs):
 
 
 def test_transmit_batch_single_event_same_arrival_as_tail_packet(simulator):
+    """A burst sent at one instant costs one event per packet, serialized back to back."""
     a, b, link = wire_hosts(simulator, bandwidth_bps=1e6, delay_s=0.01)
     packets = [pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2, payload_bytes=500) for _ in range(10)]
-    accepted = a.primary_interface.send_batch(packets)
-    assert accepted == 10
+    assert all(a.primary_interface.send(packet) for packet in packets)
     before = simulator.events_processed
     simulator.run()
-    assert simulator.events_processed - before == 1  # one deliver event for all 10
-    assert len(b.batches) == 1 and len(b.packets) == 10
-    # The batch arrives when its last bit has propagated.
-    expected = sum(p.size_bytes for p in packets) * 8 / 1e6 + 0.01
-    assert simulator.now == pytest.approx(expected)
+    assert simulator.events_processed - before == len(packets)
+    assert b.packets == packets
+    # Packet i arrives when its own last bit has propagated; the tail at N x.
+    serialization = link.serialization_delay(packets[0].size_bytes)
+    assert b.arrivals == pytest.approx(
+        [(index + 1) * serialization + 0.01 for index in range(len(packets))]
+    )
+    assert simulator.now == b.arrivals[-1]
 
 
 def test_transmit_batch_respects_queue_limit_and_stats(simulator):
     a, b, link = wire_hosts(simulator, bandwidth_bps=1e9, delay_s=0.0, max_queue_packets=4)
     packets = [pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2) for _ in range(6)]
-    accepted = a.primary_interface.send_batch(packets)
+    accepted = [a.primary_interface.send(packet) for packet in packets]
     simulator.run()
-    assert accepted == 4
-    assert len(b.packets) == 4
-    assert link.total_stats.dropped_packets == 2
-    assert link.total_stats.tx_packets == 4
+    assert accepted == [True] * 4 + [False] * 2
+    assert b.packets == packets[:4]
+    stats = link.stats(a.primary_interface)
+    assert stats.dropped_packets == 2
+    assert stats.dropped_bytes == sum(packet.size_bytes for packet in packets[4:])
+    assert stats.tx_packets == 4
+    assert stats.queued_high_water == 4
 
 
 def test_transmit_batch_on_down_link_drops_everything(simulator):
     a, b, link = wire_hosts(simulator)
     link.set_up(False)
-    accepted = a.primary_interface.send_batch(
-        [pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2) for _ in range(3)]
-    )
+    packets = [pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2) for _ in range(3)]
+    accepted = [a.primary_interface.send(packet) for packet in packets]
+    assert simulator.pending_events == 0
     simulator.run()
-    assert accepted == 0
+    assert accepted == [False] * 3
     assert b.packets == []
     assert link.total_stats.dropped_packets == 3
+    assert link.total_stats.dropped_bytes == sum(packet.size_bytes for packet in packets)
 
 
 # --------------------------------------------------------------------------
@@ -498,13 +553,57 @@ def test_rate_limiter_batch_bulk_admission_when_tokens_cover_burst():
 
 
 def test_default_process_batch_unrolls_scalar_hook():
+    """``process_batch`` is the ``process`` loop: same outputs, same state left behind."""
     from repro.nfs.flow_monitor import FlowMonitor
 
-    monitor = FlowMonitor()
-    context = ProcessingContext(now=0.0, direction=Direction.UPSTREAM, client_ip="10.0.0.1")
-    outputs = monitor.process_batch([tcp_packet(sport=3000 + i) for i in range(4)], context)
-    assert len(outputs) == 4
-    assert monitor.packets_in == 4
+    context = ProcessingContext(now=5.0, direction=Direction.UPSTREAM, client_ip="10.0.0.1")
+    # Mixed verdicts for each NF: the firewall drops every third packet, the
+    # limiter's bucket runs dry part-way through the burst.
+    packets = [
+        tcp_packet(dport=9050 if i % 3 == 0 else 80, sport=3000 + i, payload=300) for i in range(12)
+    ]
+    for build in (
+        FlowMonitor,
+        lambda: _firewall_pair()[0],
+        lambda: RateLimiter(rate_bps=8e4, burst_bytes=2000),
+    ):
+        looped, batched = build(), build()
+        loop_out = []
+        for packet in packets:
+            loop_out.extend(looped.process(packet.copy(), context))
+        batch_out = batched.process_batch([packet.copy() for packet in packets], context)
+        assert [p.flow_key for p in batch_out] == [p.flow_key for p in loop_out]
+        assert batched.packets_in == len(packets)
+        assert batched.counters() == looped.counters()
+        assert batched.export_state() == looped.export_state()  # conntrack, bucket level
+
+
+# --------------------------------------------------------------------------
+# One path per hop
+# --------------------------------------------------------------------------
+
+
+def test_data_path_has_no_batch_twin():
+    """The only batch names left are the two loops the perf probes call."""
+    import repro.netem
+    from repro.core.agent import DeployedNF
+    from repro.core.migration import StateTransferService
+    from repro.netem.host import VethPair
+    from repro.nfs import NF_CATALOG
+    from repro.nfs.base import NetworkFunction
+
+    def batch_names(*namespaces):
+        return {name for namespace in namespaces for name in namespace if "batch" in name.lower()}
+
+    veth = VethPair(Simulator(), "veth", "02:00:00:00:00:01", "02:00:00:00:00:02")
+    for hop in (Link, Interface, Host, VethPair, DeployedNF, StateTransferService):
+        assert batch_names(dir(hop)) == set(), hop
+    assert batch_names(vars(veth), vars(veth.end_a), vars(veth.end_b)) == set()
+    assert batch_names(dir(SoftwareSwitch)) == {"receive_batch"}
+    for nf_class in (NetworkFunction, *NF_CATALOG.values()):
+        assert batch_names(dir(nf_class)) == {"process_batch"}, nf_class
+    assert batch_names(dir(repro.netem)) == set()  # no PacketBatch export
+    assert CompiledVerdict.__slots__ == ("rule", "generation", "ops", "hits")
 
 
 # --------------------------------------------------------------------------

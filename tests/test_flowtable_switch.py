@@ -264,6 +264,20 @@ def test_switch_remove_port_clears_mac_entries(simulator):
     assert packet.eth.src not in switch.mac_table
 
 
+def test_switch_forgets_slow_path_deadline_of_removed_port(simulator):
+    """Port numbers are never reused, so a removed port must leave no state behind."""
+    switch = SoftwareSwitch(simulator, "sw", forwarding_delay_s=0.001)
+    switch.add_port(Interface("uplink", mac="02:00:00:00:00:01"))
+    for generation in range(3):  # NF churn: plug, carry traffic, unplug
+        port = switch.add_port(Interface(f"veth{generation}", mac=f"02:00:00:00:01:{generation:02x}"))
+        switch.receive_packet(tcp_packet(), port.interface)
+        assert port.number in switch._slowpath_busy_until
+        switch.remove_port(port.number)
+        assert set(switch._slowpath_busy_until) <= set(switch.ports)
+        simulator.run()  # the removed port's in-flight slow-path event re-adds nothing
+        assert set(switch._slowpath_busy_until) <= set(switch.ports)
+
+
 def test_switch_duplicate_port_number_rejected(simulator):
     switch, _ = build_switch(simulator)
     with pytest.raises(ValueError):

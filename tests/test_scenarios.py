@@ -378,6 +378,9 @@ def test_every_canned_scenario_replays_to_identical_digest(name):
     assert first.digest.hexdigest != MetricsDigest.compute({}).hexdigest
     # Every scenario must generate actual traffic through the testbed.
     assert first.testbed.topology.gateway.packets_routed_upstream > 0
+    # NF churn leaves no per-port switch state behind (port numbers are never reused).
+    for station in first.testbed.topology.stations.values():
+        assert set(station.switch._slowpath_busy_until) <= set(station.switch.ports), station.name
 
 
 def test_different_seeds_change_seeded_scenarios():
