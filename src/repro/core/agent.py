@@ -118,7 +118,7 @@ class DeployedNF:
             return
         processing_delay = self.nf.per_packet_cpu_us * 1e-6 * self.cpu_scale
         self.runtime.charge_cpu(self.container.name, processing_delay)
-        self.simulator.schedule(processing_delay, self._finish_processing, packet)
+        self.simulator.call_later(processing_delay, self._finish_processing, packet)
 
     def _finish_processing(self, packet: Packet) -> None:
         if not self.container.is_running or self._egress_container_iface is None:

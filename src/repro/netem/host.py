@@ -115,7 +115,7 @@ class VethPair:
             src.tx_packets += 1
             src.tx_bytes += packet.size_bytes
             if self.crossing_delay_s > 0:
-                self.simulator.schedule(self.crossing_delay_s, dst.deliver, packet)
+                self.simulator.call_later(self.crossing_delay_s, dst.deliver, packet)
             else:
                 dst.deliver(packet)
             return True
@@ -276,4 +276,4 @@ class Server(Host):
             for key in ("app_protocol", "quic_cid"):
                 if key in packet.metadata:
                     response.metadata[key] = packet.metadata[key]
-            self.simulator.schedule(self.processing_delay_s, self.send, response, interface)
+            self.simulator.call_later(self.processing_delay_s, self.send, response, interface)

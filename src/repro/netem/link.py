@@ -10,7 +10,7 @@ so full-duplex behaviour matches an Ethernet or Wi-Fi backhaul link.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.netem.simulator import Simulator
@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netem.packet import Packet
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkStats:
     """Per-direction link counters."""
 
@@ -92,7 +92,7 @@ class Link:
         self.loss_rate = loss_rate
         self.max_queue_packets = max_queue_packets
         self.name = name or "link"
-        self._rng = rng or random.Random(0)
+        self._rng = rng
         self.endpoint_a: Optional["Interface"] = None
         self.endpoint_b: Optional["Interface"] = None
         self._a_to_b = _Direction()
@@ -194,8 +194,15 @@ class Link:
         if depth > stats.queued_high_water:
             stats.queued_high_water = depth
 
-        lost = self.loss_rate > 0.0 and self._rng.random() < self.loss_rate
-        simulator.schedule_at(
+        lost = False
+        if self.loss_rate > 0.0:
+            rng = self._rng
+            if rng is None:
+                # Built on the first draw, so a loss-free link (every radio
+                # link) never holds one; the sequence is the same either way.
+                rng = self._rng = random.Random(0)
+            lost = rng.random() < self.loss_rate
+        simulator.call_at(
             busy_until + self.delay_s, self._deliver, packet, destination, direction, lost, size
         )
         return True

@@ -33,7 +33,7 @@ ICMP_HEADER_BYTES = 8
 _packet_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class EthernetHeader:
     """Layer-2 header."""
 
@@ -49,7 +49,7 @@ class EthernetHeader:
         return EthernetHeader(src=self.dst, dst=self.src, ethertype=self.ethertype)
 
 
-@dataclass
+@dataclass(slots=True)
 class IPv4Header:
     """Layer-3 header (only the fields the NFs and switches inspect)."""
 
@@ -66,7 +66,7 @@ class IPv4Header:
         return IPv4Header(src=self.dst, dst=self.src, protocol=self.protocol, ttl=64, dscp=self.dscp)
 
 
-@dataclass
+@dataclass(slots=True)
 class TCPHeader:
     """Simplified TCP header: ports plus the flags firewalls care about."""
 
@@ -95,7 +95,7 @@ class TCPHeader:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class UDPHeader:
     """Simplified UDP header."""
 
@@ -109,7 +109,7 @@ class UDPHeader:
         return UDPHeader(src_port=self.dst_port, dst_port=self.src_port)
 
 
-@dataclass
+@dataclass(slots=True)
 class ICMPHeader:
     """ICMP echo header (used by the latency probes in the benchmarks)."""
 

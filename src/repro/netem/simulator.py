@@ -6,10 +6,13 @@ heartbeats, client mobility, NF migrations) is driven by a single
 dependency-free:
 
 * events are callbacks scheduled at an absolute simulated time,
-* the queue is a heap of plain ``(time, sequence, event)`` tuples, so ordering
-  is decided by C tuple comparison; the sequence number is unique, which
-  breaks ties by insertion order (runs are fully deterministic) and means the
-  :class:`Event` itself is never compared,
+* the queue is a heap of plain ``(time, sequence, callback, args, event)``
+  tuples, so ordering is decided by C tuple comparison; the sequence number
+  is unique, which breaks ties by insertion order (runs are fully
+  deterministic) and means nothing after it is ever compared,
+* an :class:`Event` handle exists only when asked for: :meth:`Simulator.schedule`
+  attaches one (it can be cancelled or awaited), :meth:`Simulator.call_later`
+  leaves the slot ``None`` for the per-packet hops that do neither,
 * lightweight generator-based processes are supported for code that reads
   more naturally as sequential logic (e.g. a migration that waits for a
   checkpoint transfer to finish).
@@ -27,6 +30,14 @@ from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 class SimulationError(RuntimeError):
     """Raised when the simulation kernel is misused."""
+
+
+def _in_the_past(time: float, now: float) -> SimulationError:
+    return SimulationError(f"cannot schedule event at t={time} before current time t={now}")
+
+
+def _negative_delay(delay: float) -> SimulationError:
+    return SimulationError(f"cannot schedule event in the past (delay={delay})")
 
 
 class Event:
@@ -236,7 +247,9 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._queue: List[Tuple[float, int, Event]] = []
+        #: ``(time, sequence, callback, args, event)``; ``event`` is ``None``
+        #: for :meth:`call_later` / :meth:`call_at` entries.
+        self._queue: List[Tuple[float, int, Callable[..., Any], tuple, Optional[Event]]] = []
         self._sequence = itertools.count()
         self._running = False
         self._event_count = 0
@@ -271,23 +284,37 @@ class Simulator:
 
     # ------------------------------------------------------------- scheduling
 
+    def call_later(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback(*args)`` ``delay`` seconds from now, with no handle.
+
+        For callers that never cancel or wait on what they post (the
+        per-packet hops): the heap entry carries no :class:`Event`.
+        """
+        if delay < 0:
+            raise _negative_delay(delay)
+        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), callback, args, None))
+
+    def call_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback(*args)`` at an absolute simulated time, with no handle."""
+        if time < self._now:
+            raise _in_the_past(time, self._now)
+        heapq.heappush(self._queue, (time, next(self._sequence), callback, args, None))
+
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
         """Schedule ``callback(*args, **kwargs)`` ``delay`` seconds from now."""
         if delay < 0:
-            raise SimulationError(f"cannot schedule event in the past (delay={delay})")
+            raise _negative_delay(delay)
         time = self._now + delay
         event = Event(time, callback, args, kwargs, self)
-        heapq.heappush(self._queue, (time, next(self._sequence), event))
+        heapq.heappush(self._queue, (time, next(self._sequence), callback, args, event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> Event:
         """Schedule ``callback`` at an absolute simulated time."""
         if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before current time t={self._now}"
-            )
+            raise _in_the_past(time, self._now)
         event = Event(time, callback, args, kwargs, self)
-        heapq.heappush(self._queue, (time, next(self._sequence), event))
+        heapq.heappush(self._queue, (time, next(self._sequence), callback, args, event))
         return event
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -323,7 +350,9 @@ class Simulator:
             exactly ``until`` are executed.  ``None`` runs to queue
             exhaustion.
         max_events:
-            Safety valve -- stop after this many events.
+            Safety valve -- stop after this many events.  A run stopped by
+            it leaves the clock at the last fired event (not at ``until``),
+            so the events still queued fire later without time going back.
 
         Returns the simulated time at which the run stopped.
         """
@@ -334,33 +363,39 @@ class Simulator:
         pop = heapq.heappop
         time_limit = inf if until is None else until
         count_limit = inf if max_events is None else self._event_count + max_events
+        capped = False
         try:
             while queue:
-                time = queue[0][0]
-                if time > time_limit:
+                if queue[0][0] > time_limit:
                     break
-                event = pop(queue)[2]
-                if event.cancelled:
-                    self._cancelled_in_queue -= 1
-                    continue
-                self._now = time
-                event.fired = True
-                kwargs = event.kwargs
-                if kwargs is None:
-                    result = event.callback(*event.args)
+                time, _, callback, args, event = pop(queue)
+                if event is None:
+                    self._now = time
+                    callback(*args)
+                    self._event_count = count = self._event_count + 1
                 else:
-                    result = event.callback(*event.args, **kwargs)
-                event.result = result
-                self._event_count = count = self._event_count + 1
-                if event._waiters is not None:
-                    waiters, event._waiters = event._waiters, None
-                    for waiter in waiters:
-                        waiter(result)
+                    if event.cancelled:
+                        self._cancelled_in_queue -= 1
+                        continue
+                    self._now = time
+                    event.fired = True
+                    kwargs = event.kwargs
+                    if kwargs is None:
+                        result = callback(*args)
+                    else:
+                        result = callback(*args, **kwargs)
+                    event.result = result
+                    self._event_count = count = self._event_count + 1
+                    if event._waiters is not None:
+                        waiters, event._waiters = event._waiters, None
+                        for waiter in waiters:
+                            waiter(result)
                 if count >= count_limit:
+                    capped = True
                     break
         finally:
             self._running = False
-        if until is not None and self._now < until:
+        if until is not None and not capped and self._now < until:
             self._now = until
         return self._now
 

@@ -177,9 +177,7 @@ class SoftwareSwitch(Host):
                     # behind them (insertion order breaks the time tie).
                     # Counters and actions apply at the deadline, once the
                     # verdict is confirmed still fresh.
-                    self.simulator.schedule_at(
-                        deadline, self._apply_deferred, packet, in_port, verdict
-                    )
+                    self.simulator.call_at(deadline, self._apply_deferred, packet, in_port, verdict)
                 else:
                     verdict.rule.record(packet)
                     self._apply_verdict(packet, in_port, verdict)
@@ -212,7 +210,7 @@ class SoftwareSwitch(Host):
             busy = self._slowpath_busy_until
             if deadline > busy.get(in_port, 0.0):
                 busy[in_port] = deadline
-            self.simulator.schedule_at(deadline, self._pipeline, packet, in_port)
+            self.simulator.call_at(deadline, self._pipeline, packet, in_port)
         else:
             self._pipeline(packet, in_port)
 

@@ -225,7 +225,7 @@ class Gateway(Host):
         if not packet.decrement_ttl():
             self.packets_dropped += 1
             return
-        self.simulator.schedule(self.forwarding_delay_s, self._route, packet)
+        self.simulator.call_later(self.forwarding_delay_s, self._route, packet)
 
     def _route(self, packet: Packet) -> None:
         assert packet.ip is not None

@@ -11,9 +11,16 @@ easy to localise.
 
 The canonical encoding sorts every mapping and renders floats with ``%.12g``
 so the digest is stable across processes while remaining sensitive to any
-behavioural change.  Values derived from process-global counters (assignment
-ids, container names...) must never be fed in: they differ between two runs
-in the same process even when behaviour is identical.
+behavioural change; a mapping with two keys that print alike (``1`` and
+``"1"``) is rejected rather than collapsed.  A dict-valued section is hashed
+entry by entry: each first-level entry is canonicalized and JSON-encoded
+**once**, and that encoding feeds both the entry's own hash and the section's
+running hash, so no canonical copy or JSON string of a whole section is ever
+held (the section hash is still that of the whole section's canonical JSON).
+
+Values derived from process-global counters (assignment ids, container
+names...) must never be fed in: they differ between two runs in the same
+process even when behaviour is identical.
 """
 
 from __future__ import annotations
@@ -35,15 +42,59 @@ def canonicalize(value: Any) -> Any:
     if isinstance(value, str):
         return value
     if isinstance(value, dict):
-        return {str(key): canonicalize(value[key]) for key in sorted(value, key=str)}
+        canonical = {}
+        for key in sorted(value, key=str):
+            text = str(key)
+            if text in canonical:
+                raise _key_collision(value)
+            canonical[text] = canonicalize(value[key])
+        return canonical
     if isinstance(value, (list, tuple)):
         return [canonicalize(item) for item in value]
     raise TypeError(f"cannot canonicalize {type(value).__name__} value {value!r} for digesting")
 
 
+def _key_collision(mapping: Dict[Any, Any]) -> TypeError:
+    """The error for a mapping two of whose keys print alike (``1`` and ``"1"``):
+    the canonical form would keep one of them and silently drop the other."""
+    by_text: Dict[str, List[Any]] = {}
+    for key in mapping:
+        by_text.setdefault(str(key), []).append(key)
+    first, second = next(keys for keys in by_text.values() if len(keys) > 1)[:2]
+    return TypeError(
+        f"cannot canonicalize keys {first!r} and {second!r} for digesting: "
+        f"both print as {str(first)!r}"
+    )
+
+
+#: ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``, built once.
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: How ``_JSON`` renders a string (and so a mapping key): ASCII-escaped.
+_json_string = json.encoder.encode_basestring_ascii
+
+
 def _sha256(payload: Any) -> str:
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(encoded).hexdigest()
+    return hashlib.sha256(_JSON.encode(payload).encode("utf-8")).hexdigest()
+
+
+def _dict_section(name: str, tree: Dict[Any, Any], subsections: Dict[str, str]) -> str:
+    """``_sha256(canonicalize(tree))``, streamed: each entry's encoding feeds its
+    own hash (``subsections["name/key"]``) and, framed as ``{"key":value,...}``,
+    the section's running hash."""
+    section = hashlib.sha256(b"{")
+    separator = ""
+    previous = None
+    for key in sorted(tree, key=str):
+        text = str(key)
+        if text == previous:  # sorted by text, so a collision is adjacent
+            raise _key_collision(tree)
+        previous = text
+        encoded = _JSON.encode(canonicalize(tree[key]))
+        subsections[f"{name}/{text}"] = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+        section.update(f"{separator}{_json_string(text)}:{encoded}".encode("utf-8"))
+        separator = ","
+    section.update(b"}")
+    return section.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -68,14 +119,13 @@ class MetricsDigest:
         cls, sections: Dict[str, Any], provenance: Dict[str, str] = None
     ) -> "MetricsDigest":
         """Digest a ``{section_name: telemetry_tree}`` mapping."""
-        canonical = {name: canonicalize(tree) for name, tree in sections.items()}
-        components = {name: _sha256(tree) for name, tree in canonical.items()}
-        subsections = {
-            f"{name}/{key}": _sha256(sub)
-            for name, tree in canonical.items()
-            if isinstance(tree, dict)
-            for key, sub in tree.items()
-        }
+        components: Dict[str, str] = {}
+        subsections: Dict[str, str] = {}
+        for name, tree in sections.items():
+            if isinstance(tree, dict):
+                components[name] = _dict_section(name, tree, subsections)
+            else:
+                components[name] = _sha256(canonicalize(tree))
         overall = _sha256({name: components[name] for name in sorted(components)})
         return cls(
             hexdigest=overall,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.netem import packet as pkt
@@ -21,14 +23,17 @@ class RecordingHost(Host):
         self.received.append((packet, interface.name, self.simulator.now))
 
 
-def make_pair(simulator, bandwidth=1e9, delay=0.001, loss=0.0, queue=1000):
+def make_pair(simulator, bandwidth=1e9, delay=0.001, loss=0.0, queue=1000, rng=None):
     a_host = RecordingHost(simulator, "host-a")
     b_host = RecordingHost(simulator, "host-b")
     a_iface = Interface("a-eth0", mac="02:00:00:00:00:01", ip="10.0.0.1")
     b_iface = Interface("b-eth0", mac="02:00:00:00:00:02", ip="10.0.0.2")
     a_host.add_interface(a_iface)
     b_host.add_interface(b_iface)
-    link = Link(simulator, bandwidth_bps=bandwidth, delay_s=delay, loss_rate=loss, max_queue_packets=queue)
+    link = Link(
+        simulator, bandwidth_bps=bandwidth, delay_s=delay, loss_rate=loss,
+        max_queue_packets=queue, rng=rng,
+    )
     link.attach(a_iface, b_iface)
     return a_host, b_host, link
 
@@ -89,6 +94,38 @@ def test_lossy_link_drops_a_fraction(simulator):
     simulator.run()
     assert 40 < len(b.received) < 160
     assert link.total_stats.dropped_packets + len(b.received) == 200
+
+
+def test_a_loss_free_link_never_builds_its_rng(simulator):
+    a, b, link = make_pair(simulator)
+    for _ in range(50):
+        a.send(pkt.make_udp_packet("10.0.0.1", "10.0.0.2", 1, 2))
+        b.send(pkt.make_udp_packet("10.0.0.2", "10.0.0.1", 2, 1))
+    simulator.run()
+    assert len(a.received) == len(b.received) == 50
+    assert link._rng is None
+
+
+def _delivered_under_a_loss_schedule(rng):
+    """Ports of the packets a link delivers while a fault raises, clears and
+    raises its loss rate again mid-run."""
+    simulator = Simulator()
+    a, b, link = make_pair(simulator, rng=rng)
+    for index in range(400):
+        packet = pkt.make_udp_packet("10.0.0.1", "10.0.0.2", index, 2)
+        simulator.call_at(index * 1e-3, a.send, packet)
+    for at, loss in ((0.1, 0.3), (0.2, 0.0), (0.25, 0.6)):
+        simulator.call_at(at - 5e-4, setattr, link, "loss_rate", loss)
+    simulator.run()
+    return [packet.l4.src_port for packet, _, _ in b.received]
+
+
+def test_loss_raised_mid_run_drops_what_an_eagerly_seeded_link_drops():
+    lazy = _delivered_under_a_loss_schedule(rng=None)
+    eager = _delivered_under_a_loss_schedule(rng=random.Random(0))
+    assert lazy == eager
+    lost = set(range(400)) - set(lazy)
+    assert lost and lost <= set(range(100, 200)) | set(range(250, 400))
 
 
 def test_link_stats_track_bytes(simulator):

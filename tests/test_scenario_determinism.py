@@ -8,10 +8,16 @@ regression digest catches nondeterminism loudly.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.core.seeds import derive_seed
 from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem.trafficgen import DNSWorkloadGenerator, HTTPWorkloadGenerator
-from repro.scenarios import MetricsDigest, build_scenario, run_scenario
+from repro.scenarios import MetricsDigest, build_scenario, canonicalize, run_scenario
 from repro.wireless.mobility import RandomWaypointMobility
 
 # ---------------------------------------------------------------------------
@@ -134,6 +140,81 @@ def test_digest_canonicalisation_is_dict_order_independent():
     forward = MetricsDigest.compute({"s": {"a": 1, "b": 2, "c": 0.5}})
     backward = MetricsDigest.compute({"s": dict(reversed(list({"a": 1, "b": 2, "c": 0.5}.items())))})
     assert forward == backward
+
+
+def _whole_tree_sha256(payload):
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def _whole_tree_digest(sections):
+    """The digest formula that canonicalizes and dumps each whole section
+    (kept verbatim as the oracle for the entry-by-entry encoding)."""
+    canonical = {name: canonicalize(tree) for name, tree in sections.items()}
+    components = {name: _whole_tree_sha256(tree) for name, tree in canonical.items()}
+    subsections = {
+        f"{name}/{key}": _whole_tree_sha256(sub)
+        for name, tree in canonical.items()
+        if isinstance(tree, dict)
+        for key, sub in tree.items()
+    }
+    overall = _whole_tree_sha256({name: components[name] for name in sorted(components)})
+    return overall, components, subsections
+
+
+def _printing_apart(mapping):
+    return len({str(key) for key in mapping}) == len(mapping)
+
+
+_KEYS = st.one_of(
+    st.text(max_size=6),
+    st.integers(-50, 50),
+    st.floats(allow_nan=False, width=32),
+    st.booleans(),
+    st.none(),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(_KEYS, children, max_size=4).filter(_printing_apart),
+    ),
+    max_leaves=24,
+)
+_SECTIONS = st.dictionaries(
+    st.text(max_size=8),
+    st.one_of(st.dictionaries(_KEYS, _TREES, max_size=6).filter(_printing_apart), _TREES),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SECTIONS)
+def test_entry_by_entry_digest_equals_the_whole_tree_formula(sections):
+    digest = MetricsDigest.compute(sections)
+    overall, components, subsections = _whole_tree_digest(sections)
+    assert digest.hexdigest == overall
+    assert digest.components == components
+    assert digest.subsections == subsections
+
+
+def test_keys_that_print_alike_are_rejected_not_collapsed():
+    with pytest.raises(TypeError, match="keys 1 and '1'"):
+        canonicalize({1: "a", "1": "b"})
+    with pytest.raises(TypeError, match="keys 1 and '1'"):
+        canonicalize({"nested": [{1: "a", "1": "b"}]})
+    # Both entry points: a first-level collision inside a section and one
+    # deeper down.
+    with pytest.raises(TypeError, match="keys 1 and '1'"):
+        MetricsDigest.compute({"s": {1: "a", "1": "b"}})
+    with pytest.raises(TypeError, match="keys 2.0 and '2.0'"):
+        MetricsDigest.compute({"s": {"x": {2.0: "a", "2.0": "b"}}})
+    # Keys of different types that print apart still digest.
+    assert MetricsDigest.compute({"s": {1: "a", "2": "b"}}).subsections.keys() == {"s/1", "s/2"}
 
 
 def test_digest_invariant_across_placement_strategies_when_unloaded():

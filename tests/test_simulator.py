@@ -342,9 +342,9 @@ def test_drain_cancels_events():
 
 # ------------------------------------------------------- kernel contract
 #
-# The heap holds plain ``(time, sequence, event)`` tuples: ordering must be
-# decided by time and insertion sequence alone, never by comparing events or
-# their callbacks.
+# The heap holds plain ``(time, sequence, callback, args, event)`` tuples:
+# ordering must be decided by time and insertion sequence alone, never by
+# comparing callbacks or events.
 
 
 class _Recorder:
@@ -411,9 +411,10 @@ def test_live_and_queued_counts_match_a_brute_count_under_interleaved_cancel():
 
     def check():
         # Live events are counted from the handles alone; the lazily deleted
-        # remainder from the heap's (time, sequence, event) entries.
+        # remainder from the event slot of the heap's
+        # (time, sequence, callback, args, event) entries.
         assert sim.pending_events == sum(1 for event in events if event.pending)
-        lingering = sum(1 for entry in sim._queue if entry[2].cancelled)
+        lingering = sum(1 for entry in sim._queue if entry[4] is not None and entry[4].cancelled)
         assert sim.queued_events - sim.pending_events == lingering
 
     def churn():
@@ -471,3 +472,71 @@ def test_rejected_schedules_leave_the_queue_untouched():
     sim.schedule_at(10.0, lambda: None)  # "now" is still allowed
     sim.run()
     assert sim.events_processed == 1
+
+
+def test_a_run_capped_by_max_events_never_moves_the_clock_backwards():
+    sim = Simulator()
+    fired = []
+    for time in (1.0, 2.0, 3.0):
+        sim.schedule_at(time, lambda: fired.append(sim.now))
+    sim.run(until=10.0, max_events=1)
+    # Stopped on the cap with two events still due: the clock stays at the
+    # last fired event instead of jumping to ``until``.
+    assert fired == [1.0] and sim.now == 1.0 and sim.pending_events == 2
+    sim.schedule_at(1.0, lambda: fired.append(sim.now))  # >= the last fired event
+    sim.schedule_at(5.0, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [1.0, 1.0, 2.0, 3.0, 5.0]
+    assert fired == sorted(fired)
+    # A run that ends because the queue emptied still advances to ``until``.
+    assert sim.run(until=20.0, max_events=100) == 20.0
+
+
+def test_handle_free_calls_share_the_heap_order_and_the_event_count():
+    sim = Simulator()
+    seen = []
+    events = []
+    for index in range(12):
+        kind = index % 4
+        if kind == 0:
+            sim.call_at(1.0, seen.append, index)
+        elif kind == 1:
+            events.append(sim.schedule_at(1.0, seen.append, index))
+        elif kind == 2:
+            sim.call_later(1.0, seen.append, index)
+        else:
+            events.append(sim.schedule(1.0, seen.append, index))
+    assert sim.call_at(2.0, seen.append, "late") is None
+    assert sim.call_later(2.0, seen.append, "later") is None
+    assert sim.pending_events == 14
+    sim.run()
+    # One timestamp, two kinds of entry: insertion order decides.
+    assert seen == list(range(12)) + ["late", "later"]
+    assert sim.events_processed == 14
+    assert all(event.fired for event in events)
+    with pytest.raises(SimulationError):
+        sim.call_at(1.0, seen.append, "past")
+    with pytest.raises(SimulationError):
+        sim.call_later(-1e-9, seen.append, "negative")
+    with pytest.raises(TypeError):
+        sim.call_later(1.0, seen.append, key="no kwargs")
+    assert sim.queued_events == 0
+
+
+def test_only_events_can_be_cancelled_or_awaited():
+    sim = Simulator()
+    seen = []
+    doomed = sim.schedule(1.0, seen.append, "cancelled")
+    sim.call_later(1.0, seen.append, "handle-free")
+    awaited = sim.schedule(2.0, lambda: "result")
+    doomed.cancel()
+    assert sim.pending_events == 2
+
+    def waiter():
+        seen.append((yield awaited))
+
+    sim.process(waiter())
+    sim.run()
+    assert seen == ["handle-free", "result"]
+    assert sim.events_processed == 3  # the handle-free call, the awaited event, the process kick
+    assert sim.pending_events == sim.queued_events == 0
