@@ -12,8 +12,8 @@ the cache's own ``backhaul_bytes_saved`` ledger.  The run must clear a
 relative-savings floor (``E16_MIN_SAVINGS`` env var, default 0.30).
 
 The second leg prices the new vectorized generators: simulator events per
-emitted request for the QUIC burst generator (which pre-draws numpy blocks
-and emits whole 0-RTT bursts inside one event) versus the ABR segment
+emitted request for the QUIC burst generator (which pre-draws its gaps and
+burst sizes 64 at a time and emits whole 0-RTT bursts inside one event) versus the ABR segment
 fetcher (one event per segment by design).
 """
 

@@ -6,8 +6,9 @@ million-client north-star needs.  This module implements the classic hybrid
 fix from the simulation literature: long-lived bulk flows become *rate
 processes* -- a :class:`FluidFlow` carries a demand and a byte budget, a
 :class:`FluidSolver` computes max-min fair-share rates over every shared
-link with numpy, and bytes advance in coarse solver epochs (one simulator
-event per epoch, regardless of how many packets the flow "contains").
+link by progressive water-filling over groups of flows that share a path,
+and bytes advance in coarse solver epochs (one simulator event per epoch,
+regardless of how many packets the flow "contains").
 
 Packet fidelity is preserved exactly where the paper's phenomena live.  The
 :class:`HybridScheduler` *demotes* a fluid flow back to packet mode when
@@ -37,10 +38,9 @@ non-bulk scenarios exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.netem.simulator import PeriodicTask, Simulator
 
@@ -163,62 +163,113 @@ class FluidSolver:
     """Max-min fair-share rate allocation over shared links (water-filling)."""
 
     @staticmethod
-    def max_min_rates(
-        capacities: np.ndarray, membership: np.ndarray, demands: np.ndarray
-    ) -> np.ndarray:
-        """Solve the classic progressive-filling allocation.
+    def solve_groups(
+        capacities: Sequence[float],
+        groups: Iterable[Tuple[Sequence[int], Sequence[int]]],
+        demands: Sequence[float],
+    ) -> List[float]:
+        """Solve the classic progressive-filling allocation over path groups.
 
         Parameters
         ----------
         capacities:
-            ``(L,)`` link capacities in bits per second.
-        membership:
-            ``(L, F)`` boolean matrix; ``membership[l, f]`` is True when flow
-            ``f`` traverses link ``l``.
+            ``capacities[l]`` is link ``l``'s capacity in bits per second.
+        groups:
+            ``(link rows, flow indices)`` pairs: every flow of a group
+            traverses exactly those links.  The groups must cover each flow
+            exactly once (``ValueError`` otherwise).
         demands:
-            ``(F,)`` per-flow demand ceilings in bits per second.
+            ``demands[f]`` is flow ``f``'s demand ceiling in bits per second.
 
         All unfixed flows' rates rise together until a flow hits its demand
         (it is fixed there) or a link saturates (every flow crossing it is
-        fixed at the fair share).  Pure float arithmetic over a deterministic
+        fixed at the fair share).  Because every unfixed flow holds the same
+        rate ``r``, each round works per group, not per flow: a group's link
+        limit is its tightest link share and its headroom is its smallest
+        unfixed demand minus ``r`` (``fl(d - r)`` is monotone in ``d``, so
+        that equals the smallest per-flow headroom), and its members fix in
+        ascending-demand order.  Pure float arithmetic over a deterministic
         flow ordering, so replays are bit-identical.
         """
-        flows = demands.shape[0]
-        rates = np.zeros(flows)
-        if flows == 0:
-            return rates
-        fixed = np.zeros(flows, dtype=bool)
-        residual = capacities.astype(float).copy()
-        membership = membership.astype(bool)
-        # Flows crossing no registered link are only demand-limited.
-        for _ in range(flows + capacities.shape[0] + 1):
-            unfixed = ~fixed
-            if not unfixed.any():
+        flows = len(demands)
+        rates = [0.0] * flows
+        # Per live group: its distinct link rows, and its unfixed flows by
+        # descending demand (the next one to fix is last).
+        live = [
+            (tuple(dict.fromkeys(rows)), sorted(members, key=demands.__getitem__, reverse=True))
+            for rows, members in groups
+            if members
+        ]
+        placed = sorted(itertools.chain.from_iterable(pending for _, pending in live))
+        if placed != list(range(flows)):
+            raise ValueError(f"groups must cover each of the {flows} flows exactly once")
+        residual = [float(capacity) for capacity in capacities]
+        unfixed_on = [0] * len(residual)
+        for rows, pending in live:
+            for row in rows:
+                unfixed_on[row] += len(pending)
+        rate = 0.0
+        for _ in range(flows + len(residual) + 1):
+            if not live:
                 break
-            per_link_unfixed = membership[:, unfixed].sum(axis=1)
-            share = np.full(capacities.shape[0], np.inf)
-            loaded = per_link_unfixed > 0
-            share[loaded] = np.maximum(residual[loaded], 0.0) / per_link_unfixed[loaded]
-            # Per-flow ceiling on the *increment*: the tightest link share or
-            # the remaining demand headroom, whichever comes first.
-            # ``initial`` keeps the reduction defined when no link is
-            # registered at all (L=0): such flows are purely demand-limited.
-            link_limit = np.where(membership, share[:, None], np.inf).min(axis=0, initial=np.inf)
-            headroom = np.where(unfixed, demands - rates, np.inf)
-            increment = np.minimum(link_limit, headroom)
-            delta = increment[unfixed].min()
-            if not np.isfinite(delta):
+            share = [
+                max(left, 0.0) / count if count else math.inf
+                for left, count in zip(residual, unfixed_on)
+            ]
+            # The increment: the tightest link share or the smallest demand
+            # headroom, whichever comes first.  Flows crossing no link are
+            # only demand-limited.
+            delta = math.inf
+            for rows, pending in live:
+                delta = min(delta, demands[pending[-1]] - rate, *map(share.__getitem__, rows))
+            if not math.isfinite(delta):
                 # Unconstrained flows: cap at demand and finish.
-                rates[unfixed] = demands[unfixed]
-                break
+                for _, pending in live:
+                    for flow in pending:
+                        rates[flow] = demands[flow]
+                return rates
             delta = max(0.0, delta)
-            rates[unfixed] += delta
-            residual -= membership[:, unfixed].sum(axis=1) * delta
-            # Fix demand-satisfied flows and every flow on a saturated link.
-            saturated_links = loaded & (residual <= _RATE_EPS)
-            on_saturated = membership[saturated_links, :].any(axis=0)
-            fixed |= (rates >= demands - _RATE_EPS) | (unfixed & on_saturated)
+            rate += delta
+            residual = [left - count * delta for left, count in zip(residual, unfixed_on)]
+            # Fix every flow on a saturated link and the demand-satisfied ones.
+            saturated = {row for row, left in enumerate(residual) if left <= _RATE_EPS}
+            still_live = []
+            for rows, pending in live:
+                before = len(pending)
+                if saturated.isdisjoint(rows):
+                    while pending and rate >= demands[pending[-1]] - _RATE_EPS:
+                        rates[pending.pop()] = rate
+                else:
+                    for flow in pending:
+                        rates[flow] = rate
+                    pending.clear()
+                fixed_now = before - len(pending)
+                if fixed_now:
+                    for row in rows:
+                        unfixed_on[row] -= fixed_now
+                if pending:
+                    still_live.append((rows, pending))
+            live = still_live
+        for _, pending in live:
+            for flow in pending:
+                rates[flow] = rate
         return rates
+
+    @staticmethod
+    def max_min_rates(capacities, membership, demands) -> List[float]:
+        """:meth:`solve_groups` over a dense ``(L, F)`` membership matrix.
+
+        ``membership[l][f]`` is truthy when flow ``f`` traverses link ``l``;
+        columns with the same links become one group.
+        """
+        rows_of: List[List[int]] = [[] for _ in demands]
+        for row, on_link in enumerate(membership):
+            for flow in itertools.compress(range(len(rows_of)), on_link):
+                rows_of[flow].append(row)
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for flow, rows in enumerate(rows_of):
+            groups.setdefault(tuple(rows), []).append(flow)
+        return FluidSolver.solve_groups(capacities, groups.items(), [float(d) for d in demands])
 
 
 class HybridScheduler:
@@ -542,24 +593,20 @@ class HybridScheduler:
                     rows.append(row)
                 group = groups[flow.path] = (rows, [])
             group[1].append(f_index)
+        rates = FluidSolver.solve_groups(
+            [link.bandwidth_bps for link, _ in resources.values()],
+            groups.values(),
+            [flow.demand_bps for flow in fluid_flows],
+        )
+        # Push the new occupancy, flow by flow: each link's load is the sum
+        # of its flows' rates in ``self.flows`` order.
         loads = [0.0] * len(resources)
-        if fluid_flows:
-            capacities = np.array(
-                [link.bandwidth_bps for link, _ in resources.values()], dtype=float
-            )
-            membership = np.zeros((len(resources), len(fluid_flows)), dtype=bool)
-            for rows, members in groups.values():
-                membership[np.ix_(rows, members)] = True
-            demands = np.array([flow.demand_bps for flow in fluid_flows], dtype=float)
-            rates = FluidSolver.max_min_rates(capacities, membership, demands).tolist()
-            # Push the new occupancy, flow by flow: each link's load is the
-            # sum of its flows' rates in ``self.flows`` order.
-            for flow, rate in zip(fluid_flows, rates):
-                flow.allocated_bps = rate
-                if rate <= _RATE_EPS:
-                    continue
-                for row in groups[flow.path][0]:
-                    loads[row] += rate
+        for flow, rate in zip(fluid_flows, rates):
+            flow.allocated_bps = rate
+            if rate <= _RATE_EPS:
+                continue
+            for row in groups[flow.path][0]:
+                loads[row] += rate
         for (link, direction_key), load in zip(resources.values(), loads):
             link.set_fluid_load(direction_key, load)
         # Zero out links that fell out of the set.

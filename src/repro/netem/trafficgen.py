@@ -37,11 +37,10 @@ wireless :class:`~repro.wireless.client.MobileClient` in practice).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
-
-import numpy as np
 
 from repro.netem import packet as pkt
 from repro.netem.fluid import FluidFlow, HybridScheduler
@@ -49,6 +48,33 @@ from repro.netem.packet import Packet
 from repro.netem.simulator import Event, Simulator
 
 _generator_ids = itertools.count(1)
+
+
+def _numpy_seeded_rng(seed: int) -> random.Random:
+    """A stdlib Mersenne Twister in the state ``numpy.random.RandomState(seed)`` starts in.
+
+    Both are MT19937; numpy seeds a 32-bit integer through the reference
+    ``init_genrand`` recurrence (Python's ``seed()`` uses ``init_by_array``
+    instead), so the key is built here and installed with ``setstate``.
+    """
+    key = [seed]
+    for index in range(1, 624):
+        previous = key[-1]
+        key.append((1812433253 * (previous ^ previous >> 30) + index) & 0xFFFFFFFF)
+    rng = random.Random()
+    rng.setstate((3, (*key, 624), None))
+    return rng
+
+
+def _masked_below(rng: random.Random, span: int) -> int:
+    """A uniform integer in ``[0, span]``, ``span < 2**32``, by numpy's masked rejection."""
+    if span == 0:
+        return 0
+    mask = (1 << span.bit_length()) - 1
+    value = rng.getrandbits(32) & mask
+    while value > span:
+        value = rng.getrandbits(32) & mask
+    return value
 
 
 class TrafficEndpoint(Protocol):
@@ -269,6 +295,10 @@ class HTTPWorkloadGenerator(_GeneratorBase):
         seed: Optional[int] = None,
         name: str = "",
     ) -> None:
+        if mean_think_time_s <= 0:
+            raise ValueError(f"mean_think_time_s must be positive, got {mean_think_time_s}")
+        if not sites or not paths:
+            raise ValueError(f"sites and paths must be non-empty, got {sites!r} and {paths!r}")
         super().__init__(simulator, client, name=name)
         self.server_ip = server_ip
         self.sites = list(sites)
@@ -341,6 +371,10 @@ class DNSWorkloadGenerator(_GeneratorBase):
         seed: Optional[int] = None,
         name: str = "",
     ) -> None:
+        if query_interval_s <= 0:
+            raise ValueError(f"query_interval_s must be positive, got {query_interval_s}")
+        if not names:
+            raise ValueError("names must be non-empty")
         super().__init__(simulator, client, name=name)
         self.resolver_ip = resolver_ip
         self.names = list(names)
@@ -607,9 +641,9 @@ class QUICWorkloadGenerator(_GeneratorBase):
     than 5-tuple; a connection occasionally migrates to a fresh source port
     mid-life (NAT rebinding) while keeping its ID, so NAT/firewall NFs keyed
     on the 5-tuple see a brand-new flow while the application session -- and
-    any cache key -- is unchanged.  The generator is vectorized: the
-    per-burst gap/size/migration decisions are pre-drawn as numpy blocks and
-    each burst is emitted back-to-back inside a single simulator event.
+    any cache key -- is unchanged.  The per-burst gap/size/migration
+    decisions are pre-drawn in blocks of 64 (see :meth:`_draw`) and each
+    burst is emitted back-to-back inside a single simulator event.
     """
 
     _BLOCK = 64
@@ -628,7 +662,8 @@ class QUICWorkloadGenerator(_GeneratorBase):
         seed: Optional[int] = None,
         name: str = "",
     ) -> None:
-        super().__init__(simulator, client, name=name)
+        if not sites or not paths:
+            raise ValueError(f"sites and paths must be non-empty, got {sites!r} and {paths!r}")
         if mean_gap_s <= 0:
             raise ValueError(f"mean_gap_s must be positive, got {mean_gap_s}")
         if max_burst < 1:
@@ -641,6 +676,7 @@ class QUICWorkloadGenerator(_GeneratorBase):
             raise ValueError(
                 f"migrate_probability must be in [0, 1], got {migrate_probability}"
             )
+        super().__init__(simulator, client, name=name)
         self.server_ip = server_ip
         self.sites = list(sites)
         self.paths = list(paths)
@@ -659,30 +695,32 @@ class QUICWorkloadGenerator(_GeneratorBase):
         self._src_port = 0
         self._requests_on_connection = 0
         self._next_gap_s = 0.0
-        self._gaps: Optional[np.ndarray] = None
-        self._bursts: Optional[np.ndarray] = None
-        self._migrate_draws: Optional[np.ndarray] = None
+        self._gaps: List[float] = []
+        self._bursts: List[int] = []
+        self._migrate_draws: List[float] = []
         self._block_index = self._BLOCK
 
-    # ----------------------------------------------------------- vectorized
+    # --------------------------------------------------------------- draws
 
     def _draw(self) -> Tuple[float, int, float]:
-        """Next (gap, burst size, migration draw), refilling the numpy block."""
+        """Next (gap, burst size, migration draw), refilling the 64-draw block.
+
+        Each block comes from a fresh MT19937 seeded off ``self._rng`` and
+        draws exactly what ``numpy.random.RandomState(seed)`` would:
+        ``exponential(mean_gap_s, 64)``, ``randint(1, max_burst + 1, 64)``,
+        then ``random_sample(64)``.
+        """
         if self._block_index >= self._BLOCK:
-            block_rng = np.random.RandomState(self._rng.randrange(2**32))
-            self._gaps = block_rng.exponential(self.mean_gap_s, self._BLOCK)
-            self._bursts = block_rng.randint(1, self.max_burst + 1, self._BLOCK)
-            self._migrate_draws = block_rng.random_sample(self._BLOCK)
+            rng = _numpy_seeded_rng(self._rng.randrange(2**32))
+            self._gaps = [
+                self.mean_gap_s * -math.log(1.0 - rng.random()) for _ in range(self._BLOCK)
+            ]
+            self._bursts = [1 + _masked_below(rng, self.max_burst - 1) for _ in range(self._BLOCK)]
+            self._migrate_draws = [rng.random() for _ in range(self._BLOCK)]
             self._block_index = 0
         index = self._block_index
         self._block_index += 1
-        assert self._gaps is not None and self._bursts is not None
-        assert self._migrate_draws is not None
-        return (
-            float(self._gaps[index]),
-            int(self._bursts[index]),
-            float(self._migrate_draws[index]),
-        )
+        return self._gaps[index], self._bursts[index], self._migrate_draws[index]
 
     # -------------------------------------------------------------- ticking
 

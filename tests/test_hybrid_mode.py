@@ -73,7 +73,7 @@ def test_solver_flows_without_links_are_demand_limited():
 
 
 def test_solver_empty_flow_set():
-    assert _solve([90.0], np.zeros((1, 0)), np.zeros(0)).shape == (0,)
+    assert _solve([90.0], np.zeros((1, 0)), np.zeros(0)) == []
 
 
 def test_solver_is_deterministic():

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +20,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.seeds import derive_seed
 from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem.trafficgen import DNSWorkloadGenerator, HTTPWorkloadGenerator
-from repro.scenarios import MetricsDigest, build_scenario, canonicalize, run_scenario
+from repro.scenarios import (
+    MetricsDigest,
+    ScenarioRunner,
+    build_scenario,
+    canonicalize,
+    run_scenario,
+)
 from repro.wireless.mobility import RandomWaypointMobility
 
 # ---------------------------------------------------------------------------
@@ -246,3 +255,42 @@ def test_handover_jitter_is_seeded_not_global():
     random.seed(456)
     second = run_scenario("commuter-rush", seed=5)
     assert first.digest == second.digest
+
+
+# ---------------------------------------------------------------------------
+# numpy is not a runtime dependency
+# ---------------------------------------------------------------------------
+
+#: Replays that reach the two places numpy once served: QUIC draw blocks
+#: (cache-vs-backhaul's QUIC fleet starts at 5 s) and the fluid solver.
+_NUMPY_FREE_REPLAYS = (("cache-vs-backhaul", "packet"), ("bulk-backhaul", "hybrid"))
+_NUMPY_FREE_SECONDS = 8.0
+
+_NUMPY_FREE_SCRIPT = f"""
+import sys
+sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
+from repro.scenarios import ScenarioRunner, build_scenario
+for name, mode in {_NUMPY_FREE_REPLAYS!r}:
+    run = ScenarioRunner(build_scenario(name, 0)).start(simulation_mode=mode)
+    print(run.advance({_NUMPY_FREE_SECONDS!r}).finalize().digest.hexdigest)
+"""
+
+
+def test_scenarios_replay_identically_without_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    numpy_free = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_SCRIPT],
+        check=True,
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+    ).stdout.split()
+    in_process = [
+        ScenarioRunner(build_scenario(name, 0))
+        .start(simulation_mode=mode)
+        .advance(_NUMPY_FREE_SECONDS)
+        .finalize()
+        .digest.hexdigest
+        for name, mode in _NUMPY_FREE_REPLAYS
+    ]
+    assert numpy_free == in_process

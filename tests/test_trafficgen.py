@@ -402,6 +402,47 @@ def test_quic_validates_parameters(sim, client, kwargs):
         QUICWorkloadGenerator(sim, client, server_ip=SERVER, **kwargs)
 
 
+class TestConstructorRejectsConfigsThatFailMidRun:
+    """Configs that would crash or hang at the first send raise at construction."""
+
+    def test_http_zero_think_time(self, sim, client):
+        with pytest.raises(ValueError, match="mean_think_time_s"):
+            HTTPWorkloadGenerator(sim, client, server_ip=SERVER, mean_think_time_s=0)
+
+    def test_http_negative_think_time(self, sim, client):
+        with pytest.raises(ValueError, match="mean_think_time_s"):
+            HTTPWorkloadGenerator(sim, client, server_ip=SERVER, mean_think_time_s=-1)
+
+    def test_http_empty_sites(self, sim, client):
+        with pytest.raises(ValueError, match="sites and paths"):
+            HTTPWorkloadGenerator(sim, client, server_ip=SERVER, sites=())
+
+    def test_http_empty_paths(self, sim, client):
+        with pytest.raises(ValueError, match="sites and paths"):
+            HTTPWorkloadGenerator(sim, client, server_ip=SERVER, paths=[])
+
+    def test_dns_zero_query_interval(self, sim, client):
+        with pytest.raises(ValueError, match="query_interval_s"):
+            DNSWorkloadGenerator(sim, client, resolver_ip=SERVER, query_interval_s=0)
+
+    def test_dns_empty_names(self, sim, client):
+        with pytest.raises(ValueError, match="names"):
+            DNSWorkloadGenerator(sim, client, resolver_ip=SERVER, names=())
+
+    def test_quic_empty_sites(self, sim, client):
+        with pytest.raises(ValueError, match="sites and paths"):
+            QUICWorkloadGenerator(sim, client, server_ip=SERVER, sites=[])
+
+    def test_quic_empty_paths(self, sim, client):
+        with pytest.raises(ValueError, match="sites and paths"):
+            QUICWorkloadGenerator(sim, client, server_ip=SERVER, paths=())
+
+    def test_a_rejected_generator_leaves_no_listener(self, sim, client):
+        with pytest.raises(ValueError):
+            HTTPWorkloadGenerator(sim, client, server_ip=SERVER, sites=())
+        assert client._listeners == []
+
+
 # --------------------------------------------------------------------------
 # ABR: ladder pricing, adaptation hysteresis, looping playlists
 # --------------------------------------------------------------------------
