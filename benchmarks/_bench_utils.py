@@ -25,7 +25,7 @@ def configure_json_dir(path: Optional[str]) -> None:
 def _write_json(result: ExperimentResult) -> str:
     assert _JSON_DIR is not None
     os.makedirs(_JSON_DIR, exist_ok=True)
-    path = os.path.join(_JSON_DIR, f"BENCH_{result.experiment_id.upper()}.json")
+    path = os.path.join(_JSON_DIR, f"{result.experiment_id.lower()}.json")
     payload = {
         "experiment_id": result.experiment_id,
         "title": result.title,
@@ -45,7 +45,7 @@ def record_result(result: ExperimentResult) -> ExperimentResult:
     """Print a paper-style result table and persist it under results/.
 
     When a JSON directory is configured (``pytest benchmarks --json <dir>``)
-    the same result is also mirrored as ``BENCH_<ID>.json`` so CI jobs and
+    the same result is also mirrored as ``<id>.json`` so CI jobs and
     plotting scripts can consume it without parsing markdown.
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)

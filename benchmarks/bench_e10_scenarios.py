@@ -1,7 +1,7 @@
 """E10 -- Scenario engine throughput and reproducibility (shard matrix).
 
-Runs **every** canned scenario once per control-plane shard count (CLI:
-``--e10-shards``, default ``1,4``), checks that each run drains cleanly and
+Runs **every** canned scenario once per control-plane shard count
+(``SHARD_COUNTS``), checks that each run drains cleanly and
 that every shard count replays to the **identical** ``MetricsDigest`` -- the
 sharded control plane must be an implementation detail, invisible to the
 telemetry fingerprint -- and reports the simulation rate the engine
@@ -13,33 +13,21 @@ from __future__ import annotations
 
 import time
 
-import pytest
 from _bench_utils import run_once
 
 from repro.analysis.report import ExperimentResult
 from repro.scenarios import run_scenario, scenario_names
 
 SEED = 0
+SHARD_COUNTS = (1, 4)
 
 
-@pytest.fixture
-def e10_shard_counts(request):
-    raw = request.config.getoption("--e10-shards")
-    counts = [int(part) for part in str(raw).split(",") if part.strip()]
-    if len(counts) < 2:
-        # A single shard count would leave nothing to compare; repeat it so
-        # every scenario still replays twice and the digest check stays a
-        # real determinism gate (the pre-shard-matrix behaviour).
-        counts = (counts or [1]) * 2
-    return counts
-
-
-def _run_matrix(shard_counts):
+def _run_matrix():
     rows = []
     for name in scenario_names():
         results = []
         elapsed_first = 0.0
-        for shard_count in shard_counts:
+        for shard_count in SHARD_COUNTS:
             started = time.perf_counter()
             result = run_scenario(name, seed=SEED, shard_count=shard_count)
             if not results:
@@ -67,13 +55,13 @@ def _run_matrix(shard_counts):
     return rows
 
 
-def test_e10_scenario_matrix(benchmark, record_experiment, e10_shard_counts):
-    rows = run_once(benchmark, lambda: _run_matrix(e10_shard_counts))
+def test_e10_scenario_matrix(benchmark, record_experiment):
+    rows = run_once(benchmark, _run_matrix)
     result = ExperimentResult(
         experiment_id="E10",
         title=(
             "Declarative scenarios -- replay determinism across shard counts "
-            f"{e10_shard_counts} and simulation rate"
+            f"{list(SHARD_COUNTS)} and simulation rate"
         ),
         headers=[
             "scenario", "events", "sim time (s)", "wall (s)", "sim/wall x",
@@ -105,29 +93,43 @@ def test_e10_scenario_matrix(benchmark, record_experiment, e10_shard_counts):
     assert by_name["chaos-soak"]["faults"] >= 5
 
 
-#: Scenarios whose placement decisions legitimately differ by strategy:
-#: hotspot-stadium saturates a station (that divergence is benchmark E11's
-#: subject) and autoscale-daily-wave runs the autoscaler, whose replica and
-#: rebalance targets depend on where placement put the wave chains.
-_STRATEGY_VARIANT = {"hotspot-stadium", "autoscale-daily-wave"}
+#: Scenarios whose placement decisions legitimately differ by strategy,
+#: with the reason; each must differ under every compared strategy, so a
+#: stale entry fails just as a missing one does.
+_STRATEGY_VARIANT = {
+    "hotspot-stadium": "saturates a station (that divergence is benchmark E11's subject)",
+    "autoscale-daily-wave": (
+        "runs the autoscaler, whose replica and rebalance targets depend on "
+        "where placement put the wave chains"
+    ),
+    "slo-tight-embedding": (
+        "pins the embedding strategy in its own topology, so any override "
+        "swaps the placement algorithm itself; it also saturates by design "
+        "(no station can host a whole crowd chain)"
+    ),
+}
+_COMPARED_STRATEGIES = ("least-loaded", "bin-packing")
 
 
 def test_e10_placement_strategy_digest_invariance(benchmark):
     """The load-aware strategies prefer the client's station until it is
-    loaded, so on the unsaturated canned library (autoscaling off) every
-    strategy must replay to the identical digest as the default."""
+    loaded, so on the unsaturated canned library (autoscaling off, default
+    strategy) every strategy must replay to the identical digest as the
+    default -- and every exempted scenario must in fact replay differently."""
 
     def run_matrix():
         failures = []
         for name in scenario_names():
-            if name in _STRATEGY_VARIANT:
-                continue
             base = run_scenario(name, seed=SEED)
-            for strategy in ("least-loaded", "bin-packing"):
+            for strategy in _COMPARED_STRATEGIES:
                 other = run_scenario(name, seed=SEED, placement_strategy=strategy)
-                if other.digest != base.digest:
+                if name in _STRATEGY_VARIANT:
+                    if other.digest == base.digest:
+                        failures.append((name, strategy, "exempt but strategy-invariant"))
+                elif other.digest != base.digest:
                     failures.append((name, strategy, base.digest.diff(other.digest)))
         return failures
 
     failures = run_once(benchmark, run_matrix)
     assert not failures, failures
+    assert set(_STRATEGY_VARIANT) <= set(scenario_names())

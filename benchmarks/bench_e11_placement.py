@@ -10,17 +10,12 @@ lightly loaded neighbours.
 
 Reported per strategy: chains admitted (reached ACTIVE), chains failed,
 attach->active latency (mean / p95), off-station placements and distinct
-host stations.  Asserts that least-loaded and bin-packing sustain at least
-``E11_MIN_RATIO`` (default 1.5) times the admitted-chain count of
-closest-agent.  ``--e11-crowd N`` shrinks the crowd for smoke runs (CI uses
-a tiny fleet with ``E11_MIN_RATIO=1.0`` so the bench cannot rot).
+host stations.  Asserts that least-loaded and bin-packing sustain at
+least ``MIN_RATIO`` (1.5) times the admitted-chain count of closest-agent.
 """
 
 from __future__ import annotations
 
-import os
-
-import pytest
 from _bench_utils import run_once
 
 from repro.analysis.report import ExperimentResult
@@ -29,12 +24,7 @@ from repro.scenarios import ScenarioRunner, build_scenario
 
 SEED = 0
 STRATEGIES = ("closest-agent", "least-loaded", "latency-weighted", "bin-packing")
-MIN_RATIO = float(os.environ.get("E11_MIN_RATIO", "1.5"))
-
-
-@pytest.fixture
-def e11_crowd(request):
-    return int(request.config.getoption("--e11-crowd"))
+MIN_RATIO = 1.5
 
 
 def _percentile(samples, fraction):
@@ -45,11 +35,10 @@ def _percentile(samples, fraction):
     return ordered[index]
 
 
-def _run_strategy(strategy: str, crowd: int):
-    spec = build_scenario("hotspot-stadium", SEED)
-    if crowd:
-        spec.fleet("crowd").count = crowd
-    result = ScenarioRunner(spec).run(placement_strategy=strategy)
+def _run_strategy(strategy: str):
+    result = ScenarioRunner(build_scenario("hotspot-stadium", SEED)).run(
+        placement_strategy=strategy
+    )
     assignments = list(result.testbed.manager.assignments.values())
     active = [a for a in assignments if a.state is AssignmentState.ACTIVE]
     failed = [a for a in assignments if a.state is AssignmentState.FAILED]
@@ -67,8 +56,8 @@ def _run_strategy(strategy: str, crowd: int):
     }
 
 
-def test_e11_placement_strategies_under_flash_crowd(benchmark, record_experiment, e11_crowd):
-    rows = run_once(benchmark, lambda: [_run_strategy(s, e11_crowd) for s in STRATEGIES])
+def test_e11_placement_strategies_under_flash_crowd(benchmark, record_experiment):
+    rows = run_once(benchmark, lambda: [_run_strategy(s) for s in STRATEGIES])
     result = ExperimentResult(
         experiment_id="E11",
         title="Placement strategies under flash-crowd load (hotspot-stadium)",

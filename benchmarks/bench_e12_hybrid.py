@@ -1,24 +1,24 @@
-"""E12 -- Hybrid fluid/packet simulation core: bulk-transfer speedup.
+"""E12 -- Hybrid fluid/packet simulation core: bulk-transfer event collapse.
 
 The hybrid core (``src/repro/netem/fluid.py``) moves long-lived bulk flows
 as fluid rate processes -- one solver epoch per 0.25 s instead of
 one event chain per packet -- while keeping packet-level fidelity islands at
 chained NFs, migrating stations and fault windows.  This benchmark runs the
 *same* large bulk-transfer scenario under ``--sim-mode packet`` and
-``--sim-mode hybrid`` and reports the sim-time/wall-time ratio headline for
-both, asserting the hybrid engine is at least ``E12_MIN_SPEEDUP`` (default
-3x; CI smoke relaxes it) faster in wall-clock terms.
+``--sim-mode hybrid`` and asserts what the hybrid engine changes in
+simulated work: every flow finishes within ``DURATION_S`` in both legs, so
+both move exactly the same bytes, and packet mode takes at least
+``MIN_EVENT_RATIO`` times the simulator events.  Wall time, sim/wall and
+events/s are reported columns only.
 
-Fleet size and simulated duration scale via ``--e12-clients`` /
-``--e12-duration`` (defaults: 10,000 clients for the full headline run;
-CI smoke passes a tiny fleet).  Byte accounting must be exact in both
-modes: every fluid byte and every packet byte is accounted per flow, and
-their sum equals each flow's transfer size.
+The fleet size is set with ``--e12-clients`` (default 10,000, the headline
+run; CI smoke passes 40).  Byte accounting must be exact in hybrid mode:
+every fluid byte and every packet byte is accounted per flow, and their sum
+equals each flow's transfer size.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
@@ -28,21 +28,26 @@ from repro.analysis.report import ExperimentResult
 from repro.scenarios import ScenarioRunner, ScenarioSpec
 from repro.scenarios.spec import ClientFleetSpec, TopologySpec, WorkloadSpec
 
-DEFAULT_CLIENTS = 10_000
-DEFAULT_DURATION_S = 60.0
+MIN_EVENT_RATIO = 10
 STATIONS = 8
 BYTES_PER_CLIENT = 1_000_000.0
 RATE_BPS = 800e3
 CHUNK_BYTES = 4000
+WORKLOAD_START_S = 6.0
+# The byte-equality fact needs every flow finished: the last transfer starts
+# at WORKLOAD_START_S and moves BYTES_PER_CLIENT at RATE_BPS (10 s), so it
+# ends by ~16 s.  Mid-transfer the engines count bytes differently (4000-byte
+# chunks vs rate x time).
+DURATION_S = 30.0
 
 
-def _bulk_spec(clients: int, duration_s: float) -> ScenarioSpec:
+def _bulk_spec(clients: int) -> ScenarioSpec:
     """A pure bulk-transfer storm: ``clients`` uploaders spread over 8 stations.
 
     The deployment is a fiber-backhauled metro testbed (10 Gb/s uplinks, the
     default 10 Gb/s core), sized so the aggregate demand stays *below* every
     link capacity: packet mode then runs uncongested and both engines move
-    the identical byte totals, which keeps the wall-clock comparison honest.
+    the identical byte totals.
     Scan/heartbeat intervals are stretched so the control plane does not
     dominate either engine -- the measurement targets the dataplane.
     Workloads start after the first handover scan (``scan_interval_s``) so
@@ -67,7 +72,7 @@ def _bulk_spec(clients: int, duration_s: float) -> ScenarioSpec:
                 workloads=[
                     WorkloadSpec(
                         kind="bulk",
-                        start_s=6.0,
+                        start_s=WORKLOAD_START_S,
                         params={
                             "total_bytes": BYTES_PER_CLIENT,
                             "rate_bps": RATE_BPS,
@@ -81,7 +86,7 @@ def _bulk_spec(clients: int, duration_s: float) -> ScenarioSpec:
         name="e12-bulk-storm",
         description="E12 bulk-transfer storm for the hybrid-core speedup headline",
         seed=0,
-        duration_s=duration_s,
+        duration_s=DURATION_S,
         topology=TopologySpec(
             station_count=STATIONS,
             station_spacing_m=spacing,
@@ -116,22 +121,15 @@ def _run_mode(spec: ScenarioSpec, mode: str):
 
 
 @pytest.fixture
-def e12_shape(request):
-    clients = int(request.config.getoption("--e12-clients")) or DEFAULT_CLIENTS
-    duration = float(request.config.getoption("--e12-duration")) or DEFAULT_DURATION_S
-    return clients, duration
+def e12_clients(request):
+    return request.config.getoption("--e12-clients")
 
 
-def test_e12_hybrid_core_speedup(benchmark, record_experiment, e12_shape):
-    """Hybrid engine must beat packet mode by >= E12_MIN_SPEEDUP wall-clock.
-
-    ``E12_MIN_SPEEDUP`` relaxes the floor for tiny smoke fleets (CI sets
-    1.0); the full 10k-client run targets >= 10x.  The byte-conservation
-    assertions are exact and never relaxed.
-    """
-    min_speedup = float(os.environ.get("E12_MIN_SPEEDUP", "3.0"))
-    clients, duration_s = e12_shape
-    spec = _bulk_spec(clients, duration_s)
+def test_e12_hybrid_core_speedup(benchmark, record_experiment, e12_clients):
+    """Hybrid mode moves the packet leg's exact bytes in a tenth of its
+    simulator events (or fewer); the wall-clock speedup is reported."""
+    clients = e12_clients
+    spec = _bulk_spec(clients)
 
     def run_both():
         packet = _run_mode(spec, "packet")
@@ -143,7 +141,7 @@ def test_e12_hybrid_core_speedup(benchmark, record_experiment, e12_shape):
 
     result = ExperimentResult(
         experiment_id="E12",
-        title=f"Hybrid fluid core vs packet engine ({clients} bulk clients, {duration_s:.0f}s sim)",
+        title=f"Hybrid fluid core vs packet engine ({clients} bulk clients, {DURATION_S:.0f}s sim)",
         headers=[
             "engine", "events", "sim time (s)", "wall (s)", "sim/wall x",
             "events/s", "bytes moved",
@@ -153,7 +151,7 @@ def test_e12_hybrid_core_speedup(benchmark, record_experiment, e12_shape):
             "speed without giving up packet fidelity where NFs act"
         ),
         notes=(
-            f"hybrid wall-clock speedup {speedup:.2f}x over packet mode; "
+            f"hybrid wall-clock speedup {speedup:.2f}x over packet mode (reported); "
             f"fluid bytes {hybrid['fluid'].get('bytes_fluid', 0.0):,.0f}, "
             f"packet-island bytes {hybrid['fluid'].get('bytes_packet', 0.0):,.0f}"
         ),
@@ -174,13 +172,22 @@ def test_e12_hybrid_core_speedup(benchmark, record_experiment, e12_shape):
         assert stats["bytes_fluid"] + stats["bytes_packet"] == pytest.approx(
             stats["bytes_moved"], rel=1e-9
         ), f"{name}: fluid/packet byte split does not add up"
+    # Same workload, same bytes: every flow finished its transfer in both
+    # engines, which differ in how they move bytes, not in what is moved.
+    for run in (packet, hybrid):
+        short = {
+            name: stats["bytes_moved"]
+            for name, stats in run["stats"].items()
+            if stats["bytes_moved"] != BYTES_PER_CLIENT
+        }
+        assert not short, f"{run['mode']}: flows unfinished by {DURATION_S} s: {short}"
+    assert hybrid["bytes_moved"] == packet["bytes_moved"] == clients * BYTES_PER_CLIENT, (
+        packet["bytes_moved"], hybrid["bytes_moved"]
+    )
+    # Hybrid mode collapses per-packet event chains into solver epochs.
+    assert packet["events"] >= MIN_EVENT_RATIO * hybrid["events"], (
+        packet["events"], hybrid["events"]
+    )
     # The fluid engine carried the bulk of the bytes (no islands here).
     fluid_bytes = hybrid["fluid"].get("bytes_fluid", 0.0)
     assert fluid_bytes > 0.0
-    assert hybrid["events"] < packet["events"], (
-        "hybrid mode must collapse per-packet event chains into solver epochs"
-    )
-    assert speedup >= min_speedup, (
-        f"hybrid speedup {speedup:.2f}x below the {min_speedup}x floor "
-        f"(packet {packet['wall_s']:.2f}s vs hybrid {hybrid['wall_s']:.2f}s)"
-    )

@@ -12,17 +12,12 @@ before admitting.
 Reported per (offered load, strategy): chains attached, admitted (reached
 ACTIVE), admitted *within SLO* (detour latency audited post-hoc against the
 chain's declared budget), split placements, SLO rejections.  Asserts that at
-the saturating load embedding admits at least ``E13_MIN_RATIO`` (default
-1.3) times as many within-SLO chains as least-loaded.  ``--e13-loads`` and
-``--e13-stations`` shrink the sweep for smoke runs (CI uses a tiny fleet
-with ``E13_MIN_RATIO=1.0`` so the bench cannot rot).
+the saturating load embedding admits at least ``MIN_RATIO`` (1.3) times as
+many within-SLO chains as least-loaded.
 """
 
 from __future__ import annotations
 
-import os
-
-import pytest
 from _bench_utils import run_once
 
 from repro.analysis.report import ExperimentResult
@@ -37,7 +32,9 @@ from repro.scenarios.spec import (
 
 SEED = 0
 STRATEGIES = ("least-loaded", "embedding")
-MIN_RATIO = float(os.environ.get("E13_MIN_RATIO", "1.3"))
+MIN_RATIO = 1.3
+LOADS = (4, 10, 18)
+STATIONS = 10
 
 #: The crowd chain: five NFs of 9 MB each.  One chain fits a station whole,
 #: and the leftover scraps hold a few more NFs -- but only for a placement
@@ -53,17 +50,7 @@ SLO_MAX_LATENCY_S = 0.25
 SLO_MIN_BANDWIDTH_MBPS = 1.0
 
 
-@pytest.fixture
-def e13_loads(request):
-    return [int(x) for x in str(request.config.getoption("--e13-loads")).split(",") if x]
-
-
-@pytest.fixture
-def e13_stations(request):
-    return int(request.config.getoption("--e13-stations"))
-
-
-def _spec(crowd: int, stations: int) -> ScenarioSpec:
+def _spec(crowd: int) -> ScenarioSpec:
     return ScenarioSpec(
         name="e13-embedding",
         description="offered-load point for the E13 embedding comparison",
@@ -74,7 +61,7 @@ def _spec(crowd: int, stations: int) -> ScenarioSpec:
         # halfway, so the comparison measures placement quality, not
         # interleaved-boot crashes.
         topology=TopologySpec(
-            station_count=stations,
+            station_count=STATIONS,
             station_spacing_m=80.0,
             admission_control=True,
         ),
@@ -128,8 +115,8 @@ def _within_slo(result, assignment) -> bool:
     return detour <= SLO_MAX_LATENCY_S
 
 
-def _run_point(strategy: str, crowd: int, stations: int):
-    result = ScenarioRunner(_spec(crowd, stations)).run(placement_strategy=strategy)
+def _run_point(strategy: str, crowd: int):
+    result = ScenarioRunner(_spec(crowd)).run(placement_strategy=strategy)
     assignments = list(result.testbed.manager.assignments.values())
     active = [a for a in assignments if a.state is AssignmentState.ACTIVE]
     within = [a for a in active if _within_slo(result, a)]
@@ -148,16 +135,10 @@ def _run_point(strategy: str, crowd: int, stations: int):
     }
 
 
-def test_e13_embedding_slo_satisfaction_vs_load(
-    benchmark, record_experiment, e13_loads, e13_stations
-):
+def test_e13_embedding_slo_satisfaction_vs_load(benchmark, record_experiment):
     rows = run_once(
         benchmark,
-        lambda: [
-            _run_point(strategy, crowd, e13_stations)
-            for crowd in e13_loads
-            for strategy in STRATEGIES
-        ],
+        lambda: [_run_point(strategy, crowd) for crowd in LOADS for strategy in STRATEGIES],
     )
     result = ExperimentResult(
         experiment_id="E13",
@@ -187,12 +168,12 @@ def test_e13_embedding_slo_satisfaction_vs_load(
     for row in rows:
         assert row["drained"], f"{row['strategy']}@{row['offered']} left live events"
     by_point = {(row["offered"], row["strategy"]): row for row in rows}
-    for crowd in e13_loads:
+    for crowd in LOADS:
         embedding = by_point[(crowd, "embedding")]
         baseline = by_point[(crowd, "least-loaded")]
         # Embedding must never do worse than whole-chain placement.
         assert embedding["within_slo"] >= baseline["within_slo"], (crowd, embedding, baseline)
-    saturated = max(e13_loads)
+    saturated = max(LOADS)
     embedding = by_point[(saturated, "embedding")]
     baseline = by_point[(saturated, "least-loaded")]
     assert baseline["within_slo"] > 0

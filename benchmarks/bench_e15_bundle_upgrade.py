@@ -17,7 +17,6 @@ instance priced against its own slice's objectives.
 
 from __future__ import annotations
 
-import pytest
 from _bench_utils import run_once
 
 from repro.analysis.report import ExperimentResult
@@ -26,16 +25,13 @@ from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem.trafficgen import CBRTrafficGenerator
 from repro.scenarios import run_scenario
 
-
-@pytest.fixture
-def e15_options(request):
-    return {
-        "flows": request.config.getoption("--e15-flows"),
-        "load_duration": request.config.getoption("--e15-load-duration"),
-    }
+#: Concurrent CBR flows growing the SMF session table, and the simulated
+#: seconds of load before the upgrade fires.
+FLOWS = 24
+LOAD_DURATION_S = 20.0
 
 
-def _upgrade_run(mode: str, loaded: bool, flows: int, load_duration: float):
+def _upgrade_run(mode: str, loaded: bool):
     """Roll one loaded (or idle) mobile-core instance v1 -> v2 and measure."""
     testbed = GNFTestbed(TestbedConfig(station_count=1, seed=15))
     phone = testbed.add_client("phone", position=(0.0, 0.0))
@@ -50,7 +46,7 @@ def _upgrade_run(mode: str, loaded: bool, flows: int, load_duration: float):
     if loaded:
         # Distinct src ports = distinct PDU sessions: the SMF table (and so
         # the state the upgrade must move) grows with offered load.
-        for index in range(flows):
+        for index in range(FLOWS):
             generator = CBRTrafficGenerator(
                 testbed.simulator,
                 phone,
@@ -61,7 +57,7 @@ def _upgrade_run(mode: str, loaded: bool, flows: int, load_duration: float):
             )
             generator.start()
             generators.append(generator)
-    testbed.run(load_duration)
+    testbed.run(LOAD_DURATION_S)
     testbed.upgrades.register_instance(
         assignment.assignment_id, "mobile-core", 1, "embb", phone.ip, fleet="bench"
     )
@@ -81,14 +77,12 @@ def _upgrade_run(mode: str, loaded: bool, flows: int, load_duration: float):
     return record, per_nf_mb, census
 
 
-def _run_experiment(options):
+def _run_experiment():
     rows = []
     measured = {}
     for loaded in (False, True):
         for mode in ("precopy", "stateful"):
-            record, per_nf_mb, census = _upgrade_run(
-                mode, loaded, options["flows"], options["load_duration"]
-            )
+            record, per_nf_mb, census = _upgrade_run(mode, loaded)
             load = "loaded" if loaded else "idle"
             measured[(mode, load)] = (record, per_nf_mb, census)
             rows.append(
@@ -148,8 +142,8 @@ def _run_experiment(options):
     return rows, measured, by_slice
 
 
-def test_e15_bundle_rolling_upgrade(benchmark, record_experiment, e15_options):
-    rows, measured, by_slice = run_once(benchmark, lambda: _run_experiment(e15_options))
+def test_e15_bundle_rolling_upgrade(benchmark, record_experiment):
+    rows, measured, by_slice = run_once(benchmark, _run_experiment)
     result = ExperimentResult(
         experiment_id="E15",
         title="Bundle rolling upgrades: downtime per mode/NF + slice admission",

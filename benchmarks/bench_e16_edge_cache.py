@@ -9,7 +9,7 @@ merely records them while forwarding everything upstream
 (``placement="core"``).  The saving is measured *physically*, as the gap
 between the two stations' uplink byte counters, and cross-checked against
 the cache's own ``backhaul_bytes_saved`` ledger.  The run must clear a
-relative-savings floor (``E16_MIN_SAVINGS`` env var, default 0.30).
+relative-savings floor (``MIN_SAVINGS``, 0.30).
 
 The second leg prices the new vectorized generators: simulator events per
 emitted request for the QUIC burst generator (which pre-draws its gaps and
@@ -19,9 +19,6 @@ fetcher (one event per segment by design).
 
 from __future__ import annotations
 
-import os
-
-import pytest
 from _bench_utils import run_once
 
 from repro.analysis.report import ExperimentResult
@@ -29,15 +26,10 @@ from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem.trafficgen import ABRVideoGenerator, QUICWorkloadGenerator
 from repro.scenarios import run_scenario
 
-MIN_SAVINGS = float(os.environ.get("E16_MIN_SAVINGS", "0.30"))
-
-
-@pytest.fixture
-def e16_options(request):
-    return {
-        "seed": request.config.getoption("--e16-seed"),
-        "gen_duration": request.config.getoption("--e16-gen-duration"),
-    }
+MIN_SAVINGS = 0.30
+SEED = 0
+#: Simulated seconds of the generator events-per-request leg.
+GEN_DURATION_S = 30.0
 
 
 def _cache_nfs(testbed):
@@ -117,8 +109,8 @@ def _generator_run(duration_s: float):
     return measured
 
 
-def _run_experiment(options):
-    uplink_bytes, ledgers, digest = _placement_run(options["seed"])
+def _run_experiment():
+    uplink_bytes, ledgers, digest = _placement_run(SEED)
     rows = []
     by_placement = {entry["placement"]: (name, entry) for name, entry in ledgers.items()}
     edge_station, edge = by_placement["edge"]
@@ -147,7 +139,7 @@ def _run_experiment(options):
             f"{100.0 * savings:.1f}% backhaul bytes saved (floor {100.0 * MIN_SAVINGS:.0f}%)",
         ]
     )
-    generator_cost = _generator_run(options["gen_duration"])
+    generator_cost = _generator_run(GEN_DURATION_S)
     for kind, entry in sorted(generator_cost.items()):
         rows.append(
             [
@@ -166,10 +158,8 @@ def _run_experiment(options):
     return rows, savings, edge, core, generator_cost
 
 
-def test_e16_edge_cache_backhaul(benchmark, record_experiment, e16_options):
-    rows, savings, edge, core, generator_cost = run_once(
-        benchmark, lambda: _run_experiment(e16_options)
-    )
+def test_e16_edge_cache_backhaul(benchmark, record_experiment):
+    rows, savings, edge, core, generator_cost = run_once(benchmark, _run_experiment)
     result = ExperimentResult(
         experiment_id="E16",
         title="Edge cache placement: backhaul bytes saved + generator cost",

@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Each benchmark module reproduces one experiment from DESIGN.md (E1..E9),
-prints the paper-style result table and writes it to
-``benchmarks/results/<experiment>.md`` so the numbers reported in
-EXPERIMENTS.md can be regenerated at any time.
+Each benchmark module reproduces one experiment of the catalogue in
+docs/BENCHMARKS.md (E1..E16), prints the paper-style result table and
+writes it to ``benchmarks/results/<experiment>.md`` so every reported
+number can be regenerated at any time.
 """
 
 from __future__ import annotations
@@ -13,141 +13,29 @@ import sys
 
 import pytest
 
-# Make _bench_utils importable regardless of how pytest inserts paths.
+# Make _bench_utils (and tools/heartbeat_waves) importable regardless of
+# how pytest inserts paths.
 sys.path.insert(0, os.path.dirname(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 
 from _bench_utils import configure_json_dir, record_result  # noqa: E402
 
 
 def pytest_addoption(parser):
-    """CLI knobs for the parameterised experiments (benchmark E7/E10/E12)."""
+    """The result mirror, and E12's fleet size (a 10k-client headline run
+    locally, a 40-client smoke in CI)."""
     group = parser.getgroup("gnf-benchmarks")
     group.addoption(
         "--json",
         default=None,
         metavar="DIR",
-        help="Also mirror every ExperimentResult as BENCH_<ID>.json under DIR",
-    )
-    group.addoption(
-        "--e7-stations",
-        default="2,4,8",
-        help="Comma-separated station counts for the E7 scale sweep (default: 2,4,8)",
-    )
-    group.addoption(
-        "--e7-clients-per-station",
-        type=int,
-        default=2,
-        help="Clients per station in the E7 scale sweep (default: 2)",
-    )
-    group.addoption(
-        "--e7-shards",
-        default="1,8",
-        help="Comma-separated shard counts for the E7 sweeps (default: 1,8)",
-    )
-    group.addoption(
-        "--e7-hb-stations",
-        type=int,
-        default=512,
-        help="Station count for the E7 heartbeat-throughput comparison (default: 512)",
-    )
-    group.addoption(
-        "--e10-shards",
-        default="1,4",
-        help="Comma-separated shard counts for the E10 determinism matrix (default: 1,4)",
-    )
-    group.addoption(
-        "--e11-crowd",
-        type=int,
-        default=0,
-        help="Crowd size for the E11 placement bench (0 = the scenario's canonical 20)",
-    )
-    group.addoption(
-        "--e13-loads",
-        default="4,10,18",
-        help="Comma-separated crowd sizes for the E13 embedding sweep (default: 4,10,18)",
-    )
-    group.addoption(
-        "--e13-stations",
-        type=int,
-        default=10,
-        help="Station count for the E13 embedding sweep (default: 10)",
-    )
-    group.addoption(
-        "--e14-clients",
-        type=int,
-        default=1_000_000,
-        help="Simulated client population for the E14 federation bench (default: 1000000)",
-    )
-    group.addoption(
-        "--e14-stations",
-        type=int,
-        default=128,
-        help="Station count for the E14 read-path and heartbeat sweeps (default: 128)",
-    )
-    group.addoption(
-        "--e14-reads",
-        type=int,
-        default=20,
-        help="Overview reads timed per mode in the E14 read-path comparison (default: 20)",
-    )
-    group.addoption(
-        "--e14-rounds",
-        type=int,
-        default=40,
-        help="Network-wide heartbeat waves per config in the E14 throughput sweep (default: 40)",
-    )
-    group.addoption(
-        "--e14-regions",
-        default="1,2,4",
-        help="Comma-separated region counts for the E14 heartbeat sweep (default: 1,2,4)",
-    )
-    group.addoption(
-        "--e14-hybrid-stations",
-        type=int,
-        default=32,
-        help="Station count for the E14 hybrid-mode federated testbed leg (default: 32)",
-    )
-    group.addoption(
-        "--e14-hybrid-duration",
-        type=float,
-        default=20.0,
-        help="Simulated duration (s) for the E14 hybrid-mode leg (default: 20)",
-    )
-    group.addoption(
-        "--e15-flows",
-        type=int,
-        default=24,
-        help="Concurrent CBR flows growing the SMF session table in E15 (default: 24)",
-    )
-    group.addoption(
-        "--e15-load-duration",
-        type=float,
-        default=20.0,
-        help="Simulated seconds of load before the E15 upgrade fires (default: 20)",
-    )
-    group.addoption(
-        "--e16-seed",
-        type=int,
-        default=0,
-        help="Master seed for the E16 cache-placement ablation runs (default: 0)",
-    )
-    group.addoption(
-        "--e16-gen-duration",
-        type=float,
-        default=30.0,
-        help="Simulated seconds for the E16 generator events/flow leg (default: 30)",
+        help="Also mirror every ExperimentResult as <id>.json under DIR",
     )
     group.addoption(
         "--e12-clients",
         type=int,
-        default=0,
-        help="Bulk-client count for the E12 hybrid-core bench (0 = the default 10000)",
-    )
-    group.addoption(
-        "--e12-duration",
-        type=float,
-        default=0.0,
-        help="Simulated duration (s) for the E12 hybrid-core bench (0 = the default 120)",
+        default=10_000,
+        help="Bulk-client count for the E12 hybrid-core bench (default: 10000)",
     )
 
 

@@ -61,6 +61,22 @@ def test_bench_catalogue_detects_drift(tmp_path, monkeypatch):
     assert len(problems) == 2  # uncatalogued module + stale citation
 
 
+def test_benchmark_knobs_match_the_bench_modules():
+    assert docs_check.check_bench_knobs() == []
+
+
+def test_benchmark_knobs_detect_drift(tmp_path, monkeypatch):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "conftest.py").write_text(
+        'addoption("--e12-clients")\nos.environ.get("E12_MIN_SPEEDUP")\n'
+    )
+    (tmp_path / "docs" / "BENCHMARKS.md").write_text("`--e12-clients`, `--e7-stations`\n")
+    monkeypatch.setattr(docs_check, "REPO_ROOT", str(tmp_path))
+    problems = docs_check.check_bench_knobs()
+    assert len(problems) == 2  # stale --e7-stations + undocumented E12_MIN_SPEEDUP
+
+
 def test_readme_experiment_range_matches_bench_catalogue(tmp_path, monkeypatch):
     assert docs_check.check_experiment_range() == []
     (tmp_path / "benchmarks").mkdir()

@@ -6,6 +6,9 @@ rollup exactness and the region x shard digest matrix are gated by
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 
 from repro.core.api import ClientEvent, NFNotificationMessage
@@ -16,6 +19,10 @@ from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem.trafficgen import CBRTrafficGenerator
 from repro.scenarios import run_scenario
 from repro.wireless.mobility import LinearMobility
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+
+from heartbeat_waves import heartbeat_waves  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +88,16 @@ def test_control_bus_coalesces_heartbeats_into_few_flushes():
     stats = manager.control_plane_stats()
     assert set(stats) == set(testbed.agents)
     assert all(entry["messages_delivered"] > 0 for entry in stats.values())
+
+
+@pytest.mark.parametrize("shard_count, events", [(1, 40), (4, 5)])
+def test_heartbeat_waves_cost_one_event_each_or_one_flush_per_wave(shard_count, events):
+    # The fact benchmarks E7b/E14b assert at fleet scale: 8 stations x 5
+    # waves cost the single Manager one delivery event per heartbeat and
+    # the sharded bus one flush per wave.
+    waves = heartbeat_waves(8, 5, shard_count=shard_count)
+    assert waves.heartbeats == 40
+    assert waves.events == events
 
 
 def test_notifications_flow_through_bus_to_shared_centre():

@@ -19,7 +19,10 @@ Verifies that the documentation cannot silently rot:
    ends at the last experiment of the benchmark catalogue.
 6. The "Deployment knobs" table in ``docs/SCENARIOS.md`` has *exactly* one
    row per ``TestbedConfig`` field.
-7. (``--run-snippets``) The README's Python quickstart snippets execute
+7. Every benchmark option (``--e<n>-...``) and environment knob
+   (``E<n>_...``) ``docs/BENCHMARKS.md`` cites exists under
+   ``benchmarks/``, and every one that exists there is cited.
+8. (``--run-snippets``) The README's Python quickstart snippets execute
    successfully against the current tree.
 
 Run from the repository root::
@@ -76,6 +79,9 @@ _BUNDLE_TABLE_ROW = re.compile(r"^\|\s*`([a-z0-9\-]+@v\d+)`\s*\|", re.MULTILINE)
 
 #: Rows of the "Deployment knobs" table in docs/SCENARIOS.md: | `field` | ... |
 _CONFIG_TABLE_ROW = re.compile(r"^\|\s*`([a-z0-9_]+)`\s*\|", re.MULTILINE)
+
+#: Benchmark knobs: per-experiment pytest options and environment variables.
+_BENCH_KNOB = re.compile(r"(?<![\w-])(--e\d+-[a-z0-9-]+|E\d+_[A-Z][A-Z0-9_]*)\b")
 
 _PYTHON_FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
@@ -197,6 +203,23 @@ def check_config_table() -> List[str]:
     return problems
 
 
+def check_bench_knobs() -> List[str]:
+    """docs/BENCHMARKS.md must cite exactly the knobs ``benchmarks/`` has."""
+    if not os.path.exists(os.path.join(REPO_ROOT, "docs", "BENCHMARKS.md")):
+        return []  # check_bench_catalogue() reports the missing catalogue
+    documented = set(_BENCH_KNOB.findall(_read("docs/BENCHMARKS.md")))
+    defined = set()
+    for path in glob.glob(os.path.join(REPO_ROOT, "benchmarks", "*.py")):
+        with open(path, encoding="utf-8") as handle:
+            defined.update(_BENCH_KNOB.findall(handle.read()))
+    problems: List[str] = []
+    for stale in sorted(documented - defined):
+        problems.append(f"docs/BENCHMARKS.md: cites knob {stale!r} that nothing under benchmarks/ has")
+    for missing in sorted(defined - documented):
+        problems.append(f"docs/BENCHMARKS.md: benchmarks/ knob {missing!r} is not documented")
+    return problems
+
+
 def readme_snippets() -> List[Tuple[int, str]]:
     """The README's ```python fences, with their ordinal for error messages."""
     return list(enumerate(_PYTHON_FENCE.findall(_read("README.md")), start=1))
@@ -230,6 +253,7 @@ def main(argv: List[str] = None) -> int:
         + check_experiment_range()
         + check_bundle_catalogue()
         + check_config_table()
+        + check_bench_knobs()
     )
     if args.run_snippets:
         problems += run_readme_snippets()
