@@ -34,7 +34,7 @@ class ActionType(enum.Enum):
     SET_METADATA = "set_metadata"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """A single action; ``value`` is the output port, field value, or tag."""
 
@@ -58,7 +58,7 @@ class Action:
         return cls(ActionType.SET_METADATA, (key, value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Match:
     """Wildcardable match over the packet fields GNF steering needs.
 
@@ -124,7 +124,7 @@ class Match:
 _rule_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRule:
     """A priority, match, action-list triple with counters.
 
@@ -147,6 +147,11 @@ class FlowRule:
         self.bytes_matched += packet.size_bytes
 
 
+def _table_order(rule: FlowRule) -> Tuple[int, int]:
+    """Where ``rule`` sorts in a table: by priority, then newest first."""
+    return (-rule.priority, -rule.rule_id)
+
+
 class FlowTable:
     """An ordered collection of :class:`FlowRule` objects.
 
@@ -155,7 +160,8 @@ class FlowTable:
     for the reproduction's purposes).
 
     The list is *kept* in that order rather than re-sorted: ``install``
-    inserts at the bisect position of ``(-priority, -rule_id)``, a per-cookie
+    inserts at the bisect position of ``(-priority, -rule_id)`` (computed
+    per probe, not stored beside the rules), a per-cookie
     rule count lets ``remove_by_cookie`` answer "absent" without a scan, and
     a per-metadata-key reference count keeps ``referenced_metadata_keys``
     current without walking the rules.
@@ -164,8 +170,6 @@ class FlowTable:
     def __init__(self, name: str = "table0") -> None:
         self.name = name
         self._rules: List[FlowRule] = []
-        #: ``(-priority, -rule_id)`` of ``_rules[i]``: the list bisect searches.
-        self._sort_keys: List[Tuple[int, int]] = []
         self._cookie_counts: Dict[str, int] = {}
         self._metadata_refs: Dict[str, int] = {}
         #: Bumped on every install, every removal that removed something and
@@ -195,10 +199,7 @@ class FlowTable:
         Equal keys go after the ones already there, which is where the
         stable re-sort this replaces left them.
         """
-        sort_key = (-rule.priority, -rule.rule_id)
-        index = bisect.bisect_right(self._sort_keys, sort_key)
-        self._sort_keys.insert(index, sort_key)
-        self._rules.insert(index, rule)
+        bisect.insort_right(self._rules, rule, key=_table_order)
         self._cookie_counts[rule.cookie] = self._cookie_counts.get(rule.cookie, 0) + 1
         if rule.match.metadata:
             refs = self._metadata_refs
@@ -226,7 +227,6 @@ class FlowTable:
         refs = self._metadata_refs
         for index in reversed(indices):
             rule = self._rules.pop(index)
-            del self._sort_keys[index]
             remaining = self._cookie_counts[rule.cookie] - 1
             if remaining:
                 self._cookie_counts[rule.cookie] = remaining
@@ -256,7 +256,6 @@ class FlowTable:
     def clear(self) -> None:
         if self._rules:
             self._rules.clear()
-            self._sort_keys.clear()
             self._cookie_counts.clear()
             self._metadata_refs.clear()
             self._metadata_keys = ()

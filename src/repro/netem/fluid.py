@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.netem.simulator import PeriodicTask, Simulator
 
@@ -85,6 +85,16 @@ class FluidPath:
         object.__setattr__(self, "links", tuple(self.links))
 
 
+class FlowOwner(Protocol):
+    """What a :class:`FluidFlow` tells the sender that owns it."""
+
+    def flow_mode_changed(self, mode: str) -> None:
+        """Called with the new mode after every promote/demote."""
+
+    def flow_completed(self) -> None:
+        """Called once when the transfer's byte budget is exhausted."""
+
+
 class FluidFlow:
     """One bulk transfer as a rate process with exact byte accounting."""
 
@@ -102,8 +112,7 @@ class FluidFlow:
         "promotions",
         "demotions",
         "completed",
-        "on_mode_change",
-        "on_complete",
+        "owner",
         "path",
     )
 
@@ -114,6 +123,7 @@ class FluidFlow:
         total_bytes: float,
         client: Optional[object] = None,
         dst_ip: str = "",
+        owner: Optional[FlowOwner] = None,
     ) -> None:
         if demand_bps <= 0:
             raise ValueError(f"demand_bps must be positive, got {demand_bps}")
@@ -133,10 +143,8 @@ class FluidFlow:
         self.promotions = 0
         self.demotions = 0
         self.completed = False
-        #: Called with the new mode after every promote/demote.
-        self.on_mode_change: Optional[Callable[[str], None]] = None
-        #: Called once when the transfer's byte budget is exhausted.
-        self.on_complete: Optional[Callable[[], None]] = None
+        #: The sender told about mode changes and completion (None: nobody).
+        self.owner = owner
         #: Path resolved at the last epoch (None while unroutable).
         self.path: Optional[FluidPath] = None
 
@@ -485,8 +493,8 @@ class HybridScheduler:
         self.flows_demoted += 1
         if flow.path is not None:
             flow.path.counters["flows_demoted"] += 1.0
-        if flow.on_mode_change is not None:
-            flow.on_mode_change("packet")
+        if flow.owner is not None:
+            flow.owner.flow_mode_changed("packet")
 
     def _promote(self, flow: FluidFlow) -> None:
         flow.mode = "fluid"
@@ -494,8 +502,8 @@ class HybridScheduler:
         self.flows_promoted += 1
         if flow.path is not None:
             flow.path.counters["flows_promoted"] += 1.0
-        if flow.on_mode_change is not None:
-            flow.on_mode_change("fluid")
+        if flow.owner is not None:
+            flow.owner.flow_mode_changed("fluid")
 
     # ----------------------------------------------------------- solver epoch
 
@@ -564,8 +572,8 @@ class HybridScheduler:
         flow.allocated_bps = 0.0
         self.flows.pop(flow.flow_id, None)
         self.flows_completed += 1
-        if flow.on_complete is not None:
-            flow.on_complete()
+        if flow.owner is not None:
+            flow.owner.flow_completed()
 
     def _resolve(self) -> None:
         """Re-solve fair shares and push fluid occupancy onto the links."""

@@ -97,8 +97,6 @@ class Link:
         self.endpoint_b: Optional["Interface"] = None
         self._a_to_b = _Direction()
         self._b_to_a = _Direction()
-        #: The same two objects by name, for the fluid solver's string keys.
-        self._directions: Dict[str, _Direction] = {"a_to_b": self._a_to_b, "b_to_a": self._b_to_a}
         self.up = True
 
     # ----------------------------------------------------------- wiring
@@ -122,6 +120,19 @@ class Link:
             assert self.endpoint_a is not None
             return self._b_to_a, self.endpoint_a
         raise ValueError(f"interface {interface!r} is not attached to link {self.name}")
+
+    def _direction(self, direction_key: str) -> _Direction:
+        """The direction the fluid solver names ``"a_to_b"`` or ``"b_to_a"``."""
+        if direction_key == "a_to_b":
+            return self._a_to_b
+        if direction_key == "b_to_a":
+            return self._b_to_a
+        raise KeyError(direction_key)
+
+    @property
+    def _directions(self) -> Dict[str, _Direction]:
+        """Both directions by name (built on read; the link keeps no such dict)."""
+        return {"a_to_b": self._a_to_b, "b_to_a": self._b_to_a}
 
     def peer_of(self, interface: "Interface") -> "Interface":
         """Return the interface at the other end of the link."""
@@ -152,14 +163,14 @@ class Link:
 
     def set_fluid_load(self, direction_key: str, load_bps: float) -> None:
         """Install the aggregate fluid rate for one direction (hybrid mode)."""
-        self._directions[direction_key].fluid_load_bps = max(0.0, load_bps)
+        self._direction(direction_key).fluid_load_bps = max(0.0, load_bps)
 
     def fluid_load(self, direction_key: str) -> float:
-        return self._directions[direction_key].fluid_load_bps
+        return self._direction(direction_key).fluid_load_bps
 
     def add_fluid_bytes(self, direction_key: str, size_bytes: float) -> None:
         """Account bytes the fluid solver moved across one direction."""
-        self._directions[direction_key].stats.fluid_bytes += size_bytes
+        self._direction(direction_key).stats.fluid_bytes += size_bytes
 
     def transmit(self, packet: "Packet", from_interface: "Interface") -> bool:
         """Send ``packet`` out of ``from_interface`` towards the peer.
@@ -241,7 +252,7 @@ class Link:
     def total_stats(self) -> LinkStats:
         """Aggregated counters across both directions."""
         combined = LinkStats()
-        for direction in self._directions.values():
+        for direction in (self._a_to_b, self._b_to_a):
             combined.tx_packets += direction.stats.tx_packets
             combined.tx_bytes += direction.stats.tx_bytes
             combined.dropped_packets += direction.stats.dropped_packets
@@ -249,6 +260,7 @@ class Link:
             combined.queued_high_water = max(
                 combined.queued_high_water, direction.stats.queued_high_water
             )
+            combined.fluid_bytes += direction.stats.fluid_bytes
         return combined
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

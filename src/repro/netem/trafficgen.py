@@ -105,6 +105,13 @@ class LatencySample:
 class _GeneratorBase:
     """Shared bookkeeping for all generators."""
 
+    #: Request/response samples.  The shared empty tuple until the first
+    #: response, so a generator that never sees one (every bulk upload)
+    #: holds no list.
+    latency_samples: Sequence[LatencySample] = ()
+    #: Events ``stop()`` must cancel; the shared empty tuple until the first.
+    _pending_events: Sequence[Event] = ()
+
     def __init__(self, simulator: Simulator, client: TrafficEndpoint, name: str = "") -> None:
         self.simulator = simulator
         self.client = client
@@ -118,8 +125,6 @@ class _GeneratorBase:
         self.packets_sent = 0
         self.bytes_sent = 0
         self.responses_received = 0
-        self.latency_samples: List[LatencySample] = []
-        self._pending_events: List[Event] = []
         client.add_receive_listener(self._on_receive)
 
     # ------------------------------------------------------------ control
@@ -135,7 +140,7 @@ class _GeneratorBase:
         for event in self._pending_events:
             if event.pending:
                 event.cancel()
-        self._pending_events.clear()
+        self._pending_events = ()
 
     def set_intensity(self, intensity: float) -> None:
         """Rescale the offered load; 0 pauses, a later non-zero value resumes."""
@@ -155,9 +160,13 @@ class _GeneratorBase:
     def _schedule(self, delay: float, callback: Callable[..., None], *args) -> Event:
         """Schedule a tracked event (``stop()`` cancels whatever is pending)."""
         event = self.simulator.schedule(delay, callback, *args)
-        self._pending_events.append(event)
-        if len(self._pending_events) > 32:
-            self._pending_events = [e for e in self._pending_events if e.pending]
+        pending = self._pending_events
+        if not pending:
+            self._pending_events = [event]
+        else:
+            pending.append(event)
+            if len(pending) > 32:
+                self._pending_events = [e for e in pending if e.pending]
         return event
 
     def _has_pending(self) -> bool:
@@ -176,9 +185,11 @@ class _GeneratorBase:
         self.responses_received += 1
         sent_at = packet.metadata.get("request_created_at")
         if isinstance(sent_at, (int, float)):
-            self.latency_samples.append(
-                LatencySample(sent_at=float(sent_at), received_at=self.simulator.now)
-            )
+            sample = LatencySample(sent_at=float(sent_at), received_at=self.simulator.now)
+            if self.latency_samples:
+                self.latency_samples.append(sample)
+            else:
+                self.latency_samples = [sample]
         self._handle_response(packet)
 
     def _handle_response(self, packet: Packet) -> None:
@@ -530,9 +541,8 @@ class BulkTransferGenerator(_GeneratorBase):
             total_bytes=total_bytes,
             client=client,
             dst_ip=server_ip,
+            owner=self,
         )
-        self.flow.on_mode_change = self._on_mode_change
-        self.flow.on_complete = self._on_flow_complete
 
     @property
     def _chunk_interval_s(self) -> float:
@@ -571,7 +581,7 @@ class BulkTransferGenerator(_GeneratorBase):
             return
         if self.flow.mode != "packet":
             # Promoted mid-flight: the fluid solver owns the bytes now; a
-            # demotion restarts the chain via ``_on_mode_change``.
+            # demotion restarts the chain via ``flow_mode_changed``.
             return
         payload = int(min(self.chunk_bytes, self.flow.remaining_bytes))
         if payload <= 0:
@@ -604,11 +614,13 @@ class BulkTransferGenerator(_GeneratorBase):
         self.running = False
         self.scheduler.flow_finished(self.flow)
 
-    def _on_flow_complete(self) -> None:
+    def flow_completed(self) -> None:
+        """The fluid solver moved the last byte (:class:`~repro.netem.fluid.FlowOwner` hook)."""
         self.transfer_complete = True
         self.running = False
 
-    def _on_mode_change(self, mode: str) -> None:
+    def flow_mode_changed(self, mode: str) -> None:
+        """Resume pacing after a demotion (:class:`~repro.netem.fluid.FlowOwner` hook)."""
         if mode == "packet":
             self._schedule_next()
 

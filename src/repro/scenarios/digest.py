@@ -12,11 +12,13 @@ easy to localise.
 The canonical encoding sorts every mapping and renders floats with ``%.12g``
 so the digest is stable across processes while remaining sensitive to any
 behavioural change; a mapping with two keys that print alike (``1`` and
-``"1"``) is rejected rather than collapsed.  A dict-valued section is hashed
-entry by entry: each first-level entry is canonicalized and JSON-encoded
+``"1"``) is rejected rather than collapsed.  A mapping-valued section (a
+``dict`` or any other :class:`~collections.abc.Mapping`) is hashed entry by
+entry: each first-level entry is read, canonicalized and JSON-encoded
 **once**, and that encoding feeds both the entry's own hash and the section's
 running hash, so no canonical copy or JSON string of a whole section is ever
 held (the section hash is still that of the whole section's canonical JSON).
+A section that builds its entries on read is therefore never held whole.
 
 Values derived from process-global counters (assignment ids, container
 names...) must never be fed in: they differ between two runs in the same
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -54,7 +57,7 @@ def canonicalize(value: Any) -> Any:
     raise TypeError(f"cannot canonicalize {type(value).__name__} value {value!r} for digesting")
 
 
-def _key_collision(mapping: Dict[Any, Any]) -> TypeError:
+def _key_collision(mapping: Mapping) -> TypeError:
     """The error for a mapping two of whose keys print alike (``1`` and ``"1"``):
     the canonical form would keep one of them and silently drop the other."""
     by_text: Dict[str, List[Any]] = {}
@@ -77,8 +80,8 @@ def _sha256(payload: Any) -> str:
     return hashlib.sha256(_JSON.encode(payload).encode("utf-8")).hexdigest()
 
 
-def _dict_section(name: str, tree: Dict[Any, Any], subsections: Dict[str, str]) -> str:
-    """``_sha256(canonicalize(tree))``, streamed: each entry's encoding feeds its
+def _dict_section(name: str, tree: Mapping, subsections: Dict[str, str]) -> str:
+    """``_sha256(canonicalize(dict(tree)))``, streamed: each entry's encoding feeds its
     own hash (``subsections["name/key"]``) and, framed as ``{"key":value,...}``,
     the section's running hash."""
     section = hashlib.sha256(b"{")
@@ -103,7 +106,7 @@ class MetricsDigest:
 
     hexdigest: str
     components: Dict[str, str] = field(default_factory=dict)
-    #: One hash per first-level key of every dict-valued section
+    #: One hash per first-level key of every mapping-valued section
     #: (``"stations/station-3"``), so :meth:`diff` can localise a mismatch
     #: below the section level.  Derived data: excluded from equality (the
     #: overall hash is still computed from the section hashes alone).
@@ -122,7 +125,7 @@ class MetricsDigest:
         components: Dict[str, str] = {}
         subsections: Dict[str, str] = {}
         for name, tree in sections.items():
-            if isinstance(tree, dict):
+            if isinstance(tree, Mapping):
                 components[name] = _dict_section(name, tree, subsections)
             else:
                 components[name] = _sha256(canonicalize(tree))
@@ -137,7 +140,7 @@ class MetricsDigest:
     def diff(self, other: "MetricsDigest") -> List[str]:
         """The finest-grained keys whose hashes differ (for loud test
         failures): ``"section/key"`` when the mismatch localises below a
-        dict-valued section, the bare section name otherwise.  Keys that
+        mapping-valued section, the bare section name otherwise.  Keys that
         name a station carry its region/shard provenance --
         ``"stations/station-3 [region-1/shard-0]"`` -- so a cross-region
         digest mismatch points at the owning shard, not just the aggregate.

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.chain import ChainSLO, NFRequirements, NFSpec, ServiceChain
 from repro.core.errors import UnknownClientError
@@ -79,6 +80,39 @@ _ATTACH_MAX_ATTEMPTS = 30
 #: needs a tiny fraction of this, so hitting the cap means some component
 #: kept rescheduling itself -- exactly what the drain check must catch.
 _DRAIN_MAX_EVENTS = 500_000
+
+#: Smallest length at which the runner's list of orchestration handles is
+#: compacted (see ``ScenarioRun._control``).
+_CONTROL_COMPACT_MIN = 64
+
+
+class _LiveSection(Mapping):
+    """A read-only view of a live name -> object mapping whose entries are
+    built only when read, so a digest that streams a section entry by entry
+    never holds more than one of them."""
+
+    __slots__ = ("_source", "_entry")
+
+    def __init__(self, source: Dict[str, object], entry: Callable[[object], object]) -> None:
+        self._source = source
+        self._entry = entry
+
+    def __getitem__(self, name: str) -> object:
+        return self._entry(self._source[name])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._source)
+
+    def __len__(self) -> int:
+        return len(self._source)
+
+
+def _client_entry(client) -> Dict[str, float]:
+    return client.stats()
+
+
+def _workload_entry(generator) -> Dict[str, object]:
+    return {"stats": generator.stats(), "rtt_samples": generator.rtts}
 
 
 @dataclass
@@ -155,8 +189,12 @@ class ScenarioRun:
         self._finalized: Optional[ScenarioResult] = None
         # Orchestration events (spawns, workload starts, attaches, detaches)
         # still pending at finalize are cancelled, so an early finalize can
-        # never have future scenario activity fire into the drain.
+        # never have future scenario activity fire into the drain.  Fired
+        # ones are dropped at the end of every ``advance()`` and whenever the
+        # list has doubled since it was last compacted, so between advances
+        # it holds only pending handles.
         self._control_events: List[object] = []
+        self._control_compact_at = _CONTROL_COMPACT_MIN
         self._build()
         self.testbed.start()
 
@@ -165,6 +203,13 @@ class ScenarioRun:
     def _control(self, delay_s: float, callback, *args) -> None:
         """Schedule an orchestration step, cancellable at finalize."""
         self._control_events.append(self.simulator.schedule(delay_s, callback, *args))
+        if len(self._control_events) >= self._control_compact_at:
+            self._compact_control_events()
+
+    def _compact_control_events(self) -> None:
+        """Drop the orchestration handles that have fired."""
+        self._control_events = [event for event in self._control_events if event.pending]
+        self._control_compact_at = max(_CONTROL_COMPACT_MIN, 2 * len(self._control_events))
 
     def _build(self) -> None:
         client_index = 0
@@ -441,6 +486,7 @@ class ScenarioRun:
             raise RuntimeError("scenario run already finalized")
         self.testbed.run(duration_s)
         self._advanced_s += duration_s
+        self._compact_control_events()
         return self
 
     def finalize(self) -> ScenarioResult:
@@ -507,6 +553,12 @@ class ScenarioRun:
         ids, container/chain names) is included -- those differ between two
         back-to-back runs in the same process even when behaviour is
         identical.
+
+        The per-client ``clients`` section and the per-generator
+        ``workloads`` section are read-only mappings over the *live* run:
+        each entry is built when it is read, so reading one after further
+        ``advance()`` calls sees the run as it is then.  Copy them with
+        ``dict()`` to keep a snapshot.
         """
         testbed = self.testbed
         stations: Dict[str, object] = {}
@@ -541,12 +593,6 @@ class ScenarioRun:
             state = assignment.state.value
             assignment_states[state] = assignment_states.get(state, 0) + 1
             total_migrations += assignment.migrations
-        workloads = {}
-        for name, generator in self.generators.items():
-            workloads[name] = {
-                "stats": generator.stats(),
-                "rtt_samples": list(generator.rtts),
-            }
         return {
             # The raw simulator event count is deliberately NOT digested: it
             # is an implementation detail of the control-plane transport (a
@@ -565,8 +611,8 @@ class ScenarioRun:
                 "state_chunks_routed": gateway.state_chunks_routed,
                 "location_updates": gateway.location_updates,
             },
-            "clients": {name: client.stats() for name, client in testbed.clients.items()},
-            "workloads": workloads,
+            "clients": _LiveSection(testbed.clients, _client_entry),
+            "workloads": _LiveSection(self.generators, _workload_entry),
             "handover": {
                 "summary": testbed.handover.summary(),
                 "events": [

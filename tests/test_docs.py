@@ -8,7 +8,9 @@ README-snippet execution runs in the CI ``docs-check`` job instead.
 from __future__ import annotations
 
 import os
+import shutil
 import sys
+from pathlib import Path
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 
@@ -85,6 +87,22 @@ def test_readme_experiment_range_matches_bench_catalogue(tmp_path, monkeypatch):
     monkeypatch.setattr(docs_check, "REPO_ROOT", str(tmp_path))
     problems = docs_check.check_experiment_range()
     assert len(problems) == 1 and "E2" in problems[0]  # only the stale range
+
+
+def test_ledger_trajectory_matches_the_committed_rows():
+    assert docs_check.check_ledger_table() == []
+
+
+def test_ledger_trajectory_detects_drift(tmp_path, monkeypatch):
+    (tmp_path / "docs").mkdir()
+    rows = sorted(Path(docs_check.REPO_ROOT).glob("BENCH_*.json"))
+    shutil.copy(rows[-1], tmp_path / rows[-1].name)
+    stale = docs_check._read("docs/BENCHMARKS.md")
+    (tmp_path / "docs" / "BENCHMARKS.md").write_text(stale)
+    monkeypatch.setattr(docs_check, "REPO_ROOT", str(tmp_path))
+    assert len(docs_check.check_ledger_table()) == 1  # one row where the doc has several
+    (tmp_path / "docs" / "BENCHMARKS.md").write_text("no trajectory here\n")
+    assert "missing" in docs_check.check_ledger_table()[0]
 
 
 def test_readme_has_runnable_quickstart_snippets():

@@ -136,7 +136,7 @@ def test_demote_promote_keeps_byte_accounting_exact():
     assert summary["bytes_fluid"] + summary["bytes_packet"] == pytest.approx(50_000.0)
     # Link bookkeeping matches the flow's fluid bytes and the load is
     # released once the flow retires.
-    assert link._directions["a_to_b"].stats.fluid_bytes == pytest.approx(flow.bytes_fluid)
+    assert link.total_stats.fluid_bytes == pytest.approx(flow.bytes_fluid)
     assert link.fluid_load("a_to_b") == 0.0
 
 

@@ -87,6 +87,15 @@ def test_full_queue_drops_packets(simulator):
     assert link.total_stats.dropped_packets == 3
 
 
+def test_total_stats_sum_fluid_bytes_of_both_directions(simulator):
+    _, _, link = make_pair(simulator)
+    link.add_fluid_bytes("a_to_b", 1_500.0)
+    link.add_fluid_bytes("b_to_a", 250.0)
+    assert link.total_stats.fluid_bytes == 1_750.0
+    with pytest.raises(KeyError):
+        link.add_fluid_bytes("sideways", 1.0)
+
+
 def test_lossy_link_drops_a_fraction(simulator):
     a, b, link = make_pair(simulator, loss=0.5)
     for _ in range(200):

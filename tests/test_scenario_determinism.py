@@ -8,10 +8,12 @@ regression digest catches nondeterminism loudly.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -21,8 +23,12 @@ from repro.core.seeds import derive_seed
 from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem.trafficgen import DNSWorkloadGenerator, HTTPWorkloadGenerator
 from repro.scenarios import (
+    ClientFleetSpec,
     MetricsDigest,
     ScenarioRunner,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
     build_scenario,
     canonicalize,
     run_scenario,
@@ -156,10 +162,17 @@ def _whole_tree_sha256(payload):
     return hashlib.sha256(encoded).hexdigest()
 
 
+def _eager(sections):
+    """``sections`` with every mapping-valued section copied into a ``dict``."""
+    return {
+        name: dict(tree) if isinstance(tree, Mapping) else tree for name, tree in sections.items()
+    }
+
+
 def _whole_tree_digest(sections):
     """The digest formula that canonicalizes and dumps each whole section
     (kept verbatim as the oracle for the entry-by-entry encoding)."""
-    canonical = {name: canonicalize(tree) for name, tree in sections.items()}
+    canonical = {name: canonicalize(tree) for name, tree in _eager(sections).items()}
     components = {name: _whole_tree_sha256(tree) for name, tree in canonical.items()}
     subsections = {
         f"{name}/{key}": _whole_tree_sha256(sub)
@@ -173,6 +186,22 @@ def _whole_tree_digest(sections):
 
 def _printing_apart(mapping):
     return len({str(key) for key in mapping}) == len(mapping)
+
+
+class _BuiltOnRead(Mapping):
+    """A section that is not a ``dict``: each entry is a fresh copy made when read."""
+
+    def __init__(self, entries):
+        self._entries = entries
+
+    def __getitem__(self, key):
+        return copy.deepcopy(self._entries[key])
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
 
 
 _KEYS = st.one_of(
@@ -194,9 +223,10 @@ _TREES = st.recursive(
     ),
     max_leaves=24,
 )
+_SECTION_DICTS = st.dictionaries(_KEYS, _TREES, max_size=6).filter(_printing_apart)
 _SECTIONS = st.dictionaries(
     st.text(max_size=8),
-    st.one_of(st.dictionaries(_KEYS, _TREES, max_size=6).filter(_printing_apart), _TREES),
+    st.one_of(_SECTION_DICTS, _SECTION_DICTS.map(_BuiltOnRead), _TREES),
     max_size=4,
 )
 
@@ -209,6 +239,60 @@ def test_entry_by_entry_digest_equals_the_whole_tree_formula(sections):
     assert digest.hexdigest == overall
     assert digest.components == components
     assert digest.subsections == subsections
+
+
+def _hybrid_bulk_storm(clients: int) -> ScenarioSpec:
+    """``clients`` 1 MB uploaders spread over 4 stations."""
+    fleets = [
+        ClientFleetSpec(
+            name=f"bulk-s{index + 1}",
+            count=clients // 4,
+            position=(index * 80.0, 0.0),
+            spread_m=10.0,
+            appear_at_s=0.5,
+            workloads=[
+                WorkloadSpec(
+                    kind="bulk",
+                    start_s=2.0,
+                    params={"total_bytes": 1_000_000.0, "rate_bps": 800e3, "chunk_bytes": 4000},
+                )
+            ],
+        )
+        for index in range(4)
+    ]
+    return ScenarioSpec(
+        name="bulk-storm",
+        description="hybrid bulk storm for the streamed-digest check",
+        seed=0,
+        duration_s=15.0,
+        topology=TopologySpec(station_count=4, station_spacing_m=80.0, uplink_bandwidth_bps=10e9),
+        fleets=fleets,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, mode",
+    [(build_scenario("commuter-rush", 0), "packet"), (_hybrid_bulk_storm(40), "hybrid")],
+    ids=["commuter-rush", "hybrid-bulk-storm-40"],
+)
+def test_streamed_telemetry_digest_equals_the_eager_one(spec, mode):
+    """The per-client sections are built entry by entry as the digest reads
+    them; copying each section into a ``dict`` first must change nothing."""
+    run = ScenarioRunner(spec).start(simulation_mode=mode)
+    run.advance(spec.duration_s)
+    sections = run.telemetry_sections()
+    assert not isinstance(sections["clients"], dict)
+    assert not isinstance(sections["workloads"], dict)
+    eager = _eager(run.telemetry_sections())
+    assert len(eager["clients"]) == len(run.testbed.clients) > 1
+    assert len(eager["workloads"]) == len(run.generators) > 1
+    if mode == "packet":
+        assert any(entry["rtt_samples"] for entry in eager["workloads"].values())
+    streamed, copied = MetricsDigest.compute(sections), MetricsDigest.compute(eager)
+    assert streamed.hexdigest == copied.hexdigest
+    assert streamed.components == copied.components
+    assert streamed.subsections == copied.subsections
+    assert run.finalize().digest.hexdigest == streamed.hexdigest
 
 
 def test_keys_that_print_alike_are_rejected_not_collapsed():

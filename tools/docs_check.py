@@ -22,7 +22,10 @@ Verifies that the documentation cannot silently rot:
 7. Every benchmark option (``--e<n>-...``) and environment knob
    (``E<n>_...``) ``docs/BENCHMARKS.md`` cites exists under
    ``benchmarks/``, and every one that exists there is cited.
-8. (``--run-snippets``) The README's Python quickstart snippets execute
+8. The perf-ledger trajectory ``docs/BENCHMARKS.md`` embeds between
+   ``<!-- ledger:begin -->`` and ``<!-- ledger:end -->`` is exactly what
+   ``tools/ledger.py --table`` renders from the committed ``BENCH_*.json``.
+9. (``--run-snippets``) The README's Python quickstart snippets execute
    successfully against the current tree.
 
 Run from the repository root::
@@ -84,6 +87,9 @@ _CONFIG_TABLE_ROW = re.compile(r"^\|\s*`([a-z0-9_]+)`\s*\|", re.MULTILINE)
 _BENCH_KNOB = re.compile(r"(?<![\w-])(--e\d+-[a-z0-9-]+|E\d+_[A-Z][A-Z0-9_]*)\b")
 
 _PYTHON_FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+
+#: The markers around the ledger trajectory in docs/BENCHMARKS.md.
+LEDGER_BEGIN, LEDGER_END = "<!-- ledger:begin -->", "<!-- ledger:end -->"
 
 
 def _read(relpath: str) -> str:
@@ -220,6 +226,23 @@ def check_bench_knobs() -> List[str]:
     return problems
 
 
+def check_ledger_table() -> List[str]:
+    """docs/BENCHMARKS.md must embed the trajectory of the committed ledger rows."""
+    import ledger
+
+    text = _read("docs/BENCHMARKS.md")
+    if LEDGER_BEGIN not in text or LEDGER_END not in text:
+        return [f"docs/BENCHMARKS.md: missing the {LEDGER_BEGIN} ... {LEDGER_END} trajectory"]
+    embedded = text.split(LEDGER_BEGIN, 1)[1].split(LEDGER_END, 1)[0].strip("\n")
+    rendered = ledger.trajectory_table(ledger.load_rows(REPO_ROOT)).strip("\n")
+    if embedded != rendered:
+        return [
+            "docs/BENCHMARKS.md: the ledger trajectory differs from the BENCH_*.json rows; "
+            "paste `python tools/ledger.py --table` between the markers"
+        ]
+    return []
+
+
 def readme_snippets() -> List[Tuple[int, str]]:
     """The README's ```python fences, with their ordinal for error messages."""
     return list(enumerate(_PYTHON_FENCE.findall(_read("README.md")), start=1))
@@ -254,6 +277,7 @@ def main(argv: List[str] = None) -> int:
         + check_bundle_catalogue()
         + check_config_table()
         + check_bench_knobs()
+        + check_ledger_table()
     )
     if args.run_snippets:
         problems += run_readme_snippets()
