@@ -57,12 +57,13 @@ def vm_image_for(nf_type: str) -> ContainerImage:
 class VMNFVBaseline:
     """A VM-based NFV host with the same external API as the container runtime."""
 
+    hypervisor_overhead_mb = 512.0
+
     def __init__(
         self,
         simulator: Simulator,
         profile: Optional[StationProfile] = None,
         pull_bandwidth_bps: float = 100e6,
-        hypervisor_overhead_mb: float = 512.0,
     ) -> None:
         self.simulator = simulator
         self.profile = profile or StationProfile.server_class()
@@ -70,7 +71,7 @@ class VMNFVBaseline:
         for nf_type in VM_SIZING:
             registry.push(vm_image_for(nf_type))
         # The hypervisor itself consumes a fixed slice of the host.
-        reserved = min(hypervisor_overhead_mb, self.profile.memory_mb * 0.5)
+        reserved = min(self.hypervisor_overhead_mb, self.profile.memory_mb * 0.5)
         resources = ResourceAccount(
             cpu_mhz=self.profile.cpu_mhz,
             memory_mb=self.profile.memory_mb,

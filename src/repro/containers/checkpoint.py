@@ -57,9 +57,10 @@ class Checkpoint:
 class CheckpointEngine:
     """Produces checkpoints from containers and applies them after restore."""
 
-    def __init__(self, freeze_base_s: float = 0.02, dump_per_mb_s: float = 0.004) -> None:
-        self.freeze_base_s = freeze_base_s
-        self.dump_per_mb_s = dump_per_mb_s
+    freeze_base_s = 0.02
+    dump_per_mb_s = 0.004
+
+    def __init__(self) -> None:
         self.checkpoints_taken = 0
         self.restores_applied = 0
 

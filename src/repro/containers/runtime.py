@@ -120,11 +120,6 @@ class ContainerRuntime:
         self.image_cache[image.reference] = image
         self.layer_cache.update(layer.digest for layer in image.layers)
 
-    def has_image(self, reference: str) -> bool:
-        if ":" not in reference:
-            reference = f"{reference}:latest"
-        return reference in self.image_cache
-
     def ensure_image(self, reference: str) -> Tuple[ContainerImage, float]:
         """Return the image and how long obtaining it takes (0 when cached)."""
         if ":" not in reference:

@@ -64,7 +64,6 @@ from repro.core.migration import MigrationEngine, MigrationRecord
 from repro.core.monitoring import Hotspot, HotspotDetector
 from repro.core.notifications import NotificationCenter, ProviderNotification
 from repro.core.placement import (
-    AdmissionPolicy,
     BinPackingPlacement,
     ClosestAgentPlacement,
     CorePlacement,
@@ -124,7 +123,6 @@ __all__ = [
     "CorePlacement",
     "PlacementEngine",
     "PlacementDecision",
-    "AdmissionPolicy",
     "NFAutoscaler",
     "ScaleEvent",
     "StationView",

@@ -431,21 +431,14 @@ class BundleUpgradeOrchestrator:
     leaves coverage exactly as it was.
     """
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        manager,
-        engine,
-        catalogue: Optional[BundleCatalogue] = None,
-        retry_interval_s: float = 1.0,
-        max_retries: int = 60,
-    ) -> None:
+    retry_interval_s = 1.0
+    max_retries = 60
+
+    def __init__(self, simulator: Simulator, manager, engine) -> None:
         self.simulator = simulator
         self.manager = manager
         self.engine = engine
-        self.catalogue = catalogue if catalogue is not None else default_catalogue()
-        self.retry_interval_s = retry_interval_s
-        self.max_retries = max_retries
+        self.catalogue = default_catalogue()
         #: assignment_id -> instance, insertion-ordered (walk order).
         self.instances: Dict[str, BundleInstance] = {}
         self.records: List[UpgradeRecord] = []

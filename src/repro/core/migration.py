@@ -97,12 +97,6 @@ class MigrationRecord:
     success: bool = False
     detail: str = ""
 
-    @property
-    def total_duration_s(self) -> Optional[float]:
-        if self.completed_at is None:
-            return None
-        return self.completed_at - self.started_at
-
 
 @dataclass
 class TransferOutcome:
@@ -123,7 +117,6 @@ class _Transfer:
         "from_station",
         "to_station",
         "size_bytes",
-        "chunk_bytes",
         "bytes_unsent",
         "bytes_outstanding",
         "bytes_moved",
@@ -141,7 +134,6 @@ class _Transfer:
         from_station: str,
         to_station: str,
         size_bytes: int,
-        chunk_bytes: int,
         on_complete: Callable[[TransferOutcome], None],
         now: float,
     ) -> None:
@@ -149,7 +141,6 @@ class _Transfer:
         self.from_station = from_station
         self.to_station = to_station
         self.size_bytes = size_bytes
-        self.chunk_bytes = chunk_bytes
         self.bytes_unsent = size_bytes
         self.bytes_outstanding = 0
         self.bytes_moved = 0
@@ -197,26 +188,16 @@ class StateTransferService:
     forever.
     """
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        manager,
-        chunk_bytes: int = 65536,
-        window_chunks: int = 32,
-        stall_timeout_s: float = 3.0,
-        max_retries: int = 5,
-        fallback_bandwidth_bps: float = 100e6,
-    ) -> None:
-        if chunk_bytes <= 0:
-            raise MigrationError(f"chunk_bytes must be positive, got {chunk_bytes}")
+    chunk_bytes = 65536
+    window_chunks = 32
+    stall_timeout_s = 3.0
+    max_retries = 5
+    #: Bandwidth assumed by the analytic path (no routable topology).
+    fallback_bandwidth_bps = 100e6
+
+    def __init__(self, simulator: Simulator, manager) -> None:
         self.simulator = simulator
         self.manager = manager
-        self.chunk_bytes = chunk_bytes
-        #: Bandwidth assumed by the analytic path (no routable topology).
-        self.fallback_bandwidth_bps = fallback_bandwidth_bps
-        self.window_chunks = max(1, window_chunks)
-        self.stall_timeout_s = stall_timeout_s
-        self.max_retries = max_retries
         self._endpoints: Dict[str, _Endpoint] = {}
         self._transfers: Dict[int, _Transfer] = {}
         # Per-station wire counters, published via the Agents' collectors.
@@ -337,7 +318,6 @@ class StateTransferService:
             from_station=from_station,
             to_station=to_station,
             size_bytes=size_bytes,
-            chunk_bytes=self.chunk_bytes,
             on_complete=on_complete,
             now=self.simulator.now,
         )
@@ -396,9 +376,9 @@ class StateTransferService:
 
     def _send_window(self, transfer: _Transfer) -> None:
         """Send chunks until the window is full or nothing is left to send."""
-        budget = self.window_chunks * transfer.chunk_bytes - transfer.bytes_outstanding
+        budget = self.window_chunks * self.chunk_bytes - transfer.bytes_outstanding
         while transfer.bytes_unsent > 0 and budget > 0 and not transfer.done:
-            chunk = min(transfer.chunk_bytes, transfer.bytes_unsent)
+            chunk = min(self.chunk_bytes, transfer.bytes_unsent)
             if not self._send_chunk(transfer, chunk):
                 # The uplink refused the chunk (link down / queue full): stop
                 # pushing; the watchdog re-opens the window later.
@@ -474,7 +454,7 @@ class StateTransferService:
         # overflowing link): put it back on the unsent ledger and resend.
         lost = transfer.bytes_outstanding
         if lost > 0:
-            self.chunks_retransmitted += -(-lost // transfer.chunk_bytes)
+            self.chunks_retransmitted += -(-lost // self.chunk_bytes)
         transfer.bytes_unsent += lost
         transfer.bytes_outstanding = 0
         transfer.last_progress_at = now
@@ -766,16 +746,19 @@ class MigrationEngine:
     state-transfer service, the captured-state and speculative-replica
     ledgers, and every lifecycle hook that keeps those ledgers bounded
     (finalize, release, same-station reconnect, shutdown).
+
+    The pre-copy values come from ``TestbedConfig``, whose ``validate()`` is
+    their only rule.
     """
+
+    #: Stations a pre-copy migration speculatively boots replicas on.
+    speculative_station_limit = 3
 
     def __init__(
         self,
         simulator: Simulator,
         manager,
         strategy: str = "cold",
-        transfer_bandwidth_bps: Optional[float] = None,
-        speculative_station_limit: int = 3,
-        chunk_bytes: int = 65536,
         precopy_max_rounds: int = 4,
         precopy_downtime_target_s: float = 0.05,
         precopy_dirty_fraction: float = 0.25,
@@ -784,28 +767,13 @@ class MigrationEngine:
             raise MigrationError(
                 f"unknown migration strategy {strategy!r}; valid: {VALID_STRATEGIES}"
             )
-        if not 0.0 < precopy_dirty_fraction < 1.0:
-            raise MigrationError(
-                f"precopy_dirty_fraction must be in (0, 1), got {precopy_dirty_fraction}"
-            )
-        if precopy_max_rounds < 1:
-            raise MigrationError(f"precopy_max_rounds must be >= 1, got {precopy_max_rounds}")
         self.simulator = simulator
         self.manager = manager
         self.strategy = strategy
-        self.speculative_station_limit = speculative_station_limit
         self.precopy_max_rounds = precopy_max_rounds
         self.precopy_downtime_target_s = precopy_downtime_target_s
         self.precopy_dirty_fraction = precopy_dirty_fraction
-        if transfer_bandwidth_bps is None and manager.topology is not None:
-            transfer_bandwidth_bps = manager.topology.config.uplink_bandwidth_bps
-        self.transfer_bandwidth_bps = transfer_bandwidth_bps or 100e6
-        self.transfers = StateTransferService(
-            simulator,
-            manager,
-            chunk_bytes=chunk_bytes,
-            fallback_bandwidth_bps=self.transfer_bandwidth_bps,
-        )
+        self.transfers = StateTransferService(simulator, manager)
         self.records: List[MigrationRecord] = []
         # assignment_id -> station -> speculative deployment (precopy only).
         self._speculative: Dict[str, Dict[str, ChainDeployment]] = {}

@@ -15,9 +15,9 @@ choice; this module promotes placement into a full subsystem:
   matrix asserts) and the strategies only diverge under pressure -- which
   benchmark E11 measures with the ``hotspot-stadium`` scenario.
 * :class:`PlacementEngine` -- the Manager-facing facade: runs the strategy
-  over pending-commitment-adjusted views, applies :class:`AdmissionPolicy`
-  (reject or queue deployments aimed at saturated stations, retry queued
-  ones as capacity frees, time them out), and keeps the placement counters.
+  over pending-commitment-adjusted views, applies admission control (queue
+  deployments aimed at saturated stations, retry them as capacity frees,
+  time them out), and keeps the placement counters.
 * :class:`NFAutoscaler` -- watches per-station utilization and scales hot
   chains horizontally: replica chains (fronted by a ``load-balancer`` NF)
   boot on nearby under-loaded stations, are drained again when the hotspot
@@ -100,17 +100,22 @@ def _require_candidates(candidates: List[StationView]) -> None:
         raise DeploymentError("no candidate stations")
 
 
-def station_fits(
-    view: StationView, required_mb: float, max_utilization: float, headroom_mb: float
-) -> bool:
+#: The saturation thresholds: a station fits a chain while it keeps
+#: ``HEADROOM_MB`` free beyond it and sits at or below ``MAX_UTILIZATION``.
+MAX_UTILIZATION = 0.85
+HEADROOM_MB = 4.0
+
+
+def station_fits(view: StationView, required_mb: float) -> bool:
     """The one saturation predicate: can ``required_mb`` more land here?
 
-    Shared by bin-packing placement and admission control so the strategy
-    and the gate can never disagree about what "fits" means.
+    Shared by bin-packing, embedding and admission control, with one pair
+    of thresholds, so a strategy and the gate can never disagree about what
+    "fits" means.
     """
     return (
-        view.free_memory_mb >= required_mb + headroom_mb
-        and view.memory_utilization <= max_utilization
+        view.free_memory_mb >= required_mb + HEADROOM_MB
+        and view.memory_utilization <= MAX_UTILIZATION
     )
 
 
@@ -230,9 +235,7 @@ class LatencyWeightedPlacement:
     """
 
     name = "latency-weighted"
-
-    def __init__(self, load_weight_s: float = 0.02) -> None:
-        self.load_weight_s = load_weight_s
+    load_weight_s = 0.02
 
     def choose(self, client_station: str, candidates: List[StationView]) -> str:
         _require_candidates(candidates)
@@ -258,13 +261,6 @@ class BinPackingPlacement:
 
     name = "bin-packing"
 
-    def __init__(self, max_utilization: float = 0.85, headroom_mb: float = 4.0) -> None:
-        self.max_utilization = max_utilization
-        self.headroom_mb = headroom_mb
-
-    def _fits(self, candidate: StationView, required_mb: float) -> bool:
-        return station_fits(candidate, required_mb, self.max_utilization, self.headroom_mb)
-
     def choose(self, client_station: str, candidates: List[StationView]) -> str:
         raise DeploymentError(
             "bin-packing placement needs the chain's size: dispatch through "
@@ -276,9 +272,9 @@ class BinPackingPlacement:
     ) -> str:
         _require_candidates(candidates)
         local = next((c for c in candidates if c.name == client_station), None)
-        if local is not None and self._fits(local, required_mb):
+        if local is not None and station_fits(local, required_mb):
             return client_station
-        fitting = [c for c in candidates if self._fits(c, required_mb)]
+        fitting = [c for c in candidates if station_fits(c, required_mb)]
         if fitting:
             best = max(fitting, key=lambda c: (c.load_score(), -c.client_latency_s, c.name))
             return best.name
@@ -340,21 +336,8 @@ class EmbeddingPlacement:
     """
 
     name = "embedding"
-
-    def __init__(
-        self,
-        latency_budget_s: float = 0.05,
-        prefer_local_below: float = 0.6,
-        max_utilization: float = 0.85,
-        headroom_mb: float = 4.0,
-    ) -> None:
-        self.latency_budget_s = latency_budget_s
-        self.prefer_local_below = prefer_local_below
-        self.max_utilization = max_utilization
-        self.headroom_mb = headroom_mb
-
-    def _fits(self, candidate: StationView, required_mb: float) -> bool:
-        return station_fits(candidate, required_mb, self.max_utilization, self.headroom_mb)
+    latency_budget_s = 0.05
+    prefer_local_below = 0.6
 
     # Whole-chain compatibility path (mirrors LeastLoadedPlacement, so code
     # that cannot thread segments still gets sane single-station choices).
@@ -472,7 +455,7 @@ class EmbeddingPlacement:
             if index >= n:
                 break
             count = 0
-            while index + count < n and self._fits(
+            while index + count < n and station_fits(
                 view, sum(nf_sizes_mb[index : index + count + 1])
             ):
                 count += 1
@@ -521,33 +504,6 @@ def make_strategy(name: str) -> PlacementStrategy:
     return factory()
 
 
-# ---------------------------------------------------------------------------
-# Admission control
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AdmissionPolicy:
-    """When (and how) the engine refuses deployments to saturated stations.
-
-    Disabled by default: every placement is admitted and the engine behaves
-    exactly like the historical strategy-only code path (no extra simulator
-    events, identical digests).  When enabled, a placement whose chosen
-    station cannot fit the chain is *queued* (``queue=True``) and retried
-    every ``retry_interval_s`` until capacity frees or ``queue_timeout_s``
-    expires (the assignment then fails with an admission-timeout reason), or
-    rejected outright (``queue=False`` -- the assignment fails immediately).
-    """
-
-    enabled: bool = False
-    max_utilization: float = 0.85
-    headroom_mb: float = 4.0
-    queue: bool = True
-    retry_interval_s: float = 1.0
-    queue_timeout_s: float = 30.0
-    queue_limit: int = 1024
-
-
 @dataclass
 class PlacementDecision:
     """One placement verdict: where, and whether the deployment may proceed.
@@ -594,9 +550,11 @@ class PlacementEngine:
       the TTL near the heartbeat interval: it only has to cover the
       telemetry blind window, and a longer TTL double-counts chains that
       heartbeats already report;
-    * apply the :class:`AdmissionPolicy`: queue or reject deployments whose
-      chosen station is saturated, retry queued ones periodically, and time
-      them out;
+    * apply admission control when ``admission_control`` is on: queue
+      deployments whose chosen station is saturated (``station_fits``),
+      retry them every ``retry_interval_s`` until capacity frees, and fail
+      those still waiting after ``queue_timeout_s``.  Off, every placement
+      is admitted and no extra simulator event is scheduled;
     * keep the placement counters surfaced by ``stats()`` (local vs remote
       placements, rejections, queue depth high-water).
 
@@ -604,18 +562,22 @@ class PlacementEngine:
     this module free of Manager imports.
     """
 
+    retry_interval_s = 1.0
+
     def __init__(
         self,
         simulator: Simulator,
         strategy: Optional[PlacementStrategy] = None,
         repository=None,
-        admission: Optional[AdmissionPolicy] = None,
+        admission_control: bool = False,
+        queue_timeout_s: float = 30.0,
         pending_ttl_s: float = 3.0,
     ) -> None:
         self.simulator = simulator
         self.strategy: PlacementStrategy = strategy or ClosestAgentPlacement()
         self.repository = repository
-        self.admission = admission or AdmissionPolicy()
+        self.admission_control = admission_control
+        self.queue_timeout_s = queue_timeout_s
         self.pending_ttl_s = pending_ttl_s
         # (expires_at, station, mb) commitments not yet visible in telemetry.
         self._pending: List[tuple] = []
@@ -760,10 +722,6 @@ class PlacementEngine:
             adjusted.append(replace(view, free_memory_mb=free, memory_utilization=utilization))
         return adjusted
 
-    def _admits(self, view: StationView, required_mb: float) -> bool:
-        policy = self.admission
-        return station_fits(view, required_mb, policy.max_utilization, policy.headroom_mb)
-
     def place(
         self,
         client_station: str,
@@ -818,15 +776,10 @@ class PlacementEngine:
                         required_mb=required_mb,
                         slo_rejected=True,
                     )
-                queued = (
-                    self.admission.enabled
-                    and self.admission.queue
-                    and len(self._queue) < self.admission.queue_limit
-                )
                 return PlacementDecision(
                     station_name=result.segments[0].station_name,
                     admitted=False,
-                    queued=queued,
+                    queued=self.admission_control,
                     reason=result.reason,
                     required_mb=required_mb,
                 )
@@ -858,20 +811,19 @@ class PlacementEngine:
                 chosen = choose_sized(client_station, views, required_mb)
             else:
                 chosen = self.strategy.choose(client_station, views)
-        if self.admission.enabled:
+        if self.admission_control:
             chosen_view = next((view for view in views if view.name == chosen), None)
-            if chosen_view is None or not self._admits(chosen_view, required_mb):
+            if chosen_view is None or not station_fits(chosen_view, required_mb):
                 # Queue retries are probes, not fresh refusals: count them
                 # separately so `rejections` means "deployments refused".
                 if _retry:
                     self.retry_probes += 1
                 else:
                     self.rejections += 1
-                queued = self.admission.queue and len(self._queue) < self.admission.queue_limit
                 return PlacementDecision(
                     station_name=chosen,
                     admitted=False,
-                    queued=queued,
+                    queued=True,
                     reason=(
                         f"station {chosen} saturated "
                         f"(free={chosen_view.free_memory_mb:.1f} MB, "
@@ -917,7 +869,7 @@ class PlacementEngine:
         self.queued_total += 1
         self.queue_high_water = max(self.queue_high_water, len(self._queue))
         if self._task is None:
-            self._task = self.simulator.every(self.admission.retry_interval_s, self._drain_queue)
+            self._task = self.simulator.every(self.retry_interval_s, self._drain_queue)
 
     def cancel(self, assignment_id: str) -> bool:
         """Drop a queued placement (the assignment was detached)."""
@@ -935,12 +887,12 @@ class PlacementEngine:
         now = self.simulator.now
         remaining: List[_QueuedPlacement] = []
         for entry in self._queue:
-            if now - entry.enqueued_at >= self.admission.queue_timeout_s:
+            if now - entry.enqueued_at >= self.queue_timeout_s:
                 self.queue_timeouts += 1
                 if self._on_timeout is not None:
                     self._on_timeout(
                         entry.assignment,
-                        f"admission queue timeout after {self.admission.queue_timeout_s:.0f}s",
+                        f"admission queue timeout after {self.queue_timeout_s:.0f}s",
                     )
                 continue
             # Follow a client that roamed while its placement waited: retry
@@ -1064,6 +1016,9 @@ class NFAutoscaler:
     never leak replica containers (asserted by the round-trip tests).
     """
 
+    hot_evals = 2
+    rebalance_cooldown_s = 15.0
+
     def __init__(
         self,
         simulator: Simulator,
@@ -1073,9 +1028,6 @@ class NFAutoscaler:
         scale_up_threshold: float = 0.8,
         scale_down_threshold: float = 0.4,
         max_replicas_per_chain: int = 2,
-        rebalance: bool = True,
-        hot_evals: int = 2,
-        rebalance_cooldown_s: float = 15.0,
     ) -> None:
         self.simulator = simulator
         self.manager = manager
@@ -1084,9 +1036,6 @@ class NFAutoscaler:
         self.scale_up_threshold = scale_up_threshold
         self.scale_down_threshold = scale_down_threshold
         self.max_replicas_per_chain = max_replicas_per_chain
-        self.rebalance_enabled = rebalance
-        self.hot_evals = hot_evals
-        self.rebalance_cooldown_s = rebalance_cooldown_s
         # assignment_id -> last rebalance time (damps migration ping-pong:
         # a moved chain makes its target warmer, which must not immediately
         # bounce the same chain somewhere else).
@@ -1179,7 +1128,7 @@ class NFAutoscaler:
             for view in views
             if view.name not in excluded
             and view.load_score() < self.scale_up_threshold
-            and view.free_memory_mb >= required_mb + 4.0
+            and view.free_memory_mb >= required_mb + HEADROOM_MB
         ]
         if not candidates:
             return None
@@ -1212,7 +1161,7 @@ class NFAutoscaler:
         # No chain could scale out (budgets spent or targets already host
         # their replicas): rebalance the smallest one that has not been
         # moved within the cooldown window.
-        if not self.rebalance_enabled or self.roaming is None:
+        if self.roaming is None:
             return
         now = self.simulator.now
         movable = [

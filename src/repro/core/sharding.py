@@ -783,22 +783,9 @@ class ShardedManager(ControlPlane):
             **self._tier_summary(),
         }
 
-    def region_stats(self) -> Dict[str, object]:
-        """The same load figures grouped by region label."""
-        size = self.shard_count
-        return {
-            "regions": {
-                f"region-{index}": _load(self.shards[index * size : (index + 1) * size])
-                for index in range(self.region_count)
-            },
-            "bus": self.bus.stats(),
-            "rollup": self.telemetry.stats(),
-            **self._tier_summary(),
-        }
-
 
 def _load(shards: List[GNFManager]) -> Dict[str, float]:
-    """Summed load of a group of leaves (one leaf, or one region's)."""
+    """Summed load of a group of leaves."""
     return {
         "stations": float(sum(len(shard.agents) for shard in shards)),
         "assignments": float(sum(len(shard.assignments) for shard in shards)),

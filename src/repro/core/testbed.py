@@ -10,18 +10,18 @@ the scenario instead of the wiring.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.agent import GNFAgent
-from repro.core.bundles import BundleUpgradeOrchestrator, default_catalogue
+from repro.core.bundles import BundleUpgradeOrchestrator
 from repro.core.errors import ScenarioSpecError
 from repro.core.manager import AssignmentState, GNFManager
 from repro.core.migration import VALID_STRATEGIES, MigrationEngine
 from repro.core.placement import (
     STRATEGY_FACTORIES,
-    AdmissionPolicy,
     NFAutoscaler,
     PlacementEngine,
     make_strategy,
@@ -37,6 +37,20 @@ from repro.wireless.cell import Cell
 from repro.wireless.client import MobileClient
 from repro.wireless.handover import HandoverManager
 from repro.wireless.radio import RadioEnvironment
+
+
+def require_finite(spec) -> None:
+    """Reject a NaN or infinite number in a dataclass's own fields.
+
+    Every comparison with NaN is false, so a ``x <= 0`` rule lets it pass,
+    and an infinite time or rate never fires.  A tuple or list (a
+    position) is checked element-wise; nested specs check themselves.
+    """
+    for item in fields(spec):
+        value = getattr(spec, item.name)
+        numbers = value if isinstance(value, (tuple, list)) else (value,)
+        if any(isinstance(number, float) and not math.isfinite(number) for number in numbers):
+            raise ScenarioSpecError(f"{item.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -131,6 +145,8 @@ class TestbedConfig:
         def reject(name: str, rule: str) -> None:
             raise ScenarioSpecError(f"{name} {rule}, got {getattr(self, name)!r}")
 
+        require_finite(self)
+
         for name, registry in (
             ("station_profile", STATION_PROFILES),
             ("migration_strategy", VALID_STRATEGIES),
@@ -214,10 +230,8 @@ class GNFTestbed:
             self.simulator,
             strategy=make_strategy(self.config.placement_strategy),
             repository=self.repository,
-            admission=AdmissionPolicy(
-                enabled=self.config.admission_control,
-                queue_timeout_s=self.config.admission_queue_timeout_s,
-            ),
+            admission_control=self.config.admission_control,
+            queue_timeout_s=self.config.admission_queue_timeout_s,
             # Commitments only need to bridge the heartbeat blind window.
             pending_ttl_s=self.config.heartbeat_interval_s + 1.0,
         )
@@ -270,12 +284,7 @@ class GNFTestbed:
             scale_down_threshold=self.config.autoscale_down_threshold,
             max_replicas_per_chain=self.config.autoscale_max_replicas,
         )
-        self.upgrades = BundleUpgradeOrchestrator(
-            self.simulator,
-            self.manager,
-            engine=self.roaming,
-            catalogue=default_catalogue(),
-        )
+        self.upgrades = BundleUpgradeOrchestrator(self.simulator, self.manager, engine=self.roaming)
         self.ui = GNFDashboard(self.manager)
         self.hybrid = HybridScheduler(self.simulator, mode=self.config.simulation_mode)
         self.hybrid.chained_clients = self._chained_client_ips
@@ -419,10 +428,10 @@ class GNFTestbed:
         self.handover.add_client(client)
         return client
 
-    def add_server(self, name: str, http_body_bytes: Optional[int] = None):
+    def add_server(self, name: str):
         """Add an extra application server in the core."""
         self._fluid_paths.clear()  # a path interned before the server existed lacks its link
-        return self.topology.add_server(name, http_body_bytes=http_body_bytes)
+        return self.topology.add_server(name)
 
     # --------------------------------------------------------------- running
 

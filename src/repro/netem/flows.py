@@ -29,10 +29,6 @@ class Flow:
     def duration(self) -> float:
         return max(0.0, self.last_seen - self.first_seen)
 
-    @property
-    def mean_packet_size(self) -> float:
-        return self.bytes / self.packets if self.packets else 0.0
-
     def throughput_bps(self) -> float:
         """Average throughput over the flow lifetime in bits per second."""
         if self.duration <= 0:

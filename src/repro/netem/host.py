@@ -200,18 +200,18 @@ class Server(Host):
     internals.
     """
 
+    processing_delay_s = 0.0005
+
     def __init__(
         self,
         simulator: Simulator,
         name: str,
         http_body_bytes: int = 10_000,
         dns_zone: Optional[Dict[str, List[str]]] = None,
-        processing_delay_s: float = 0.0005,
     ) -> None:
         super().__init__(simulator, name)
         self.http_body_bytes = http_body_bytes
         self.dns_zone: Dict[str, List[str]] = dns_zone or {}
-        self.processing_delay_s = processing_delay_s
         self.requests_served = 0
         self.dns_queries_served = 0
         self.icmp_echoes_served = 0

@@ -79,13 +79,14 @@ class SoftwareSwitch(Host):
         router like the TP-Link WDR3600 used in the demo.
     """
 
+    flow_cache_capacity = 8192
+
     def __init__(
         self,
         simulator: Simulator,
         name: str,
         forwarding_delay_s: float = 20e-6,
         fastpath_enabled: bool = True,
-        flow_cache_capacity: int = 8192,
     ) -> None:
         super().__init__(simulator, name)
         self.flow_table = FlowTable(name=f"{name}-flows")
@@ -95,7 +96,7 @@ class SoftwareSwitch(Host):
         #: scheduled forwarding-delay event and the linear rule walk entirely
         #: (the kernel-datapath hit of a real OVS deployment).
         self.fastpath_enabled = fastpath_enabled
-        self.flow_cache = FlowCache(name=f"{name}-cache", capacity=flow_cache_capacity)
+        self.flow_cache = FlowCache(name=f"{name}-cache", capacity=self.flow_cache_capacity)
         self.ports: Dict[int, SwitchPort] = {}
         self._interface_to_port: Dict[str, int] = {}
         self.mac_table: Dict[str, int] = {}
@@ -143,10 +144,6 @@ class SoftwareSwitch(Host):
         self._slowpath_busy_until.pop(port_number, None)
         # Drop any MAC table entries pointing at the removed port.
         self.mac_table = {mac: p for mac, p in self.mac_table.items() if p != port_number}
-
-    def port_of(self, interface: Interface) -> Optional[int]:
-        """Port number an interface is plugged into, if any."""
-        return self._interface_to_port.get(interface.name)
 
     def port(self, port_number: int) -> SwitchPort:
         return self.ports[port_number]

@@ -69,12 +69,7 @@ class TopologyConfig:
     station_profile: StationProfile = field(default_factory=StationProfile.router_class)
     station_spacing_m: float = 100.0
     uplink_bandwidth_bps: float = 100e6
-    uplink_delay_s: float = 0.005
-    core_bandwidth_bps: float = 10e9
-    core_delay_s: float = 0.010
-    gateway_forwarding_delay_s: float = 10e-6
     server_count: int = 1
-    server_http_body_bytes: int = 10_000
     dns_zone: Dict[str, List[str]] = field(default_factory=dict)
     #: Enable the flow-cached fast path on every station switch.
     fastpath_enabled: bool = True
@@ -212,10 +207,6 @@ class Gateway(Host):
             raise KeyError(f"gateway does not know station {station_name!r}")
         self.migration_endpoints[ip] = (station_name, mac)
 
-    def remove_client(self, client_ip: str) -> None:
-        self.client_locations.pop(client_ip, None)
-        self.client_macs.pop(client_ip, None)
-
     # ---------------------------------------------------------- forwarding
 
     def handle_packet(self, packet: Packet, interface: Interface) -> None:
@@ -265,17 +256,24 @@ class Gateway(Host):
 class EdgeTopology:
     """The full emulated deployment: gateway, core, servers and edge stations."""
 
+    #: Constants of the deployment's shape: every station's backhaul and the
+    #: core share them.
+    uplink_delay_s = 0.005
+    core_bandwidth_bps = 10e9
+    core_delay_s = 0.010
+    gateway_forwarding_delay_s = 10e-6
+    server_http_body_bytes = 10_000
+
     def __init__(
         self,
         simulator: Simulator,
         config: Optional[TopologyConfig] = None,
-        address_plan: Optional[AddressPlan] = None,
     ) -> None:
         self.simulator = simulator
         self.config = config or TopologyConfig()
-        self.addresses = address_plan or AddressPlan()
+        self.addresses = AddressPlan()
         self.gateway = Gateway(
-            simulator, forwarding_delay_s=self.config.gateway_forwarding_delay_s
+            simulator, forwarding_delay_s=self.gateway_forwarding_delay_s
         )
         self.core_switch = SoftwareSwitch(simulator, name="core-switch", forwarding_delay_s=2e-6)
         self.stations: Dict[str, EdgeStation] = {}
@@ -304,8 +302,8 @@ class EdgeTopology:
         self.core_switch.add_port(core_port_iface)
         link = Link(
             self.simulator,
-            bandwidth_bps=self.config.core_bandwidth_bps,
-            delay_s=self.config.core_delay_s,
+            bandwidth_bps=self.core_bandwidth_bps,
+            delay_s=self.core_delay_s,
             name="gw-core-link",
         )
         link.attach(gw_core_iface, core_port_iface)
@@ -345,7 +343,7 @@ class EdgeTopology:
         link = Link(
             self.simulator,
             bandwidth_bps=self.config.uplink_bandwidth_bps,
-            delay_s=self.config.uplink_delay_s,
+            delay_s=self.uplink_delay_s,
             name=f"{name}-uplink-link",
         )
         link.attach(station_uplink_iface, gw_iface)
@@ -354,14 +352,14 @@ class EdgeTopology:
         self.stations[name] = station
         return station
 
-    def add_server(self, name: str, http_body_bytes: Optional[int] = None) -> Server:
+    def add_server(self, name: str) -> Server:
         """Create an application server in the core and plug it into the core switch."""
         if name in self.servers:
             raise ValueError(f"server {name!r} already exists")
         server = Server(
             self.simulator,
             name=name,
-            http_body_bytes=http_body_bytes or self.config.server_http_body_bytes,
+            http_body_bytes=self.server_http_body_bytes,
             dns_zone=dict(self.config.dns_zone),
         )
         server_iface = Interface(
@@ -374,7 +372,7 @@ class EdgeTopology:
         self.core_switch.add_port(core_iface)
         link = Link(
             self.simulator,
-            bandwidth_bps=self.config.core_bandwidth_bps,
+            bandwidth_bps=self.core_bandwidth_bps,
             delay_s=0.0005,
             name=f"{name}-core-link",
         )
@@ -433,8 +431,8 @@ class EdgeTopology:
     def graph(self) -> DelayGraph:
         """Delay-weighted topology graph used by routing, placement and benches."""
         return build_topology_graph(
-            [("gateway", "core", self.config.core_delay_s)]
-            + [(name, "gateway", self.config.uplink_delay_s) for name in self.stations]
+            [("gateway", "core", self.core_delay_s)]
+            + [(name, "gateway", self.uplink_delay_s) for name in self.stations]
             + [("core", name, 0.0005) for name in self.servers]
         )
 
@@ -442,13 +440,13 @@ class EdgeTopology:
         """One-way control-plane latency between the Manager (at the core) and a station."""
         if station_name not in self.stations:
             raise KeyError(f"unknown station {station_name!r}")
-        return self.config.uplink_delay_s + self.config.core_delay_s
+        return self.uplink_delay_s + self.core_delay_s
 
     def station_to_station_latency(self, a: str, b: str) -> float:
         """One-way latency between two stations (via the gateway)."""
         if a == b:
             return 0.0
-        return 2 * self.config.uplink_delay_s
+        return 2 * self.uplink_delay_s
 
     def summary(self) -> Dict[str, int]:
         """Inventory counts (surfaced by the UI's network overview)."""

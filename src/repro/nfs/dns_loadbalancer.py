@@ -99,9 +99,6 @@ class DNSLoadBalancer(NetworkFunction):
             name=service_name, backends=list(backends), weights=list(weights or [])
         )
 
-    def remove_pool(self, service_name: str) -> None:
-        self.pools.pop(service_name, None)
-
     # ------------------------------------------------------------ dataplane
 
     def _process(self, packet: Packet, context: ProcessingContext) -> List[Packet]:

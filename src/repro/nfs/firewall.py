@@ -135,18 +135,6 @@ class Firewall(NetworkFunction):
         self.dropped = 0
         self.conntrack_hits = 0
 
-    # --------------------------------------------------------------- rules
-
-    def add_rule(self, rule: FirewallRule, position: Optional[int] = None) -> None:
-        """Append (or insert) a rule; earlier rules win."""
-        if position is None:
-            self.rules.append(rule)
-        else:
-            self.rules.insert(position, rule)
-
-    def clear_rules(self) -> None:
-        self.rules.clear()
-
     # ------------------------------------------------------------ dataplane
 
     def _process(self, packet: Packet, context: ProcessingContext) -> List[Packet]:

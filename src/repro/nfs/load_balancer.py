@@ -40,17 +40,6 @@ class L4LoadBalancer(NetworkFunction):
         self.connections_per_backend: Dict[str, int] = {backend: 0 for backend in self.backends}
         self.packets_balanced = 0
 
-    # ------------------------------------------------------------- backends
-
-    def add_backend(self, backend_ip: str) -> None:
-        if backend_ip not in self.backends:
-            self.backends.append(backend_ip)
-            self.connections_per_backend.setdefault(backend_ip, 0)
-
-    def remove_backend(self, backend_ip: str) -> None:
-        if backend_ip in self.backends:
-            self.backends.remove(backend_ip)
-
     def _choose_backend(self) -> str:
         if not self.backends:
             raise RuntimeError("load balancer has no backends")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.errors import ScenarioSpecError
-from repro.core.testbed import TestbedConfig
+from repro.core.testbed import TestbedConfig, require_finite
 
 MOBILITY_MODELS = ("static", "linear", "waypoint", "commuter", "trace")
 WORKLOAD_KINDS = ("cbr", "http", "dns", "video", "bulk", "quic", "abr")
@@ -68,6 +68,7 @@ class MobilitySpec(_Spec):
     params: Dict[str, Any] = field(default_factory=dict)
 
     def validate(self) -> None:
+        require_finite(self)
         if self.model not in MOBILITY_MODELS:
             raise ScenarioSpecError(f"unknown mobility model {self.model!r}; valid: {MOBILITY_MODELS}")
         if self.start_s < 0:
@@ -95,6 +96,7 @@ class WorkloadSpec(_Spec):
     params: Dict[str, Any] = field(default_factory=dict)
 
     def validate(self) -> None:
+        require_finite(self)
         if self.kind not in WORKLOAD_KINDS:
             raise ScenarioSpecError(f"unknown workload kind {self.kind!r}; valid: {WORKLOAD_KINDS}")
         if self.start_s < 0:
@@ -123,6 +125,7 @@ class TrafficEraSpec(_Spec):
     name: str = ""
 
     def validate(self) -> None:
+        require_finite(self)
         if self.at_s < 0:
             raise ScenarioSpecError(f"era at_s must be >= 0, got {self.at_s}")
         if not self.shares:
@@ -176,6 +179,7 @@ class ClientFleetSpec(_Spec):
         return [f"{self.name}-{index + 1}" for index in range(self.count)]
 
     def validate(self) -> None:
+        require_finite(self)
         if not self.name:
             raise ScenarioSpecError("fleet name must be non-empty")
         if self.count < 1:
@@ -242,6 +246,7 @@ class ChainAssignmentSpec(_Spec):
         return self.slo_max_latency_s is not None or self.slo_min_bandwidth_mbps > 0
 
     def validate(self) -> None:
+        require_finite(self)
         if not self.fleet:
             raise ScenarioSpecError("assignment fleet must be non-empty")
         if not self.nfs:
@@ -305,6 +310,7 @@ class BundleAssignmentSpec(_Spec):
     detach_at_s: Optional[float] = None
 
     def validate(self) -> None:
+        require_finite(self)
         if not self.fleet:
             raise ScenarioSpecError("bundle assignment fleet must be non-empty")
         if not self.bundle:
@@ -334,6 +340,7 @@ class BundleUpgradeSpec(_Spec):
     mode: str = "precopy"
 
     def validate(self) -> None:
+        require_finite(self)
         if not self.bundle:
             raise ScenarioSpecError("upgrade bundle name must be non-empty")
         if self.to_version < 1:
@@ -368,6 +375,7 @@ class FaultSpec(_Spec):
         return self.station
 
     def validate(self) -> None:
+        require_finite(self)
         if self.kind not in FAULT_KINDS:
             raise ScenarioSpecError(f"unknown fault kind {self.kind!r}; valid: {FAULT_KINDS}")
         if self.at_s < 0:
@@ -413,6 +421,7 @@ class ScenarioSpec(_Spec):
     eras: List[TrafficEraSpec] = field(default_factory=list)
 
     def validate(self) -> "ScenarioSpec":
+        require_finite(self)
         if not self.name:
             raise ScenarioSpecError("scenario name must be non-empty")
         if self.duration_s <= 0:

@@ -27,6 +27,8 @@ AssociationListener = Callable[["MobileClient", "Cell"], None]
 class Cell(Host):
     """An access point with a coverage area, wired into one edge station."""
 
+    radio_delay_s = 0.002
+
     def __init__(
         self,
         simulator: Simulator,
@@ -35,14 +37,12 @@ class Cell(Host):
         position: Tuple[float, float],
         mac: str,
         tx_power_dbm: float = 20.0,
-        radio_delay_s: float = 0.002,
         radio_environment: Optional[RadioEnvironment] = None,
     ) -> None:
         super().__init__(simulator, name)
         self.station_name = station_name
         self.position = position
         self.tx_power_dbm = tx_power_dbm
-        self.radio_delay_s = radio_delay_s
         self.radio_environment = radio_environment or RadioEnvironment()
         self.wired_interface = Interface(name=f"{name}-wired", mac=mac)
         self.add_interface(self.wired_interface)

@@ -25,6 +25,10 @@ ReceiveListener = Callable[[Packet], None]
 class MobileClient(Host):
     """A roaming end device with one radio interface."""
 
+    #: Until its first association, when the handover manager sets the
+    #: serving station's gateway MAC on the client.
+    gateway_mac = "02:00:00:00:00:00"
+
     def __init__(
         self,
         simulator: Simulator,
@@ -32,11 +36,9 @@ class MobileClient(Host):
         ip: str,
         mac: str,
         position: Tuple[float, float] = (0.0, 0.0),
-        gateway_mac: str = "02:00:00:00:00:00",
     ) -> None:
         super().__init__(simulator, name)
         self.position = position
-        self.gateway_mac = gateway_mac
         self.radio_interface = Interface(name=f"{name}-radio", mac=mac, ip=ip)
         self.add_interface(self.radio_interface)
         self.associated_cell: Optional["Cell"] = None

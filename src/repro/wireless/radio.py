@@ -32,7 +32,6 @@ class RadioEnvironment:
     path_loss_exponent: float = 3.0
     reference_loss_db: float = 40.0
     reference_distance_m: float = 1.0
-    noise_floor_dbm: float = -95.0
     #: Receiver sensitivity: the single reachability threshold shared by
     #: ``in_range``, ``max_range_m`` and ``link_rate_bps``.  A client the
     #: model calls unreachable gets PHY rate 0, not a phantom 6 Mbit/s.
@@ -67,10 +66,6 @@ class RadioEnvironment:
         if budget_db <= 0:
             return self.reference_distance_m
         return self.reference_distance_m * 10 ** (budget_db / (10 * self.path_loss_exponent))
-
-    def snr_db(self, rssi_dbm: float) -> float:
-        """Signal-to-noise ratio against the configured noise floor."""
-        return rssi_dbm - self.noise_floor_dbm
 
     def link_rate_bps(self, rssi_dbm: float) -> float:
         """Coarse RSSI-to-PHY-rate mapping (802.11-style rate steps).

@@ -17,6 +17,8 @@ Covers the PR's guarantees:
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.chain import ChainSLO, NFRequirements, NFSpec, ServiceChain
@@ -24,7 +26,6 @@ from repro.core.errors import DeploymentError
 from repro.core.manager import AssignmentState
 from repro.core.placement import (
     STRATEGY_FACTORIES,
-    AdmissionPolicy,
     BinPackingPlacement,
     EmbeddingPlacement,
     LatencyWeightedPlacement,
@@ -241,7 +242,7 @@ def test_engine_slo_rejection_is_terminal_not_queued():
         Simulator(),
         strategy=EmbeddingPlacement(),
         repository=NFRepository.with_default_catalog(),
-        admission=AdmissionPolicy(enabled=True),
+        admission_control=True,
     )
     views = [
         _view("station-1", latency=0.0, free=5.0, util=0.9),
@@ -258,6 +259,20 @@ def test_engine_slo_rejection_is_terminal_not_queued():
     big = ServiceChain([NFSpec("firewall", requirements=NFRequirements(memory_mb=500.0))])
     decision = engine.place("station-1", views, big)
     assert not decision.admitted and decision.queued and not decision.slo_rejected
+
+
+def test_engine_admission_queue_has_no_depth_cap():
+    """A refusal queues however deep the queue already is: the queue holds
+    at most one entry per live assignment, so it needs no cap of its own."""
+    engine = PlacementEngine(
+        Simulator(), repository=NFRepository.with_default_catalog(), admission_control=True
+    )
+    big = ServiceChain([NFSpec("firewall", requirements=NFRequirements(memory_mb=500.0))])
+    for index in range(1025):
+        engine.enqueue(SimpleNamespace(assignment_id=f"queued-{index}"), "station-1", big)
+    decision = engine.place("station-1", [_view("station-1", latency=0.0)], big)
+    assert not decision.admitted and decision.queued
+    assert len(engine.queued_assignment_ids()) == 1025
 
 
 def test_engine_prices_runtime_overhead_into_sizes():

@@ -35,6 +35,12 @@ from repro.scenarios import (
 )
 from repro.wireless.mobility import RandomWaypointMobility
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import digests  # noqa: E402
+
+GOLDEN = digests.load_golden()
+
 # ---------------------------------------------------------------------------
 # Seed derivation
 # ---------------------------------------------------------------------------
@@ -318,6 +324,11 @@ def test_digest_invariant_across_placement_strategies_when_unloaded():
     must make exactly the closest-agent decisions -- byte for byte."""
     for name in ("fig2-roaming", "flash-crowd", "firewall-churn"):
         base = run_scenario(name, seed=0)
+        golden = GOLDEN[digests.cell_key((name, 0, "packet"))]
+        assert (base.digest.hexdigest, base.events_processed) == (
+            golden["digest"],
+            golden["events_processed"],
+        )
         for strategy in ("closest-agent", "least-loaded", "latency-weighted", "bin-packing"):
             other = run_scenario(name, seed=0, placement_strategy=strategy)
             assert other.digest == base.digest, (
@@ -325,6 +336,17 @@ def test_digest_invariant_across_placement_strategies_when_unloaded():
                 strategy,
                 base.digest.diff(other.digest),
             )
+
+
+def test_the_golden_matrix_holds_every_cell_and_names_a_moved_one():
+    assert sorted(GOLDEN) == sorted(digests.cell_key(cell) for cell in digests.cells())
+    assert len(GOLDEN) == 44
+    key = "fig2-roaming/seed-1/packet"
+    moved = dict(GOLDEN, **{key: dict(GOLDEN[key], events_processed=0)})
+    assert digests.moved_cells(GOLDEN, moved) == [
+        f"{key}: events_processed {GOLDEN[key]['events_processed']!r} -> 0"
+    ]
+    assert digests.moved_cells(GOLDEN, dict(GOLDEN)) == []
 
 
 def test_handover_jitter_is_seeded_not_global():

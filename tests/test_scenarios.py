@@ -244,6 +244,12 @@ BAD_KNOBS = [
     {"region_count": 0},
     {"region_count": 3},  # more regions than the two stations
     {"simulation_mode": "quantum"},
+    # NaN passes every `<=`/`<` rule and inf is never reached: both are refused.
+    {"heartbeat_interval_s": float("nan")},
+    {"scan_interval_s": float("nan")},
+    {"uplink_bandwidth_bps": float("inf")},
+    {"station_spacing_m": float("nan")},
+    {"handover_scan_jitter_s": float("inf")},
 ]
 
 
@@ -257,6 +263,32 @@ def test_a_bad_knob_is_rejected_the_same_way_through_every_door(bad):
         ScenarioRunner(_knob_spec()).start(**bad)
     with pytest.raises(ScenarioSpecError):
         ScenarioSpec(name="x", topology=TopologySpec(**bad)).validate()
+
+
+def _spec_with_every_timed_part() -> ScenarioSpec:
+    return ScenarioSpec(
+        name="finite",
+        duration_s=5.0,
+        fleets=[ClientFleetSpec(name="f", workloads=[WorkloadSpec(kind="cbr")])],
+        assignments=[ChainAssignmentSpec(fleet="f", nfs=["firewall"])],
+    )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "path",
+    ["duration_s", "fleets.0.position", "fleets.0.workloads.0.start_s", "assignments.0.attach_at_s"],
+)
+def test_a_non_finite_spec_number_is_rejected(path, bad):
+    spec = _spec_with_every_timed_part()
+    spec.validate()
+    *parents, name = path.split(".")
+    owner = spec
+    for step in parents:
+        owner = owner[int(step)] if step.isdigit() else getattr(owner, step)
+    setattr(owner, name, (bad, 0.0) if name == "position" else bad)
+    with pytest.raises(ScenarioSpecError, match=f"{name} must be finite"):
+        spec.validate()
 
 
 def test_unknown_override_is_rejected_and_none_keeps_the_spec_value():

@@ -170,11 +170,11 @@ def test_topology_graph_and_latencies(topology):
         topology.station_to_station_latency("station-1", "station-2")
     )
     assert topology.control_latency("station-1") == pytest.approx(
-        topology.config.uplink_delay_s + topology.config.core_delay_s
+        EdgeTopology.uplink_delay_s + EdgeTopology.core_delay_s
     )
     assert topology.station_to_station_latency("station-1", "station-1") == 0.0
     assert topology.station_to_station_latency("station-1", "station-2") == pytest.approx(
-        2 * topology.config.uplink_delay_s
+        2 * EdgeTopology.uplink_delay_s
     )
     with pytest.raises(KeyError):
         topology.control_latency("station-99")

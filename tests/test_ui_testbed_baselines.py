@@ -2,16 +2,34 @@
 
 from __future__ import annotations
 
+import inspect
+from dataclasses import fields
+
 import pytest
 
 from repro.baselines.core_nfv import CoreNFVScenario
 from repro.baselines.vm_nfv import VMNFVBaseline, vm_image_for
+from repro.containers.checkpoint import CheckpointEngine
 from repro.containers.runtime import RuntimeTimings
+from repro.core.bundles import BundleUpgradeOrchestrator
+from repro.core import placement
 from repro.core.chain import ServiceChain
 from repro.core.errors import ScenarioSpecError
+from repro.core.migration import MigrationEngine, StateTransferService
+from repro.core.placement import (
+    BinPackingPlacement,
+    EmbeddingPlacement,
+    LatencyWeightedPlacement,
+    NFAutoscaler,
+    PlacementEngine,
+)
 from repro.core.testbed import GNFTestbed, TestbedConfig
+from repro.netem.host import Server
 from repro.netem.simulator import Simulator
-from repro.netem.topology import StationProfile
+from repro.netem.switch import SoftwareSwitch
+from repro.netem.topology import EdgeTopology, StationProfile, TopologyConfig
+from repro.wireless.cell import Cell
+from repro.wireless.client import MobileClient
 
 
 # --------------------------------------------------------------------------
@@ -65,16 +83,80 @@ def test_a_bad_config_is_rejected_before_anything_is_built(monkeypatch):
             GNFTestbed(TestbedConfig(**bad))
 
 
+#: Values no caller ever set, now class constants: class -> name -> value.
+RETIRED_KNOBS = {
+    EdgeTopology: {
+        "uplink_delay_s": 0.005,
+        "core_bandwidth_bps": 10e9,
+        "core_delay_s": 0.010,
+        "gateway_forwarding_delay_s": 10e-6,
+        "server_http_body_bytes": 10_000,
+    },
+    MigrationEngine: {"speculative_station_limit": 3},
+    StateTransferService: {
+        "chunk_bytes": 65536,
+        "window_chunks": 32,
+        "stall_timeout_s": 3.0,
+        "max_retries": 5,
+        "fallback_bandwidth_bps": 100e6,
+    },
+    CheckpointEngine: {"freeze_base_s": 0.02, "dump_per_mb_s": 0.004},
+    NFAutoscaler: {"hot_evals": 2, "rebalance_cooldown_s": 15.0},
+    BundleUpgradeOrchestrator: {"retry_interval_s": 1.0, "max_retries": 60},
+    PlacementEngine: {"retry_interval_s": 1.0},
+    LatencyWeightedPlacement: {"load_weight_s": 0.02},
+    EmbeddingPlacement: {"latency_budget_s": 0.05, "prefer_local_below": 0.6},
+    SoftwareSwitch: {"flow_cache_capacity": 8192},
+    Server: {"processing_delay_s": 0.0005},
+    Cell: {"radio_delay_s": 0.002},
+    MobileClient: {"gateway_mac": "02:00:00:00:00:00"},
+    VMNFVBaseline: {"hypervisor_overhead_mb": 512.0},
+}
+
+#: Parameters that went with no constant of their own: the value is derived
+#: or fixed, or (the saturation thresholds) lives once, beside the predicate.
+RETIRED_PARAMETERS = {
+    EdgeTopology: ("address_plan",),
+    EdgeTopology.add_server: ("http_body_bytes",),
+    GNFTestbed.add_server: ("http_body_bytes",),
+    MigrationEngine: ("transfer_bandwidth_bps", "chunk_bytes"),
+    NFAutoscaler: ("rebalance",),
+    BundleUpgradeOrchestrator: ("catalogue",),
+    BinPackingPlacement: ("max_utilization", "headroom_mb"),
+    EmbeddingPlacement: ("max_utilization", "headroom_mb"),
+}
+
+
 def test_constants_that_used_to_be_knobs_did_not_move():
     testbed = GNFTestbed()
     assert testbed.handover.hysteresis_db == 4.0
     assert testbed.handover.handover_delay_s == 0.05
     assert [cell.tx_power_dbm for cell in testbed.cells.values()] == [20.0, 20.0]
-    assert testbed.topology.config.uplink_delay_s == 0.005
-    assert testbed.topology.config.core_delay_s == 0.010
-    assert testbed.placement_engine.admission.max_utilization == 0.85
+    assert EdgeTopology.uplink_delay_s == 0.005
+    assert EdgeTopology.core_delay_s == 0.010
+    assert (placement.MAX_UTILIZATION, placement.HEADROOM_MB) == (0.85, 4.0)
     assert testbed.roaming.transfers.chunk_bytes == 65536
     assert testbed.hybrid.epoch_s == 0.25
+    for owner, values in RETIRED_KNOBS.items():
+        parameters = inspect.signature(owner).parameters
+        for name, value in values.items():
+            assert getattr(owner, name) == value, (owner.__name__, name)
+            assert name not in parameters, (owner.__name__, name)
+    for owner, names in RETIRED_PARAMETERS.items():
+        parameters = inspect.signature(owner).parameters
+        for name in names:
+            assert name not in parameters, (owner.__qualname__, name)
+    assert len(fields(TopologyConfig)) == 7
+    # The deployment-shape constants live where they are read; no config
+    # instance carries them, so setting one on a config changes nothing.
+    for name in RETIRED_KNOBS[EdgeTopology]:
+        assert not hasattr(TopologyConfig(), name), name
+    # Admission is two engine arguments and the two thresholds above: a
+    # refused placement always queues.
+    assert not hasattr(placement, "AdmissionPolicy")
+    assert testbed.add_server("extra").http_body_bytes == 10_000
+    assert testbed.upgrades.catalogue.get("mobile-core", 2).version == 2
+    assert testbed.topology.addresses.allocate_ip("clients", owner="x").startswith("10.10.")
 
 
 def test_a_testbed_never_mutates_or_shares_its_configs_dns_zone():
