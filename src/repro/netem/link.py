@@ -34,15 +34,19 @@ class LinkStats:
     fluid_bytes: float = 0.0
 
 
-class _Direction:
-    """State for one direction of a link."""
+class _Direction(LinkStats):
+    """One direction of a link: its counters, plus the state of its queue.
 
-    __slots__ = ("busy_until", "queue_depth", "stats", "fluid_load_bps")
+    A direction *is* its :class:`LinkStats`, so a link holds two objects
+    beside itself and :meth:`Link.stats` hands out the live counters.
+    """
+
+    __slots__ = ("busy_until", "queue_depth", "fluid_load_bps")
 
     def __init__(self) -> None:
+        super().__init__()
         self.busy_until = 0.0
         self.queue_depth = 0
-        self.stats = LinkStats()
         #: Aggregate fluid-flow rate currently occupying this direction.
         #: Packet serialization only sees the residual bandwidth while this
         #: is non-zero; at zero the arithmetic is bit-identical to the
@@ -69,6 +73,21 @@ class Link:
     name:
         Human-readable label used by telemetry and debugging output.
     """
+
+    __slots__ = (
+        "simulator",
+        "bandwidth_bps",
+        "delay_s",
+        "loss_rate",
+        "max_queue_packets",
+        "name",
+        "_rng",
+        "endpoint_a",
+        "endpoint_b",
+        "_a_to_b",
+        "_b_to_a",
+        "up",
+    )
 
     def __init__(
         self,
@@ -170,7 +189,7 @@ class Link:
 
     def add_fluid_bytes(self, direction_key: str, size_bytes: float) -> None:
         """Account bytes the fluid solver moved across one direction."""
-        self._direction(direction_key).stats.fluid_bytes += size_bytes
+        self._direction(direction_key).fluid_bytes += size_bytes
 
     def transmit(self, packet: "Packet", from_interface: "Interface") -> bool:
         """Send ``packet`` out of ``from_interface`` towards the peer.
@@ -181,13 +200,12 @@ class Link:
         this link raises ``ValueError`` before any state is touched.
         """
         direction, destination = self._egress(from_interface)
-        stats = direction.stats
         size = packet.size_bytes
 
         depth = direction.queue_depth
         if not self.up or depth >= self.max_queue_packets:
-            stats.dropped_packets += 1
-            stats.dropped_bytes += size
+            direction.dropped_packets += 1
+            direction.dropped_bytes += size
             return False
 
         simulator = self.simulator
@@ -202,8 +220,8 @@ class Link:
         direction.busy_until = busy_until
 
         direction.queue_depth = depth = depth + 1
-        if depth > stats.queued_high_water:
-            stats.queued_high_water = depth
+        if depth > direction.queued_high_water:
+            direction.queued_high_water = depth
 
         lost = False
         if self.loss_rate > 0.0:
@@ -228,13 +246,12 @@ class Link:
     ) -> None:
         """The one event of a hop; ``size`` is what ``transmit`` serialized."""
         direction.queue_depth -= 1
-        stats = direction.stats
         if lost or not self.up:
-            stats.dropped_packets += 1
-            stats.dropped_bytes += size
+            direction.dropped_packets += 1
+            direction.dropped_bytes += size
             return
-        stats.tx_packets += 1
-        stats.tx_bytes += size
+        direction.tx_packets += 1
+        direction.tx_bytes += size
         packet.hops += 1
         destination.deliver(packet)
 
@@ -245,22 +262,22 @@ class Link:
         self.up = up
 
     def stats(self, from_interface: "Interface") -> LinkStats:
-        """Counters for the direction whose transmissions originate at ``from_interface``."""
-        return self._egress(from_interface)[0].stats
+        """Live counters of the direction whose transmissions originate at ``from_interface``."""
+        return self._egress(from_interface)[0]
 
     @property
     def total_stats(self) -> LinkStats:
         """Aggregated counters across both directions."""
         combined = LinkStats()
         for direction in (self._a_to_b, self._b_to_a):
-            combined.tx_packets += direction.stats.tx_packets
-            combined.tx_bytes += direction.stats.tx_bytes
-            combined.dropped_packets += direction.stats.dropped_packets
-            combined.dropped_bytes += direction.stats.dropped_bytes
+            combined.tx_packets += direction.tx_packets
+            combined.tx_bytes += direction.tx_bytes
+            combined.dropped_packets += direction.dropped_packets
+            combined.dropped_bytes += direction.dropped_bytes
             combined.queued_high_water = max(
-                combined.queued_high_water, direction.stats.queued_high_water
+                combined.queued_high_water, direction.queued_high_water
             )
-            combined.fluid_bytes += direction.stats.fluid_bytes
+            combined.fluid_bytes += direction.fluid_bytes
         return combined
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

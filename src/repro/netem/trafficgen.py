@@ -103,14 +103,26 @@ class LatencySample:
 
 
 class _GeneratorBase:
-    """Shared bookkeeping for all generators."""
+    """Shared bookkeeping for all generators.
 
-    #: Request/response samples.  The shared empty tuple until the first
-    #: response, so a generator that never sees one (every bulk upload)
-    #: holds no list.
-    latency_samples: Sequence[LatencySample] = ()
-    #: Events ``stop()`` must cancel; the shared empty tuple until the first.
-    _pending_events: Sequence[Event] = ()
+    Slotted, like :class:`BulkTransferGenerator` (the one generator a bulk
+    storm holds thousands of); the other subclasses declare no slots, so
+    they keep a ``__dict__`` and their instances stay patchable.
+    """
+
+    __slots__ = (
+        "simulator",
+        "client",
+        "generator_id",
+        "name",
+        "running",
+        "intensity",
+        "packets_sent",
+        "bytes_sent",
+        "responses_received",
+        "latency_samples",
+        "_pending_events",
+    )
 
     def __init__(self, simulator: Simulator, client: TrafficEndpoint, name: str = "") -> None:
         self.simulator = simulator
@@ -125,6 +137,12 @@ class _GeneratorBase:
         self.packets_sent = 0
         self.bytes_sent = 0
         self.responses_received = 0
+        #: Request/response samples.  The shared empty tuple until the first
+        #: response, so a generator that never sees one (every bulk upload)
+        #: holds no list.
+        self.latency_samples: Sequence[LatencySample] = ()
+        #: Events ``stop()`` must cancel; the shared empty tuple until the first.
+        self._pending_events: Sequence[Event] = ()
         client.add_receive_listener(self._on_receive)
 
     # ------------------------------------------------------------ control
@@ -509,6 +527,19 @@ class BulkTransferGenerator(_GeneratorBase):
     Uploads are one-way by contract (``bulk_oneway`` metadata): the server
     counts the bytes but never echoes, so there are no RTT samples.
     """
+
+    __slots__ = (
+        "server_ip",
+        "scheduler",
+        "rate_bps",
+        "chunk_bytes",
+        "dst_port",
+        "src_port",
+        "transfer_complete",
+        "_sequence",
+        "_tick_scheduled",
+        "flow",
+    )
 
     def __init__(
         self,

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -107,6 +108,41 @@ class _LiveSection(Mapping):
         return len(self._source)
 
 
+class _WorkloadStats(Mapping):
+    """Every generator's ``stats()`` as read at one instant, kept as rows.
+
+    A row is the generator's values packed as C doubles, beside a layout (the
+    key tuple and its ``struct.Struct``) shared by every generator of the
+    same kind; each read builds a fresh dict, so the mapping is read-only and
+    what a caller gets is its own to change.  A packed ``bytes`` row is one
+    allocation where an ``array('d')`` is two, and ``struct`` is imported
+    anyway, where nothing else loads the ``array`` extension module.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, generators: Dict[str, object]) -> None:
+        layouts: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], struct.Struct]] = {}
+        self._rows: Dict[str, Tuple[Tuple[Tuple[str, ...], struct.Struct], bytes]] = {}
+        for name, generator in sorted(generators.items()):
+            stats = generator.stats()
+            keys = tuple(stats)
+            layout = layouts.get(keys)
+            if layout is None:
+                layout = layouts[keys] = (keys, struct.Struct(f"{len(keys)}d"))
+            self._rows[name] = (layout, layout[1].pack(*stats.values()))
+
+    def __getitem__(self, name: str) -> Dict[str, float]:
+        (keys, row_format), row = self._rows[name]
+        return dict(zip(keys, row_format.unpack(row)))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 def _client_entry(client) -> Dict[str, float]:
     return client.stats()
 
@@ -128,7 +164,8 @@ class ScenarioResult:
     #: True when the post-teardown drain emptied the event queue.
     drained: bool
     pending_events_after_teardown: int
-    workload_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: Each generator's ``stats()`` as read before teardown (read-only).
+    workload_stats: Mapping[str, Dict[str, float]]
     handovers: int = 0
     migrations_started: int = 0
     migrations_completed: int = 0
@@ -498,9 +535,7 @@ class ScenarioRun:
         # shard; provenance is excluded from the hash itself.
         provenance = getattr(self.testbed.manager, "station_provenance", lambda: {})()
         digest = MetricsDigest.compute(self.telemetry_sections(), provenance=provenance)
-        workload_stats = {
-            name: generator.stats() for name, generator in sorted(self.generators.items())
-        }
+        workload_stats = _WorkloadStats(self.generators)
         # Teardown: stop every periodic source, then run the queue dry.  A
         # correctly behaved scenario always drains; leftovers mean some
         # component kept rescheduling itself after stop() -- surfaced via

@@ -42,7 +42,8 @@ class MobileClient(Host):
         self.radio_interface = Interface(name=f"{name}-radio", mac=mac, ip=ip)
         self.add_interface(self.radio_interface)
         self.associated_cell: Optional["Cell"] = None
-        self._receive_listeners: List[ReceiveListener] = []
+        #: A tuple, not a list: most clients gain one listener and never lose it.
+        self._receive_listeners: Tuple[ReceiveListener, ...] = ()
         self.packets_received = 0
         self.bytes_received = 0
         self.packets_sent_while_disconnected = 0
@@ -70,7 +71,7 @@ class MobileClient(Host):
         return self.radio_interface.send(packet)
 
     def add_receive_listener(self, listener: ReceiveListener) -> None:
-        self._receive_listeners.append(listener)
+        self._receive_listeners += (listener,)
 
     # -------------------------------------------------------- association
 

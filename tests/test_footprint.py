@@ -7,7 +7,11 @@ advanced past the point where every flow is running, and the difference in
 ``tracemalloc``-retained bytes is divided by the difference in clients.  The
 same two runs are then finalized, and the peak ``finalize()`` reaches above
 what the run retained is pinned the same way: the digest must stream the
-per-client sections, never hold one whole.
+per-client sections, never hold one whole, and ``workload_stats`` keeps one
+row of floats per generator, not a dict.
+
+``python tools/footprint.py`` prints both figures and the source lines that
+hold the retained bytes, from the same storm and the same ``measure()``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,11 @@ from __future__ import annotations
 import functools
 import gc
 import tracemalloc
-from typing import Tuple
+from typing import Optional, Tuple
 
+from repro.netem.link import LinkStats
+from repro.netem.packet import make_udp_packet
+from repro.netem.trafficgen import BulkTransferGenerator
 from repro.scenarios import (
     ClientFleetSpec,
     ScenarioRunner,
@@ -27,13 +34,16 @@ from repro.scenarios import (
 
 _STATIONS = 8
 #: Upper bound on retained bytes per added bulk client (the hybrid storm
-#: below measures ~3.3 kB; a link RNG per radio link alone adds ~2.9 kB).
-MAX_BYTES_PER_CLIENT = 3_700
+#: below measures ~3.1 kB: radio links and bulk generators are slotted, and a
+#: link direction is its own ``LinkStats``; a link RNG per radio link alone
+#: would add ~2.9 kB).
+MAX_BYTES_PER_CLIENT = 3_200
 #: Upper bound on what ``finalize()`` allocates at its peak, above the bytes
-#: the run retained, per added bulk client (~1.1 kB: the per-generator
-#: ``workload_stats`` and the digest's per-entry hashes, both kept; building
-#: the ``clients`` and ``workloads`` sections whole read ~1.6 kB).
-MAX_FINALIZE_BYTES_PER_CLIENT = 1_200
+#: the run retained, per added bulk client (~0.67 kB: the digest's per-entry
+#: hashes and one packed row of ``workload_stats`` per generator; a dict per
+#: generator read ~1.1 kB, building the ``clients`` and ``workloads``
+#: sections whole ~1.6 kB).
+MAX_FINALIZE_BYTES_PER_CLIENT = 800
 
 
 def _bulk_storm(clients: int) -> ScenarioSpec:
@@ -72,11 +82,11 @@ def _bulk_storm(clients: int) -> ScenarioSpec:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _footprint(clients: int) -> Tuple[int, int]:
-    """``(retained, finalize_peak)`` of a hybrid storm of ``clients``: the bytes
-    still allocated after ``advance(8)``, and how far above them ``finalize()``
-    peaks."""
+def measure(clients: int, snapshot: bool = False) -> Tuple[int, int, Optional[tracemalloc.Snapshot]]:
+    """``(retained, finalize_peak, snapshot)`` of a hybrid storm of ``clients``:
+    the bytes still allocated after ``advance(8)``, how far above them
+    ``finalize()`` peaks, and (on request) a ``tracemalloc`` snapshot of the
+    retained bytes, which ``tools/footprint.py`` attributes to source lines."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -84,6 +94,8 @@ def _footprint(clients: int) -> Tuple[int, int]:
         run.advance(8.0)
         gc.collect()
         retained, _ = tracemalloc.get_traced_memory()
+        taken = tracemalloc.take_snapshot() if snapshot else None
+        base, _ = tracemalloc.get_traced_memory()  # the snapshot's own bytes are not the run's
         tracemalloc.reset_peak()
         run.finalize()
         _, peak = tracemalloc.get_traced_memory()
@@ -91,12 +103,17 @@ def _footprint(clients: int) -> Tuple[int, int]:
         tracemalloc.stop()
     del run
     gc.collect()
-    return retained, peak - retained
+    return retained, peak - base, taken
 
 
-def _per_added_client(index: int) -> float:
+@functools.lru_cache(maxsize=None)
+def _footprint(clients: int) -> Tuple[int, int]:
+    return measure(clients)[:2]
+
+
+def _per_added_client(index: int, small: int = 200, large: int = 600) -> float:
     _footprint(_STATIONS)  # warm-up: lazy imports and one-time caches
-    return (_footprint(600)[index] - _footprint(200)[index]) / 400
+    return (_footprint(large)[index] - _footprint(small)[index]) / (large - small)
 
 
 def test_retained_bytes_per_added_bulk_client_stay_bounded():
@@ -107,6 +124,27 @@ def test_retained_bytes_per_added_bulk_client_stay_bounded():
 def test_finalize_peak_per_added_bulk_client_stays_bounded():
     per_client = _per_added_client(1)
     assert 0 < per_client <= MAX_FINALIZE_BYTES_PER_CLIENT, per_client
+
+
+def test_radio_links_and_bulk_generators_carry_no_dict():
+    """What a bulk client holds per radio link and per generator is slotted,
+    and a link direction is its own live ``LinkStats``."""
+    run = ScenarioRunner(_bulk_storm(_STATIONS)).start(simulation_mode="hybrid")
+    run.advance(7.0)  # every client is associated and uploading
+    generator = next(iter(run.generators.values()))
+    assert isinstance(generator, BulkTransferGenerator)
+    interface = generator.client.radio_interface
+    link = interface.link
+    assert not hasattr(link, "__dict__")
+    assert not hasattr(generator, "__dict__")
+    assert isinstance(link._a_to_b, LinkStats) and isinstance(link._b_to_a, LinkStats)
+    stats = link.stats(interface)
+    sent_packets, sent_bytes = stats.tx_packets, stats.tx_bytes
+    packet = make_udp_packet(interface.ip, "10.0.0.1", 1, 2, payload_bytes=100)
+    assert link.transmit(packet, interface)
+    run.advance(0.1)
+    assert (stats.tx_packets, stats.tx_bytes) == (sent_packets + 1, sent_bytes + packet.size_bytes)
+    assert run.finalize().drained
 
 
 def test_runner_keeps_only_pending_orchestration_handles():

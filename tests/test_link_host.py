@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -187,10 +188,12 @@ def test_transmit_from_unattached_interface_leaves_no_phantom_queue(simulator, b
     for _ in range(burst):
         with pytest.raises(ValueError):
             link.transmit(packet, stranger)
+    fresh = LinkStats()
     for direction in link._directions.values():
         assert direction.queue_depth == 0
         assert direction.busy_until == 0.0
-        assert direction.stats == LinkStats()
+        for field in dataclasses.fields(LinkStats):
+            assert getattr(direction, field.name) == getattr(fresh, field.name), field.name
     assert simulator.pending_events == 0
     # The link is still fully usable afterwards.
     b.send(packet)

@@ -583,6 +583,33 @@ def test_detach_schedule_removes_chain():
     assert run.finalize().drained
 
 
+def test_workload_stats_are_frozen_at_the_finalize_instant():
+    """Echoes still in flight at teardown land during the drain; the result
+    keeps what each generator reported before it, read-only and JSON-able."""
+    spec = ScenarioSpec(
+        name="in-flight",
+        duration_s=5.0,
+        fleets=[
+            ClientFleetSpec(
+                name="f", count=2, workloads=[WorkloadSpec(kind="cbr", params={"rate_pps": 1000.0})]
+            )
+        ],
+    )
+    run = ScenarioRunner(spec).start()
+    run.advance(2.0)
+    at_finalize = {name: generator.stats() for name, generator in run.generators.items()}
+    result = run.finalize()
+    after_drain = {name: generator.stats() for name, generator in run.generators.items()}
+    assert after_drain != at_finalize  # responses were in flight at teardown
+    assert dict(result.workload_stats) == at_finalize
+    assert list(result.workload_stats) == sorted(at_finalize)
+    with pytest.raises(TypeError):
+        result.workload_stats["f-1/cbr0"] = after_drain["f-1/cbr0"]
+    result.workload_stats["f-1/cbr0"]["responses_received"] = -1.0  # the caller's own copy
+    assert result.workload_stats["f-1/cbr0"] == at_finalize["f-1/cbr0"]
+    assert json.loads(json.dumps(dict(result.workload_stats))) == at_finalize
+
+
 def test_runner_seed_override_wins_over_spec_seed():
     spec = build_scenario("commuter-rush", seed=1)
     result = ScenarioRunner(spec).run(seed=99)
