@@ -442,9 +442,11 @@ class StateTransferService:
         if transfer.done:
             return
         now = self.simulator.now
-        if now - transfer.last_progress_at < self.stall_timeout_s:
-            remaining = self.stall_timeout_s - (now - transfer.last_progress_at)
-            self.simulator.schedule(remaining, self._watchdog, transfer)
+        # An absolute deadline: a remainder recomputed from ``now`` can round
+        # to a delay too small to move the clock, and re-arm at ``now`` forever.
+        deadline = transfer.last_progress_at + self.stall_timeout_s
+        if now < deadline:
+            self.simulator.schedule_at(deadline, self._watchdog, transfer)
             return
         transfer.retries += 1
         if transfer.retries > self.max_retries:

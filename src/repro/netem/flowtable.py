@@ -217,8 +217,8 @@ class FlowTable:
         actions: Sequence[Action],
         cookie: str = "",
     ) -> FlowRule:
-        """Convenience wrapper constructing and installing a rule."""
-        return self.install(FlowRule(priority=priority, match=match, actions=list(actions), cookie=cookie))
+        """Convenience wrapper constructing and installing a rule (its actions kept as a tuple)."""
+        return self.install(FlowRule(priority=priority, match=match, actions=tuple(actions), cookie=cookie))
 
     def _remove_at(self, indices: List[int]) -> int:
         """Drop the rules at ``indices`` (ascending); returns how many."""

@@ -28,7 +28,25 @@ class Interface:
     An interface either hangs off a :class:`~repro.netem.link.Link` or has a
     ``delivery_override`` installed (used for veth endpoints that hand packets
     straight to an NF container without an emulated wire in between).
+
+    Slotted, with a ``__dict__`` slot as well, so that a :class:`VethPair`
+    end or a test sink can still replace ``send`` on an instance.
     """
+
+    __slots__ = (
+        "name",
+        "mac",
+        "ip",
+        "owner",
+        "link",
+        "delivery_override",
+        "rx_packets",
+        "rx_bytes",
+        "tx_packets",
+        "tx_bytes",
+        "up",
+        "__dict__",
+    )
 
     def __init__(
         self,
@@ -128,7 +146,14 @@ class VethPair:
 
 
 class Host:
-    """Base class for every packet-handling node in the testbed."""
+    """Base class for every packet-handling node in the testbed.
+
+    Slotted, so that a subclass that declares its own slots (the
+    :class:`~repro.wireless.client.MobileClient` a roaming population holds
+    thousands of) carries no ``__dict__``; every other subclass keeps one.
+    """
+
+    __slots__ = ("simulator", "name", "interfaces", "packet_handler", "rx_packets", "tx_packets")
 
     def __init__(self, simulator: Simulator, name: str) -> None:
         self.simulator = simulator

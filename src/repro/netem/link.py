@@ -71,7 +71,9 @@ class Link:
     max_queue_packets:
         Drop-tail queue limit per direction.
     name:
-        Human-readable label used by telemetry and debugging output.
+        Human-readable label used by error messages and ``repr``.  Without
+        one, :attr:`name` is built on read from the two endpoints' names, so
+        an unnamed link (every radio link) holds no string of its own.
     """
 
     __slots__ = (
@@ -80,7 +82,7 @@ class Link:
         "delay_s",
         "loss_rate",
         "max_queue_packets",
-        "name",
+        "_name",
         "_rng",
         "endpoint_a",
         "endpoint_b",
@@ -110,13 +112,22 @@ class Link:
         self.delay_s = delay_s
         self.loss_rate = loss_rate
         self.max_queue_packets = max_queue_packets
-        self.name = name or "link"
+        self._name = name
         self._rng = rng
         self.endpoint_a: Optional["Interface"] = None
         self.endpoint_b: Optional["Interface"] = None
         self._a_to_b = _Direction()
         self._b_to_a = _Direction()
         self.up = True
+
+    @property
+    def name(self) -> str:
+        """The given name, else ``"<endpoint a><-><endpoint b>"`` (``"link"`` while unattached)."""
+        if self._name:
+            return self._name
+        if self.endpoint_a is None or self.endpoint_b is None:
+            return "link"
+        return f"{self.endpoint_a.name}<->{self.endpoint_b.name}"
 
     # ----------------------------------------------------------- wiring
 

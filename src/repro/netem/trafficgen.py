@@ -124,6 +124,10 @@ class _GeneratorBase:
         "_pending_events",
     )
 
+    #: Whether the client hands this generator what it receives.  A one-way
+    #: generator never gets a reply, so it registers no listener.
+    HEARS_REPLIES = True
+
     def __init__(self, simulator: Simulator, client: TrafficEndpoint, name: str = "") -> None:
         self.simulator = simulator
         self.client = client
@@ -143,7 +147,8 @@ class _GeneratorBase:
         self.latency_samples: Sequence[LatencySample] = ()
         #: Events ``stop()`` must cancel; the shared empty tuple until the first.
         self._pending_events: Sequence[Event] = ()
-        client.add_receive_listener(self._on_receive)
+        if self.HEARS_REPLIES:
+            client.add_receive_listener(self._on_receive)
 
     # ------------------------------------------------------------ control
 
@@ -525,8 +530,11 @@ class BulkTransferGenerator(_GeneratorBase):
     paced sender.
 
     Uploads are one-way by contract (``bulk_oneway`` metadata): the server
-    counts the bytes but never echoes, so there are no RTT samples.
+    counts the bytes but never echoes, so there are no RTT samples, and the
+    generator registers no receive listener on its client.
     """
+
+    HEARS_REPLIES = False
 
     __slots__ = (
         "server_ip",

@@ -18,7 +18,8 @@ entry: each first-level entry is read, canonicalized and JSON-encoded
 **once**, and that encoding feeds both the entry's own hash and the section's
 running hash, so no canonical copy or JSON string of a whole section is ever
 held (the section hash is still that of the whole section's canonical JSON).
-A section that builds its entries on read is therefore never held whole.
+A section that builds its entries on read is therefore never held whole, and
+the per-entry hashes are kept as raw bytes, not as one string each.
 
 Values derived from process-global counters (assignment ids, container
 names...) must never be fed in: they differ between two runs in the same
@@ -27,11 +28,12 @@ process even when behaviour is identical.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 
 def canonicalize(value: Any) -> Any:
@@ -80,24 +82,73 @@ def _sha256(payload: Any) -> str:
     return hashlib.sha256(_JSON.encode(payload).encode("utf-8")).hexdigest()
 
 
-def _dict_section(name: str, tree: Mapping, subsections: Dict[str, str]) -> str:
-    """``_sha256(canonicalize(dict(tree)))``, streamed: each entry's encoding feeds its
-    own hash (``subsections["name/key"]``) and, framed as ``{"key":value,...}``,
+#: Bytes in one raw SHA-256 digest.
+_DIGEST_SIZE = hashlib.sha256().digest_size
+
+
+def _dict_section(tree: Mapping) -> Tuple[str, List[str], bytearray]:
+    """``_sha256(canonicalize(dict(tree)))``, streamed, beside the section's
+    sorted key texts and the raw SHA-256 of each entry, in key order.  Each
+    entry's encoding feeds its own hash and, framed as ``{"key":value,...}``,
     the section's running hash."""
+    texts = sorted(tree, key=str)  # becomes the key texts in place, below
+    digests = bytearray(_DIGEST_SIZE * len(texts))
     section = hashlib.sha256(b"{")
     separator = ""
     previous = None
-    for key in sorted(tree, key=str):
+    for index, key in enumerate(texts):
         text = str(key)
         if text == previous:  # sorted by text, so a collision is adjacent
             raise _key_collision(tree)
-        previous = text
+        previous = texts[index] = text
         encoded = _JSON.encode(canonicalize(tree[key]))
-        subsections[f"{name}/{text}"] = hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+        start = index * _DIGEST_SIZE
+        digests[start:start + _DIGEST_SIZE] = hashlib.sha256(encoded.encode("utf-8")).digest()
         section.update(f"{separator}{_json_string(text)}:{encoded}".encode("utf-8"))
         separator = ","
     section.update(b"}")
-    return section.hexdigest()
+    return section.hexdigest(), texts, digests
+
+
+class _Subsections(Mapping):
+    """``"section/key" -> hex`` over every first-level entry of every
+    mapping-valued section, kept packed: per section, its ``"section/"``
+    prefix, its sorted key texts and one run of raw 32-byte digests in the
+    same order.  Each read builds its key or hex string, so the digest holds
+    no string per entry.  Where two sections' flat keys collide (a section
+    name containing ``/``), the section digested last wins, as it would in a
+    flat dict filled section by section."""
+
+    __slots__ = ("_sections",)
+
+    def __init__(self, sections: Sequence[Tuple[str, List[str], bytearray]] = ()) -> None:
+        self._sections = tuple(sections)
+
+    def __getitem__(self, key: str) -> str:
+        if isinstance(key, str):
+            for prefix, texts, digests in reversed(self._sections):
+                if key.startswith(prefix):
+                    leaf = key[len(prefix):]
+                    index = bisect.bisect_left(texts, leaf)
+                    if index < len(texts) and texts[index] == leaf:
+                        start = index * _DIGEST_SIZE
+                        return digests[start:start + _DIGEST_SIZE].hex()
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[str]:
+        # Only a prefix with a "/" before its own trailing one can collide.
+        seen = set() if any("/" in prefix[:-1] for prefix, _, _ in self._sections) else None
+        for prefix, texts, _ in self._sections:
+            for text in texts:
+                key = prefix + text
+                if seen is not None:
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                yield key
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 @dataclass(frozen=True)
@@ -108,9 +159,10 @@ class MetricsDigest:
     components: Dict[str, str] = field(default_factory=dict)
     #: One hash per first-level key of every mapping-valued section
     #: (``"stations/station-3"``), so :meth:`diff` can localise a mismatch
-    #: below the section level.  Derived data: excluded from equality (the
-    #: overall hash is still computed from the section hashes alone).
-    subsections: Dict[str, str] = field(default_factory=dict, compare=False)
+    #: below the section level; a read-only mapping, packed (see
+    #: ``_Subsections``).  Derived data: excluded from equality (the overall
+    #: hash is still computed from the section hashes alone).
+    subsections: Mapping[str, str] = field(default_factory=_Subsections, compare=False)
     #: Optional station -> ``region-r/shard-s`` labels supplied by the run's
     #: manager.  Never hashed and never compared -- two digests of the same
     #: behaviour under different region/shard counts are equal even though
@@ -123,17 +175,18 @@ class MetricsDigest:
     ) -> "MetricsDigest":
         """Digest a ``{section_name: telemetry_tree}`` mapping."""
         components: Dict[str, str] = {}
-        subsections: Dict[str, str] = {}
+        packed = []
         for name, tree in sections.items():
             if isinstance(tree, Mapping):
-                components[name] = _dict_section(name, tree, subsections)
+                components[name], texts, digests = _dict_section(tree)
+                packed.append((f"{name}/", texts, digests))
             else:
                 components[name] = _sha256(canonicalize(tree))
         overall = _sha256({name: components[name] for name in sorted(components)})
         return cls(
             hexdigest=overall,
             components=components,
-            subsections=subsections,
+            subsections=_Subsections(packed),
             provenance=dict(provenance or {}),
         )
 

@@ -32,6 +32,7 @@ One-shot use::
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import struct
@@ -109,38 +110,52 @@ class _LiveSection(Mapping):
 
 
 class _WorkloadStats(Mapping):
-    """Every generator's ``stats()`` as read at one instant, kept as rows.
+    """Every generator's ``stats()`` as read at one instant, kept packed.
 
-    A row is the generator's values packed as C doubles, beside a layout (the
-    key tuple and its ``struct.Struct``) shared by every generator of the
-    same kind; each read builds a fresh dict, so the mapping is read-only and
-    what a caller gets is its own to change.  A packed ``bytes`` row is one
-    allocation where an ``array('d')`` is two, and ``struct`` is imported
-    anyway, where nothing else loads the ``array`` extension module.
+    The mapping holds the sorted generator names, one buffer of rows (each
+    generator's values as C doubles), one index of ``(row offset, layout)``
+    pairs in name order, and the layouts: a key tuple and its
+    ``struct.Struct``, one per distinct key tuple.  A name is found with
+    ``bisect``, and each read builds a fresh dict, so the mapping is
+    read-only and what a caller gets is its own to change.  ``struct`` is
+    imported anyway, where nothing else loads the ``array`` extension module.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_names", "_index", "_rows", "_layouts")
+
+    #: One index entry: the row's byte offset and its layout's number.
+    _ENTRY = struct.Struct("=II")
 
     def __init__(self, generators: Dict[str, object]) -> None:
-        layouts: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], struct.Struct]] = {}
-        self._rows: Dict[str, Tuple[Tuple[Tuple[str, ...], struct.Struct], bytes]] = {}
-        for name, generator in sorted(generators.items()):
-            stats = generator.stats()
+        self._names: List[str] = sorted(generators)
+        self._index = bytearray(self._ENTRY.size * len(self._names))
+        self._rows = bytearray()
+        self._layouts: List[Tuple[Tuple[str, ...], struct.Struct]] = []
+        numbers: Dict[Tuple[str, ...], int] = {}
+        for position, name in enumerate(self._names):
+            stats = generators[name].stats()
             keys = tuple(stats)
-            layout = layouts.get(keys)
-            if layout is None:
-                layout = layouts[keys] = (keys, struct.Struct(f"{len(keys)}d"))
-            self._rows[name] = (layout, layout[1].pack(*stats.values()))
+            number = numbers.get(keys)
+            if number is None:
+                number = numbers[keys] = len(self._layouts)
+                self._layouts.append((keys, struct.Struct(f"{len(keys)}d")))
+            self._ENTRY.pack_into(self._index, position * self._ENTRY.size, len(self._rows), number)
+            self._rows += self._layouts[number][1].pack(*stats.values())
 
     def __getitem__(self, name: str) -> Dict[str, float]:
-        (keys, row_format), row = self._rows[name]
-        return dict(zip(keys, row_format.unpack(row)))
+        names = self._names
+        position = bisect.bisect_left(names, name) if isinstance(name, str) else len(names)
+        if position == len(names) or names[position] != name:
+            raise KeyError(name)
+        offset, number = self._ENTRY.unpack_from(self._index, position * self._ENTRY.size)
+        keys, row_format = self._layouts[number]
+        return dict(zip(keys, row_format.unpack_from(self._rows, offset)))
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._rows)
+        return iter(self._names)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._names)
 
 
 def _client_entry(client) -> Dict[str, float]:

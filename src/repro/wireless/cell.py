@@ -98,14 +98,12 @@ class Cell(Host):
         rate = self.radio_environment.link_rate_bps(rssi)
         if rate <= 0:
             rate = 6e6
-        cell_iface = Interface(name=f"{self.name}-radio-{client.name}", mac=mac_allocator())
-        self.add_interface(cell_iface)
-        link = Link(
-            self.simulator,
-            bandwidth_bps=rate,
-            delay_s=self.radio_delay_s,
-            name=f"radio-{self.name}-{client.name}",
-        )
+        # The cell's end of the client's radio link: named after the cell and
+        # kept in ``_client_radio_ifaces`` only, not in ``interfaces``, so it
+        # holds no string of its own.  The link is unnamed too: ``link.name``
+        # (``"<client>-radio<-><cell>"``) is built from the two ends when read.
+        cell_iface = Interface(name=self.name, mac=mac_allocator(), owner=self)
+        link = Link(self.simulator, bandwidth_bps=rate, delay_s=self.radio_delay_s)
         link.attach(client.radio_interface, cell_iface)
         self._client_radio_ifaces[client.name] = cell_iface
         self._client_links[client.name] = link
@@ -119,10 +117,9 @@ class Cell(Host):
         """Detach a client: tear down its radio link and notify listeners."""
         if client.name not in self._clients:
             return
-        cell_iface = self._client_radio_ifaces.pop(client.name)
+        del self._client_radio_ifaces[client.name]
         link = self._client_links.pop(client.name)
         link.set_up(False)
-        self.interfaces.pop(cell_iface.name, None)
         del self._clients[client.name]
         del self._client_name_by_ip[client.ip]
         client.detach_from_cell(self)

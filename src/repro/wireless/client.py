@@ -10,7 +10,7 @@ to quantify service interruption.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.netem.host import Host, Interface
 from repro.netem.packet import Packet
@@ -23,11 +23,23 @@ ReceiveListener = Callable[[Packet], None]
 
 
 class MobileClient(Host):
-    """A roaming end device with one radio interface."""
+    """A roaming end device with one radio interface (slotted: no ``__dict__``)."""
 
-    #: Until its first association, when the handover manager sets the
-    #: serving station's gateway MAC on the client.
-    gateway_mac = "02:00:00:00:00:00"
+    #: ``gateway_mac`` until the first association, when the handover manager
+    #: sets the serving station's gateway MAC on the client.
+    DEFAULT_GATEWAY_MAC = "02:00:00:00:00:00"
+
+    __slots__ = (
+        "position",
+        "radio_interface",
+        "gateway_mac",
+        "associated_cell",
+        "_receive_listeners",
+        "packets_received",
+        "bytes_received",
+        "packets_sent_while_disconnected",
+        "association_history",
+    )
 
     def __init__(
         self,
@@ -41,13 +53,15 @@ class MobileClient(Host):
         self.position = position
         self.radio_interface = Interface(name=f"{name}-radio", mac=mac, ip=ip)
         self.add_interface(self.radio_interface)
+        self.gateway_mac = self.DEFAULT_GATEWAY_MAC
         self.associated_cell: Optional["Cell"] = None
         #: A tuple, not a list: most clients gain one listener and never lose it.
         self._receive_listeners: Tuple[ReceiveListener, ...] = ()
         self.packets_received = 0
         self.bytes_received = 0
         self.packets_sent_while_disconnected = 0
-        self.association_history: List[Tuple[float, str]] = []
+        #: ``(time, cell name)`` per association; a tuple, as most clients associate once.
+        self.association_history: Tuple[Tuple[float, str], ...] = ()
 
     # -------------------------------------------------- endpoint protocol
 
@@ -82,7 +96,7 @@ class MobileClient(Host):
     def attach_to_cell(self, cell: "Cell") -> None:
         """Called by the cell when association completes."""
         self.associated_cell = cell
-        self.association_history.append((self.simulator.now, cell.name))
+        self.association_history += ((self.simulator.now, cell.name),)
 
     def detach_from_cell(self, cell: "Cell") -> None:
         """Called by the cell when the client disassociates."""

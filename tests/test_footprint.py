@@ -7,21 +7,25 @@ advanced past the point where every flow is running, and the difference in
 ``tracemalloc``-retained bytes is divided by the difference in clients.  The
 same two runs are then finalized, and the peak ``finalize()`` reaches above
 what the run retained is pinned the same way: the digest must stream the
-per-client sections, never hold one whole, and ``workload_stats`` keeps one
-row of floats per generator, not a dict.
+per-client sections, never hold one whole, and neither the digest's
+per-entry hashes nor ``workload_stats`` keep an object per client.
 
 ``python tools/footprint.py`` prints both figures and the source lines that
-hold the retained bytes, from the same storm and the same ``measure()``.
+hold the retained bytes and what ``finalize()`` leaves allocated, from the
+same storm and the same ``measure()``.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
+import hashlib
+import json
 import tracemalloc
-from typing import Optional, Tuple
+from collections.abc import Mapping
+from typing import NamedTuple, Optional, Tuple
 
-from repro.netem.link import LinkStats
+from repro.netem.link import Link, LinkStats
 from repro.netem.packet import make_udp_packet
 from repro.netem.trafficgen import BulkTransferGenerator
 from repro.scenarios import (
@@ -31,19 +35,22 @@ from repro.scenarios import (
     TopologySpec,
     WorkloadSpec,
 )
+from repro.scenarios.digest import canonicalize
 
 _STATIONS = 8
 #: Upper bound on retained bytes per added bulk client (the hybrid storm
-#: below measures ~3.1 kB: radio links and bulk generators are slotted, and a
-#: link direction is its own ``LinkStats``; a link RNG per radio link alone
+#: below measures ~2.7 kB: radio links, bulk generators, interfaces and
+#: clients are slotted, a link direction is its own ``LinkStats``, and a bulk
+#: upload registers no receive listener; a link RNG per radio link alone
 #: would add ~2.9 kB).
-MAX_BYTES_PER_CLIENT = 3_200
+MAX_BYTES_PER_CLIENT = 2_900
 #: Upper bound on what ``finalize()`` allocates at its peak, above the bytes
-#: the run retained, per added bulk client (~0.67 kB: the digest's per-entry
-#: hashes and one packed row of ``workload_stats`` per generator; a dict per
-#: generator read ~1.1 kB, building the ``clients`` and ``workloads``
+#: the run retained, per added bulk client (~0.2 kB: 32 raw bytes per digest
+#: entry and one packed row of ``workload_stats`` per generator; a hex
+#: string per digest entry and a ``bytes`` row per generator read ~0.67 kB,
+#: a dict per generator ~1.1 kB, building the ``clients`` and ``workloads``
 #: sections whole ~1.6 kB).
-MAX_FINALIZE_BYTES_PER_CLIENT = 800
+MAX_FINALIZE_BYTES_PER_CLIENT = 350
 
 
 def _bulk_storm(clients: int) -> ScenarioSpec:
@@ -82,28 +89,39 @@ def _bulk_storm(clients: int) -> ScenarioSpec:
     )
 
 
-def measure(clients: int, snapshot: bool = False) -> Tuple[int, int, Optional[tracemalloc.Snapshot]]:
-    """``(retained, finalize_peak, snapshot)`` of a hybrid storm of ``clients``:
-    the bytes still allocated after ``advance(8)``, how far above them
-    ``finalize()`` peaks, and (on request) a ``tracemalloc`` snapshot of the
-    retained bytes, which ``tools/footprint.py`` attributes to source lines."""
+class Footprint(NamedTuple):
+    #: Bytes still allocated after ``advance(8)``.
+    retained: int
+    #: How far above them ``finalize()`` peaks.
+    finalize_peak: int
+    #: ``tracemalloc`` snapshots (on request) of the retained bytes, and of
+    #: what is allocated once ``finalize()`` returned, with its result held.
+    before_finalize: Optional[tracemalloc.Snapshot] = None
+    after_finalize: Optional[tracemalloc.Snapshot] = None
+
+
+def measure(clients: int, snapshot: bool = False) -> Footprint:
+    """The footprint of a hybrid storm of ``clients``; with ``snapshot``, the
+    two snapshots ``tools/footprint.py`` attributes to source lines too."""
     gc.collect()
     tracemalloc.start()
+    before = after = None
     try:
         run = ScenarioRunner(_bulk_storm(clients)).start(simulation_mode="hybrid")
         run.advance(8.0)
         gc.collect()
         retained, _ = tracemalloc.get_traced_memory()
-        taken = tracemalloc.take_snapshot() if snapshot else None
+        before = tracemalloc.take_snapshot() if snapshot else None
         base, _ = tracemalloc.get_traced_memory()  # the snapshot's own bytes are not the run's
         tracemalloc.reset_peak()
-        run.finalize()
+        result = run.finalize()
         _, peak = tracemalloc.get_traced_memory()
+        after = tracemalloc.take_snapshot() if snapshot else None
     finally:
         tracemalloc.stop()
-    del run
+    del run, result
     gc.collect()
-    return retained, peak - base, taken
+    return Footprint(retained, peak - base, before, after)
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,6 +163,53 @@ def test_radio_links_and_bulk_generators_carry_no_dict():
     run.advance(0.1)
     assert (stats.tx_packets, stats.tx_bytes) == (sent_packets + 1, sent_bytes + packet.size_bytes)
     assert run.finalize().drained
+
+
+def _entry_sha256(tree) -> str:
+    encoded = json.dumps(canonicalize(tree), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def test_bulk_clients_hold_no_listener_link_name_or_digest_string():
+    """A one-way upload registers no receive listener, a radio link keeps no
+    name of its own, and the digest keeps its per-entry hashes as raw bytes
+    beside the live key strings: no string per client in either."""
+    run = ScenarioRunner(_bulk_storm(_STATIONS)).start(simulation_mode="hybrid")
+    run.advance(7.0)
+    for generator in run.generators.values():
+        assert isinstance(generator, BulkTransferGenerator)
+        assert generator.client._receive_listeners == ()
+    client = next(iter(run.testbed.clients.values()))
+    link = client.radio_interface.link
+    assert link._name == ""
+    assert client.radio_interface.name in link.name
+    assert client.associated_cell.name in link.name
+    assert Link(run.simulator, name="uplink").name == "uplink"
+    sections = run.telemetry_sections()
+    oracle = {
+        f"{name}/{key}": _entry_sha256(entry)
+        for name, tree in sections.items()
+        if isinstance(tree, Mapping)
+        for key, entry in ((str(key), tree[key]) for key in tree)
+    }
+    result = run.finalize()
+    subsections = result.digest.subsections
+    assert dict(subsections) == oracle and len(subsections) == len(oracle)
+    live_names = {
+        "clients/": run.testbed.clients,
+        "workloads/": run.generators,
+    }
+    for prefix, texts, digests in subsections._sections:
+        assert isinstance(digests, bytearray) and len(digests) == 32 * len(texts)
+        if prefix in live_names:
+            live = {name: name for name in live_names[prefix]}
+            assert all(text is live[text] for text in texts), prefix
+    assert sorted(prefix for prefix, _, _ in subsections._sections if prefix in live_names) == [
+        "clients/",
+        "workloads/",
+    ]
+    stats = result.workload_stats
+    assert list(stats) == sorted(run.generators) and "nope" not in stats and 0 not in stats
 
 
 def test_runner_keeps_only_pending_orchestration_handles():

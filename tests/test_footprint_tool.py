@@ -18,3 +18,9 @@ def test_attribution_prints_the_guard_figures_and_names_repro_lines():
     assert sizes[0] > 0
     top_files = [where for _, _, where in report.lines[:5]]
     assert all("repro/" in where for where in top_files), top_files
+    # What finalize() leaves is the digest's per-entry hashes and the packed
+    # workload_stats rows: lines of the scenarios package, each a gain.
+    assert 0 < len(report.finalize_lines) <= 10
+    assert all(size > 0 for size, _, _ in report.finalize_lines)
+    top_finalize = [where for _, _, where in report.finalize_lines[:2]]
+    assert all("repro/scenarios/" in where for where in top_finalize), top_finalize

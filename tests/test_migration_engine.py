@@ -10,10 +10,14 @@ Covers the regression fixes this subsystem shipped with:
 * state transfers ride the simulated links (gateway-routed chunks, RTT +
   bandwidth sharing observable) and the analytic RTT formula stays pinned;
 * the canned ``fig2-roaming`` / ``chaos-soak`` digests replay identically
-  per strategy and shard count.
+  per strategy and shard count;
+* a stalled transfer's watchdog re-arms at an absolute deadline, so a
+  permanent fault mid-transfer cannot freeze the simulated clock.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +27,7 @@ from repro.core.chain import ServiceChain
 from repro.core.manager import AssignmentState
 from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem.trafficgen import CBRTrafficGenerator
-from repro.scenarios import ScenarioRunner, build_scenario, run_scenario
+from repro.scenarios import FaultSpec, ScenarioRunner, build_scenario, run_scenario
 from repro.wireless.mobility import LinearMobility
 
 CLIENT_IP = "10.10.99.1"
@@ -385,3 +389,41 @@ def test_migration_scenarios_drain_without_leaks(name):
     assert coordinator._speculative == {}
     if name == "stateful-backhaul":
         assert result.testbed.topology.gateway.state_chunks_routed > 0
+
+
+# ---------------------------------------------------------------------------
+# The transfer watchdog cannot freeze the clock
+# ---------------------------------------------------------------------------
+
+#: Events per bounded chunk: the whole unfaulted ``precopy-commuters`` run is
+#: about 50 000 events over 85 simulated seconds.
+_CHUNK_EVENTS = 20_000
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        FaultSpec(kind="station-crash", station=1, at_s=7.324),
+        FaultSpec(kind="link-down", station=3, at_s=17.065),
+    ],
+    ids=["station-crash-s1-at-7.324s", "link-down-s3-at-17.065s"],
+)
+def test_permanent_fault_mid_transfer_does_not_freeze_the_clock(fault):
+    """A watchdog that re-armed for ``stall_timeout_s - elapsed`` could get a
+    remainder that rounds to 1.8e-15 s, which ``now + remaining`` swallows:
+    it then fired at one instant forever (t = 17.7505 s for the crash,
+    t = 32.8735 s for the link-down).  The run advances in bounded chunks, so
+    that failure reads "clock frozen" instead of hanging."""
+    spec = build_scenario("precopy-commuters", seed=0)
+    spec = replace(spec, faults=[*spec.faults, fault])
+    run = ScenarioRunner(spec).start()
+    simulator = run.simulator
+    while simulator.now < spec.duration_s:
+        began = simulator.now
+        simulator.run(until=spec.duration_s, max_events=_CHUNK_EVENTS)
+        assert simulator.now > began, f"clock frozen at t={began!r}"
+    result = run.finalize()
+    assert result.drained and result.faults_injected == 1
+    transfers = result.testbed.roaming.transfers
+    assert transfers.transfers_failed >= 1  # the stalled transfers gave up, as budgeted
+    assert transfers._transfers == {}

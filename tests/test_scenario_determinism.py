@@ -17,7 +17,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.seeds import derive_seed
 from repro.core.testbed import GNFTestbed, TestbedConfig
@@ -239,6 +239,7 @@ _SECTIONS = st.dictionaries(
 
 @settings(max_examples=200, deadline=None)
 @given(_SECTIONS)
+@example({"/": {"": None}, "": {"/": 1}})
 def test_entry_by_entry_digest_equals_the_whole_tree_formula(sections):
     digest = MetricsDigest.compute(sections)
     overall, components, subsections = _whole_tree_digest(sections)
@@ -299,6 +300,26 @@ def test_streamed_telemetry_digest_equals_the_eager_one(spec, mode):
     assert streamed.components == copied.components
     assert streamed.subsections == copied.subsections
     assert run.finalize().digest.hexdigest == streamed.hexdigest
+
+
+def test_packed_subsections_read_as_the_flat_dict_section_by_section():
+    """``subsections`` builds ``"section/key" -> hex`` on read; where a section
+    name holds a ``/`` two flat keys can collide, and the section written
+    last wins, in the position the first one took, as in a flat dict."""
+    sections = {"a": {"b/c": 1, "z": 2}, "a/b": {"c": 3}, "b": [1], "": {"/": 4}, "/": {"": 5}}
+    flat = _whole_tree_digest(sections)[2]
+    subsections = MetricsDigest.compute(sections).subsections
+    assert list(subsections) == list(flat) == ["a/b/c", "a/z", "//"]
+    assert dict(subsections) == flat and len(subsections) == 3
+    assert subsections["a/b/c"] == _whole_tree_sha256(3)
+    assert subsections["//"] == _whole_tree_sha256(5)
+    for missing in ("a/", "a/b", "b/0", "c/z", 1, None):
+        assert missing not in subsections
+    with pytest.raises(TypeError):
+        subsections["a/z"] = "0" * 64
+    plain = MetricsDigest.compute({"s": {"x": 1, "y": [2]}, "t": 3})
+    assert dict(plain.subsections) == {"s/x": _whole_tree_sha256(1), "s/y": _whole_tree_sha256([2])}
+    assert MetricsDigest("0" * 64).subsections == {}
 
 
 def test_keys_that_print_alike_are_rejected_not_collapsed():

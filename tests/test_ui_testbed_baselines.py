@@ -109,7 +109,7 @@ RETIRED_KNOBS = {
     SoftwareSwitch: {"flow_cache_capacity": 8192},
     Server: {"processing_delay_s": 0.0005},
     Cell: {"radio_delay_s": 0.002},
-    MobileClient: {"gateway_mac": "02:00:00:00:00:00"},
+    MobileClient: {"DEFAULT_GATEWAY_MAC": "02:00:00:00:00:00"},
     VMNFVBaseline: {"hypervisor_overhead_mb": 512.0},
 }
 
