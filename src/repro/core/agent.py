@@ -205,7 +205,6 @@ class GNFAgent:
         repository: NFRepository,
         pull_bandwidth_bps: float = 100e6,
         heartbeat_interval_s: float = 2.0,
-        timings: Optional[RuntimeTimings] = None,
     ) -> None:
         self.simulator = simulator
         self.station = station
@@ -221,7 +220,7 @@ class GNFAgent:
             name=f"{station.name}-runtime",
             resources=resources,
             registry=repository.registry,
-            timings=timings or RuntimeTimings.for_station_profile(station.profile.name),
+            timings=RuntimeTimings.for_station_profile(station.profile.name),
             pull_bandwidth_bps=pull_bandwidth_bps,
         )
         station.runtime = self.runtime

@@ -43,7 +43,6 @@ from repro.core.placement import (
     ChainSegment,
     PlacementDecision,
     PlacementEngine,
-    PlacementStrategy,
     StationView,
 )
 from repro.core.policy import TrafficSelector
@@ -312,22 +311,24 @@ class ControlPlane:
     :meth:`_bind_placement_engine` once they can serve them.
     """
 
+    #: A station whose last heartbeat is older than this is offline.
+    heartbeat_timeout_s = 10.0
+
     def __init__(
         self,
         simulator: Simulator,
         repository: Optional[NFRepository],
         topology: Optional[EdgeTopology],
-        placement: Optional[PlacementStrategy],
         placement_engine: Optional[PlacementEngine],
     ) -> None:
         self.simulator = simulator
         self.repository = repository or NFRepository.with_default_catalog()
         self.topology = topology
-        # The placement subsystem: ``placement`` keeps the historical
-        # strategy-object knob; a fully configured engine (admission control,
-        # custom pending-commitment TTL) can be passed instead.
+        # The placement subsystem: the testbed passes an engine configured
+        # from its deployment (strategy, admission control, commitment TTL);
+        # without one, the paper's closest-agent placement.
         self.placement_engine = placement_engine or PlacementEngine(
-            simulator, strategy=placement, repository=self.repository
+            simulator, repository=self.repository
         )
         self.agents: Dict[str, GNFAgent] = {}
         self.channels: Dict[str, ControlChannel] = {}
@@ -348,15 +349,6 @@ class ControlPlane:
             on_timeout=self._fail_queued_assignment,
             locate=lambda client_ip: self.client_locations.get(client_ip),
         )
-
-    @property
-    def placement(self) -> PlacementStrategy:
-        """The active placement strategy (delegates to the engine)."""
-        return self.placement_engine.strategy
-
-    @placement.setter
-    def placement(self, strategy: PlacementStrategy) -> None:
-        self.placement_engine.strategy = strategy
 
     def agent(self, station_name: str) -> GNFAgent:
         try:
@@ -500,14 +492,12 @@ class GNFManager(ControlPlane):
         simulator: Simulator,
         repository: Optional[NFRepository] = None,
         topology: Optional[EdgeTopology] = None,
-        placement: Optional[PlacementStrategy] = None,
-        heartbeat_timeout_s: float = 10.0,
         placement_engine: Optional[PlacementEngine] = None,
     ) -> None:
-        super().__init__(simulator, repository, topology, placement, placement_engine)
+        super().__init__(simulator, repository, topology, placement_engine)
         self._bind_placement_engine()
         self.last_heartbeat: Dict[str, AgentHeartbeat] = {}
-        self.health = HealthRollup(heartbeat_timeout_s)
+        self.health = HealthRollup(self.heartbeat_timeout_s)
         self.hotspots = HotspotDetector()
         self.notifications = NotificationCenter()
         self.scheduler = NFScheduler(
@@ -761,17 +751,6 @@ class GNFManager(ControlPlane):
             desired_active,
             finished,
         )
-
-    def abort_chain_upgrade(self, assignment_id: str) -> None:
-        """Tear down a staged replacement that will not be cut over."""
-        assignment = self.assignments.get(assignment_id)
-        if assignment is None:
-            return
-        agent = self.agents.get(assignment.station_name)
-        if agent is not None:
-            self.channels[assignment.station_name].call(
-                agent.remove_chain, upgrade_staging_id(assignment_id)
-            )
 
     # ----------------------------------------------------- agent -> manager
 

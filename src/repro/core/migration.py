@@ -205,6 +205,10 @@ class StateTransferService:
         self.transfers_started = 0
         self.transfers_completed = 0
         self.transfers_failed = 0
+        #: In flight when the engine shut down (:meth:`cancel_all`), so
+        #: ``started == completed + failed + abandoned`` once a run ends.
+        #: Not in :meth:`summary`, which the run's digest hashes.
+        self.transfers_abandoned = 0
         self.bytes_sent = 0
         self.bytes_received = 0
         self.chunks_retransmitted = 0
@@ -487,6 +491,7 @@ class StateTransferService:
         for transfer in list(self._transfers.values()):
             transfer.done = True
             self._transfers.pop(transfer.transfer_id, None)
+            self.transfers_abandoned += 1
 
     def summary(self) -> Dict[str, float]:
         return {

@@ -83,15 +83,16 @@ class StationView:
 class PlacementStrategy(Protocol):
     """Chooses a station for a client's chain.
 
-    ``choose`` receives the station the client is attached to and one view
-    per candidate station.  A strategy that wants the chain's estimated
-    memory footprint implements ``choose_sized(client_station, candidates,
-    required_mb)`` instead; the engine calls it when present.
+    ``choose`` receives the station the client is attached to, one view per
+    candidate station and the chain's estimated memory footprint; a strategy
+    that has no use for the size ignores it.  The one strategy that splits a
+    chain across stations (:class:`EmbeddingPlacement`) implements ``embed``
+    instead, and the engine calls that.
     """
 
     name: str
 
-    def choose(self, client_station: str, candidates: List[StationView]) -> str:
+    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
         """Return the chosen station name."""
 
 
@@ -124,7 +125,7 @@ class ClosestAgentPlacement:
 
     name = "closest-agent"
 
-    def choose(self, client_station: str, candidates: List[StationView]) -> str:
+    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
         for candidate in candidates:
             if candidate.name == client_station:
                 return client_station
@@ -145,7 +146,7 @@ class LoadAwarePlacement:
         self.latency_budget_s = latency_budget_s
         self.min_free_memory_mb = min_free_memory_mb
 
-    def choose(self, client_station: str, candidates: List[StationView]) -> str:
+    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
         _require_candidates(candidates)
         eligible = [
             candidate
@@ -176,7 +177,7 @@ class LatencyAwarePlacement:
 
     name = "latency-aware"
 
-    def choose(self, client_station: str, candidates: List[StationView]) -> str:
+    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
         _require_candidates(candidates)
         best = min(candidates, key=lambda candidate: (candidate.client_latency_s, -candidate.free_memory_mb))
         return best.name
@@ -190,7 +191,7 @@ class CorePlacement:
     def __init__(self, core_station: str) -> None:
         self.core_station = core_station
 
-    def choose(self, client_station: str, candidates: List[StationView]) -> str:
+    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
         for candidate in candidates:
             if candidate.name == self.core_station:
                 return self.core_station
@@ -209,12 +210,12 @@ class LeastLoadedPlacement:
     """
 
     name = "least-loaded"
+    latency_budget_s = 0.05
 
-    def __init__(self, latency_budget_s: float = 0.05, prefer_local_below: float = 0.6) -> None:
-        self.latency_budget_s = latency_budget_s
+    def __init__(self, prefer_local_below: float = 0.6) -> None:
         self.prefer_local_below = prefer_local_below
 
-    def choose(self, client_station: str, candidates: List[StationView]) -> str:
+    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
         _require_candidates(candidates)
         local = next((c for c in candidates if c.name == client_station), None)
         if local is not None and local.load_score() < self.prefer_local_below:
@@ -237,7 +238,7 @@ class LatencyWeightedPlacement:
     name = "latency-weighted"
     load_weight_s = 0.02
 
-    def choose(self, client_station: str, candidates: List[StationView]) -> str:
+    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
         _require_candidates(candidates)
         best = min(
             candidates,
@@ -252,24 +253,12 @@ class BinPackingPlacement:
     The client's station wins while the chain still fits there.  Once it is
     full, the chain is packed onto the *most* loaded station that still fits
     it (so spare stations stay empty for e.g. scheduled scale-out), falling
-    back to the least-loaded station when nothing fits.  Packing is
-    meaningless without a size, so only ``choose_sized`` is implemented:
-    every engine dispatch goes through the sized path.  (Historically the
-    plain ``choose`` assumed a zero-size chain, which admitted chains the
-    chosen station could not fit.)
+    back to the least-loaded station when nothing fits.
     """
 
     name = "bin-packing"
 
-    def choose(self, client_station: str, candidates: List[StationView]) -> str:
-        raise DeploymentError(
-            "bin-packing placement needs the chain's size: dispatch through "
-            "choose_sized (the engine always does)"
-        )
-
-    def choose_sized(
-        self, client_station: str, candidates: List[StationView], required_mb: float
-    ) -> str:
+    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
         _require_candidates(candidates)
         local = next((c for c in candidates if c.name == client_station), None)
         if local is not None and station_fits(local, required_mb):
@@ -338,22 +327,6 @@ class EmbeddingPlacement:
     name = "embedding"
     latency_budget_s = 0.05
     prefer_local_below = 0.6
-
-    # Whole-chain compatibility path (mirrors LeastLoadedPlacement, so code
-    # that cannot thread segments still gets sane single-station choices).
-    def choose_sized(
-        self, client_station: str, candidates: List[StationView], required_mb: float
-    ) -> str:
-        _require_candidates(candidates)
-        local = next((c for c in candidates if c.name == client_station), None)
-        if local is not None and local.load_score() < self.prefer_local_below:
-            return client_station
-        eligible = [c for c in candidates if c.client_latency_s <= self.latency_budget_s]
-        pool = eligible or candidates
-        return min(pool, key=lambda c: (c.load_score(), c.client_latency_s, c.name)).name
-
-    def choose(self, client_station: str, candidates: List[StationView]) -> str:
-        return self.choose_sized(client_station, candidates, 0.0)
 
     def embed(
         self,
@@ -653,8 +626,6 @@ class PlacementEngine:
 
     def chain_memory_mb(self, chain) -> float:
         """Estimated memory footprint of a chain (requirements, else catalogue)."""
-        if chain is None:
-            return 0.0
         return sum(self.nf_sizes_mb(chain))
 
     def nf_sizes_mb(self, chain) -> List[float]:
@@ -663,7 +634,7 @@ class PlacementEngine:
         overhead so estimates match what admission will actually charge."""
         sizes: List[float] = []
         for spec in chain.specs:
-            requirements = getattr(spec, "requirements", None)
+            requirements = spec.requirements
             if requirements is not None and requirements.memory_mb is not None:
                 sizes.append(requirements.memory_mb + self.nf_overhead_mb)
             else:
@@ -673,14 +644,12 @@ class PlacementEngine:
     def chain_bandwidth_mbps(self, chain) -> float:
         """The end-to-end rate the chain's path must sustain: the SLO floor
         or the largest per-NF bandwidth demand, whichever is higher."""
-        if chain is None:
-            return 0.0
         demand = 0.0
-        slo = getattr(chain, "slo", None)
+        slo = chain.slo
         if slo is not None and slo.min_bandwidth_mbps is not None:
             demand = slo.min_bandwidth_mbps
         for spec in chain.specs:
-            requirements = getattr(spec, "requirements", None)
+            requirements = spec.requirements
             if requirements is not None:
                 demand = max(demand, requirements.bandwidth_mbps)
         return demand
@@ -726,7 +695,7 @@ class PlacementEngine:
         self,
         client_station: str,
         candidates: List[StationView],
-        chain=None,
+        chain,
         client_ip: Optional[str] = None,
         _retry: bool = False,
     ) -> PlacementDecision:
@@ -735,22 +704,22 @@ class PlacementEngine:
         Pure decision logic: no simulator events are scheduled and nothing
         is mutated beyond the engine's own counters/ledger, so with the
         default strategy and admission off this is behaviour-identical to
-        the pre-engine ``strategy.choose`` call.  ``client_ip`` lets an
-        embedding strategy price the client's radio signal; it is optional
-        and never changes non-embedding strategies.
+        the pre-engine ``strategy.choose`` call.  Every strategy but
+        embedding is one ``choose(client_station, views, required_mb)``
+        call; embedding's ``embed`` also gets the chain's SLO and, given
+        ``client_ip``, the client's radio signal.
         """
         self._prune_pending()
-        required_mb = self.chain_memory_mb(chain)
+        sizes = self.nf_sizes_mb(chain)
+        required_mb = sum(sizes)
         views = self._adjusted(candidates)
         embed = getattr(self.strategy, "embed", None)
-        if embed is not None and chain is not None:
+        if embed is not None:
             result = embed(
                 client_station,
                 views,
-                self.nf_sizes_mb(chain),
-                max_latency_s=(
-                    chain.slo.max_latency_s if getattr(chain, "slo", None) is not None else None
-                ),
+                sizes,
+                max_latency_s=chain.slo.max_latency_s if chain.slo is not None else None,
                 required_bandwidth_mbps=self.chain_bandwidth_mbps(chain),
                 radio_rates_bps=(
                     self._radio_rates(client_ip)
@@ -786,9 +755,8 @@ class PlacementEngine:
             if len(result.segments) > 1:
                 # A split embedding did its own per-segment fit checks; book
                 # each segment's memory where it will actually land.
-                sizes = self.nf_sizes_mb(chain)
                 for segment in result.segments:
-                    self._commit(
+                    self.commit(
                         segment.station_name, sum(sizes[segment.start : segment.end])
                     )
                 self.placements += 1
@@ -806,11 +774,7 @@ class PlacementEngine:
             # non-embedding strategies.
             chosen = result.segments[0].station_name
         else:
-            choose_sized = getattr(self.strategy, "choose_sized", None)
-            if choose_sized is not None:
-                chosen = choose_sized(client_station, views, required_mb)
-            else:
-                chosen = self.strategy.choose(client_station, views)
+            chosen = self.strategy.choose(client_station, views, required_mb)
         if self.admission_control:
             chosen_view = next((view for view in views if view.name == chosen), None)
             if chosen_view is None or not station_fits(chosen_view, required_mb):
@@ -833,7 +797,7 @@ class PlacementEngine:
                     ),
                     required_mb=required_mb,
                 )
-        self._commit(chosen, required_mb)
+        self.commit(chosen, required_mb)
         self.placements += 1
         if chosen == client_station:
             self.local_placements += 1
@@ -841,18 +805,16 @@ class PlacementEngine:
             self.remote_placements += 1
         return PlacementDecision(station_name=chosen, admitted=True, required_mb=required_mb)
 
-    def _commit(self, station: str, required_mb: float) -> None:
+    def commit(self, station: str, required_mb: float) -> None:
+        """Book memory against a station for ``pending_ttl_s``.
+
+        :meth:`place` books each decision; the autoscaler books its replica
+        and rebalance targets, so its deployments are visible to concurrent
+        placement decisions during the telemetry blind window (and vice
+        versa).
+        """
         if required_mb > 0.0:
             self._pending.append((self.simulator.now + self.pending_ttl_s, station, required_mb))
-
-    def commit(self, station: str, required_mb: float) -> None:
-        """Book memory against a station outside :meth:`place`.
-
-        Used by the autoscaler for replica and rebalance targets, so its
-        deployments are visible to concurrent placement decisions during
-        the telemetry blind window (and vice versa).
-        """
-        self._commit(station, required_mb)
 
     def adjusted_views(self, candidates: List[StationView]) -> List[StationView]:
         """Candidate views with all un-expired commitments applied."""
@@ -907,7 +869,7 @@ class PlacementEngine:
                 client_station,
                 self._views_provider(client_station),
                 entry.chain,
-                client_ip=getattr(entry.assignment, "client_ip", None),
+                client_ip=entry.assignment.client_ip,
                 _retry=True,
             )
             if decision.admitted:
@@ -1023,7 +985,7 @@ class NFAutoscaler:
         self,
         simulator: Simulator,
         manager,
-        roaming=None,
+        roaming,
         interval_s: float = 5.0,
         scale_up_threshold: float = 0.8,
         scale_down_threshold: float = 0.4,
@@ -1115,20 +1077,20 @@ class NFAutoscaler:
         return assignments
 
     def _pick_target(self, views: List[StationView], required_mb: float, exclude: Iterable[str]):
-        # Score commitment-adjusted views when the Manager has an engine:
-        # deployments booked in the telemetry blind window (including this
-        # autoscaler's own, from earlier in the same pass) must not make a
-        # station look emptier than it is.
-        engine = getattr(self.manager, "placement_engine", None)
-        if engine is not None:
-            views = engine.adjusted_views(views)
+        # Score commitment-adjusted views: deployments booked in the
+        # telemetry blind window (including this autoscaler's own, from
+        # earlier in the same pass) must not make a station look emptier
+        # than it is.  A target must be cool and must fit the chain; with
+        # the scale-up threshold at or below MAX_UTILIZATION, coolness
+        # already implies station_fits' utilization half.
+        views = self.manager.placement_engine.adjusted_views(views)
         excluded = set(exclude)
         candidates = [
             view
             for view in views
             if view.name not in excluded
             and view.load_score() < self.scale_up_threshold
-            and view.free_memory_mb >= required_mb + HEADROOM_MB
+            and station_fits(view, required_mb)
         ]
         if not candidates:
             return None
@@ -1138,7 +1100,7 @@ class NFAutoscaler:
         assignments = self._assignments_on(view.name)
         if not assignments:
             return
-        engine = getattr(self.manager, "placement_engine", None)
+        engine = self.manager.placement_engine
         for assignment in assignments:
             replicas = self._replicas.get(assignment.assignment_id, {})
             if len(replicas) >= self.max_replicas_per_chain:
@@ -1146,10 +1108,8 @@ class NFAutoscaler:
             # A replica costs the chain plus its load-balancer front; size
             # both from the catalogue so the fit check and the commitment
             # booked by _scale_up can never diverge.
-            required = (
-                engine.chain_memory_mb(assignment.chain) + engine.nf_memory_mb("load-balancer")
-                if engine
-                else 0.0
+            required = engine.chain_memory_mb(assignment.chain) + engine.nf_memory_mb(
+                "load-balancer"
             )
             target = self._pick_target(views, required, exclude=(view.name,))
             if target is None:
@@ -1161,8 +1121,6 @@ class NFAutoscaler:
         # No chain could scale out (budgets spent or targets already host
         # their replicas): rebalance the smallest one that has not been
         # moved within the cooldown window.
-        if self.roaming is None:
-            return
         now = self.simulator.now
         movable = [
             assignment
@@ -1173,7 +1131,7 @@ class NFAutoscaler:
         if not movable:
             return
         smallest = min(movable, key=lambda a: (len(a.chain), a.assignment_id))
-        required = engine.chain_memory_mb(smallest.chain) if engine else 0.0
+        required = engine.chain_memory_mb(smallest.chain)
         # Never migrate a chain onto a station hosting its own replica: the
         # replica is that chain's warm standby, and coexistence would stack
         # two steering-rule sets for the identical selector.
@@ -1235,9 +1193,8 @@ class NFAutoscaler:
             None,
             on_complete,
         )
-        engine = getattr(self.manager, "placement_engine", None)
-        if engine is not None:
-            engine.commit(target_station, engine.chain_memory_mb(replica_chain))
+        engine = self.manager.placement_engine
+        engine.commit(target_station, engine.chain_memory_mb(replica_chain))
         self.scale_ups += 1
         self.events.append(
             ScaleEvent(
@@ -1282,9 +1239,8 @@ class NFAutoscaler:
             time=self.simulator.now,
         )
         self.roaming.client_connected(assignment, event)
-        engine = getattr(self.manager, "placement_engine", None)
-        if engine is not None:
-            engine.commit(to_station, engine.chain_memory_mb(assignment.chain))
+        engine = self.manager.placement_engine
+        engine.commit(to_station, engine.chain_memory_mb(assignment.chain))
         self._last_rebalance[assignment.assignment_id] = self.simulator.now
         self.rebalances += 1
         self.events.append(

@@ -38,8 +38,8 @@ class CatalogEntry:
 class NFRepository:
     """The provider's catalogue of deployable NF types."""
 
-    def __init__(self, registry: Optional[ImageRegistry] = None) -> None:
-        self.registry = registry or ImageRegistry()
+    def __init__(self) -> None:
+        self.registry = ImageRegistry()
         self._catalog: Dict[str, CatalogEntry] = {}
 
     # -------------------------------------------------------------- catalog

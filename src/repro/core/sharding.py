@@ -76,7 +76,7 @@ from repro.core.manager import (
 )
 from repro.core.monitoring import Hotspot
 from repro.core.notifications import NotificationCenter
-from repro.core.placement import PlacementEngine, PlacementStrategy, StationView
+from repro.core.placement import PlacementEngine, StationView
 from repro.core.repository import NFRepository
 from repro.netem.simulator import Simulator
 from repro.netem.topology import EdgeTopology
@@ -301,7 +301,7 @@ class ControlBus:
             deliver_event(shard_index, event)
 
     def stats(self) -> Dict[str, float]:
-        """Coalescing counters (surfaced by ``ShardedManager.shard_stats``)."""
+        """Coalescing counters."""
         return {
             "messages_enqueued": float(self.messages_enqueued),
             "flushes": float(self.flushes),
@@ -406,15 +406,13 @@ class ShardedManager(ControlPlane):
         station_count: Optional[int] = None,
         repository: Optional[NFRepository] = None,
         topology: Optional[EdgeTopology] = None,
-        placement: Optional[PlacementStrategy] = None,
-        heartbeat_timeout_s: float = 10.0,
         placement_engine: Optional[PlacementEngine] = None,
         region_count: int = 1,
     ) -> None:
         # Global placement runs on the frontend: one engine scoring the
         # *network-wide* station view (admission control and commitment
         # tracking included), exactly like a single Manager's engine would.
-        super().__init__(simulator, repository, topology, placement, placement_engine)
+        super().__init__(simulator, repository, topology, placement_engine)
         if station_count is None:
             station_count = (
                 len(topology.stations) if topology is not None else region_count * shard_count
@@ -432,7 +430,7 @@ class ShardedManager(ControlPlane):
         self._shard_counters: List[RollupCounters] = []
         self.shards: List[GNFManager] = []
         for region_index in range(region_count):
-            region = self.telemetry.region(f"region-{region_index}", heartbeat_timeout_s)
+            region = self.telemetry.region(f"region-{region_index}", self.heartbeat_timeout_s)
             for local_index in range(shard_count):
                 # Leaves share the frontend's engine but never place: every
                 # assignment reaches them already placed against the
@@ -441,7 +439,6 @@ class ShardedManager(ControlPlane):
                     simulator,
                     repository=self.repository,
                     topology=topology,
-                    heartbeat_timeout_s=heartbeat_timeout_s,
                     placement_engine=self.placement_engine,
                 )
                 shard.notifications = self.notifications
@@ -685,11 +682,6 @@ class ShardedManager(ControlPlane):
             return
         shard.cutover_chain_upgrade(assignment_id, new_chain, final_states, on_done)
 
-    def abort_chain_upgrade(self, assignment_id: str) -> None:
-        shard = self._owning_shard(assignment_id)
-        if shard is not None:
-            shard.abort_chain_upgrade(assignment_id)
-
     # -------------------------------------------------------------- queries
 
     def station_provenance(self) -> Dict[str, str]:
@@ -710,7 +702,7 @@ class ShardedManager(ControlPlane):
         return views
 
     def _tier_summary(self) -> Dict[str, object]:
-        """Shape and handoff counts, shared by the overviews and the stats."""
+        """Shape and handoff counts, shared by both overviews."""
         return {
             "regions": self.region_count,
             "shards": len(self.shards),
@@ -770,26 +762,3 @@ class ShardedManager(ControlPlane):
             "heartbeats_processed": sum(shard.heartbeats_processed for shard in self.shards),
             **self._tier_summary(),
         }
-
-    def shard_stats(self) -> Dict[str, object]:
-        """Per-leaf load plus bus coalescing counters (benchmark E7)."""
-        return {
-            "shards": {
-                self._shard_label(index): _load(self.shards[index : index + 1])
-                for index in range(len(self.shards))
-            },
-            "bus": self.bus.stats(),
-            "rollup": self.telemetry.stats(),
-            **self._tier_summary(),
-        }
-
-
-def _load(shards: List[GNFManager]) -> Dict[str, float]:
-    """Summed load of a group of leaves."""
-    return {
-        "stations": float(sum(len(shard.agents) for shard in shards)),
-        "assignments": float(sum(len(shard.assignments) for shard in shards)),
-        "heartbeats_processed": float(sum(shard.heartbeats_processed for shard in shards)),
-        "client_events_processed": float(sum(shard.client_events_processed for shard in shards)),
-        "scheduler_transitions": float(sum(shard.scheduler.transitions for shard in shards)),
-    }

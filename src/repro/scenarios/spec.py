@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.core.bundles import UPGRADE_MODES
 from repro.core.errors import ScenarioSpecError
 from repro.core.testbed import TestbedConfig, require_finite
 
@@ -284,9 +285,6 @@ class ChainAssignmentSpec(_Spec):
                         f"assignment for fleet {self.fleet!r}, NF {position}: "
                         f"{key} must be >= 0, got {value}"
                     )
-
-
-UPGRADE_MODES = ("precopy", "stateful")
 
 
 @dataclass

@@ -48,28 +48,21 @@ class RollupCounters:
     the "streaming" in streaming rollups.
     """
 
-    __slots__ = ("name", "parent", "counters", "deltas_applied")
+    __slots__ = ("name", "parent", "counters")
 
     def __init__(self, name: str, parent: Optional["RollupCounters"] = None) -> None:
         self.name = name
         self.parent = parent
         self.counters: Dict[str, int] = {}
-        #: How many delta applications this node absorbed (its own plus the
-        #: ones pushed up from children) -- surfaced by rollup stats.
-        self.deltas_applied = 0
 
     def add(self, key: str, delta: int) -> None:
         node: Optional[RollupCounters] = self
         while node is not None:
             node.counters[key] = node.counters.get(key, 0) + delta
-            node.deltas_applied += 1
             node = node.parent
 
     def get(self, key: str) -> int:
         return self.counters.get(key, 0)
-
-    def snapshot(self) -> Dict[str, int]:
-        return dict(self.counters)
 
 
 class HealthRollup:
@@ -92,7 +85,7 @@ class HealthRollup:
     when float dust fired it a hair early.
     """
 
-    def __init__(self, heartbeat_timeout_s: float = 10.0) -> None:
+    def __init__(self, heartbeat_timeout_s: float) -> None:
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self._last: Dict[str, float] = {}
         self._received: Dict[str, int] = {}
@@ -229,14 +222,6 @@ class RegionTelemetry:
             )
         return self.shards[shard_index]
 
-    def stats(self) -> Dict[str, object]:
-        return {
-            "counters": self.counters.snapshot(),
-            "deltas_applied": self.counters.deltas_applied,
-            "hotspot_stations": float(len(self.hotspots)),
-            "stations_tracked": float(len(self.health)),
-        }
-
 
 class GlobalTelemetry:
     """The network-wide rollup root (one region child when unfederated).
@@ -253,7 +238,7 @@ class GlobalTelemetry:
         self._online_cache: Optional[Tuple[Tuple[int, ...], Tuple[str, ...]]] = None
         self._offline_cache: Optional[Tuple[Tuple[int, ...], Tuple[str, ...]]] = None
 
-    def region(self, name: str, heartbeat_timeout_s: float = 10.0) -> RegionTelemetry:
+    def region(self, name: str, heartbeat_timeout_s: float) -> RegionTelemetry:
         """Create (and attach) one region's aggregation node."""
         telemetry = RegionTelemetry(name, heartbeat_timeout_s, parent=self)
         self.regions.append(telemetry)
@@ -279,10 +264,3 @@ class GlobalTelemetry:
     def offline_stations(self, now: float) -> Tuple[str, ...]:
         self._offline_cache = self._merged(now, self._offline_cache, HealthRollup.offline_stations)
         return self._offline_cache[1]
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "counters": self.counters.snapshot(),
-            "deltas_applied": self.counters.deltas_applied,
-            "regions": {region.name: region.stats() for region in self.regions},
-        }

@@ -202,33 +202,33 @@ def views():
 
 
 def test_closest_agent_placement_uses_client_station():
-    assert ClosestAgentPlacement().choose("station-1", views()) == "station-1"
+    assert ClosestAgentPlacement().choose("station-1", views(), 10.0) == "station-1"
     with pytest.raises(DeploymentError):
-        ClosestAgentPlacement().choose("station-99", views())
+        ClosestAgentPlacement().choose("station-99", views(), 10.0)
 
 
 def test_load_aware_placement_prefers_free_memory_within_budget():
     placement = LoadAwarePlacement(latency_budget_s=0.02)
-    assert placement.choose("station-1", views()) == "station-2"
+    assert placement.choose("station-1", views(), 10.0) == "station-2"
 
 
 def test_load_aware_placement_falls_back_when_nothing_eligible():
     placement = LoadAwarePlacement(latency_budget_s=0.001, min_free_memory_mb=10_000)
-    assert placement.choose("station-1", views()) == "central"
+    assert placement.choose("station-1", views(), 10.0) == "central"
     with pytest.raises(DeploymentError):
-        placement.choose("station-1", [])
+        placement.choose("station-1", [], 10.0)
 
 
 def test_latency_aware_placement_minimises_latency():
-    assert LatencyAwarePlacement().choose("station-1", views()) == "station-1"
+    assert LatencyAwarePlacement().choose("station-1", views(), 10.0) == "station-1"
     with pytest.raises(DeploymentError):
-        LatencyAwarePlacement().choose("station-1", [])
+        LatencyAwarePlacement().choose("station-1", [], 10.0)
 
 
 def test_core_placement_pins_to_central_station():
-    assert CorePlacement("central").choose("station-1", views()) == "central"
+    assert CorePlacement("central").choose("station-1", views(), 10.0) == "central"
     with pytest.raises(DeploymentError):
-        CorePlacement("missing").choose("station-1", views())
+        CorePlacement("missing").choose("station-1", views(), 10.0)
 
 
 # --------------------------------------------------------------------------

@@ -427,3 +427,8 @@ def test_permanent_fault_mid_transfer_does_not_freeze_the_clock(fault):
     transfers = result.testbed.roaming.transfers
     assert transfers.transfers_failed >= 1  # the stalled transfers gave up, as budgeted
     assert transfers._transfers == {}
+    # Every transfer started is accounted for, including those still in
+    # flight at teardown.
+    assert transfers.transfers_started == (
+        transfers.transfers_completed + transfers.transfers_failed + transfers.transfers_abandoned
+    )

@@ -75,17 +75,17 @@ def test_strategy_factory_matches_spec_registry():
 
 def test_least_loaded_prefers_local_until_loaded():
     views = [_view("station-1", latency=0.0, util=0.3), _view("station-2", util=0.0)]
-    assert LeastLoadedPlacement().choose("station-1", views) == "station-1"
+    assert LeastLoadedPlacement().choose("station-1", views, 10.0) == "station-1"
     views[0].memory_utilization = 0.9
     views[0].free_memory_mb = 9.0
-    assert LeastLoadedPlacement().choose("station-1", views) == "station-2"
+    assert LeastLoadedPlacement().choose("station-1", views, 10.0) == "station-2"
 
 
 def test_latency_weighted_trades_latency_for_load():
     views = [_view("station-1", latency=0.0, util=0.2), _view("station-2", util=0.1)]
-    assert LatencyWeightedPlacement().choose("station-1", views) == "station-1"
+    assert LatencyWeightedPlacement().choose("station-1", views, 10.0) == "station-1"
     views[0].memory_utilization = 0.95
-    assert LatencyWeightedPlacement().choose("station-1", views) == "station-2"
+    assert LatencyWeightedPlacement().choose("station-1", views, 10.0) == "station-2"
 
 
 def test_bin_packing_packs_fullest_fitting_station():
@@ -95,17 +95,18 @@ def test_bin_packing_packs_fullest_fitting_station():
         _view("station-3", free=80.0, util=0.1),
     ]
     strategy = BinPackingPlacement()
-    assert strategy.choose_sized("station-1", views, 10.0) == "station-2"
+    assert strategy.choose("station-1", views, 10.0) == "station-2"
     # While the local station still fits, it wins (closest-agent behaviour).
-    assert strategy.choose_sized("station-3", views, 10.0) == "station-3"
+    assert strategy.choose("station-3", views, 10.0) == "station-3"
     # Nothing fits a huge chain: fall back to the least-loaded station.
-    assert strategy.choose_sized("station-1", views, 500.0) == "station-3"
+    assert strategy.choose("station-1", views, 500.0) == "station-3"
 
 
 def test_bin_packing_choose_requires_size():
-    """Regression: the plain ``choose`` assumed a zero-size chain, admitting
-    chains the chosen station could not fit.  Only the sized path remains."""
-    with pytest.raises(DeploymentError):
+    """Regression: a size-less ``choose`` assumed a zero-size chain, admitting
+    chains the chosen station could not fit.  The size is now a required
+    argument of every strategy's ``choose``."""
+    with pytest.raises(TypeError):
         BinPackingPlacement().choose("station-1", [_view("station-1")])
 
 
@@ -116,10 +117,10 @@ def test_load_aware_fallback_keeps_memory_floor():
         _view("station-2", latency=0.05, free=50.0),  # over budget, has memory
     ]
     # The latency budget relaxes before the memory floor does.
-    assert strategy.choose("station-1", views) == "station-2"
+    assert strategy.choose("station-1", views, 10.0) == "station-2"
     # Only when *nothing* clears the floor: raw fallback by free memory.
     views[1].free_memory_mb = 3.0
-    assert strategy.choose("station-1", views) == "station-1"
+    assert strategy.choose("station-1", views, 10.0) == "station-1"
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +130,13 @@ def test_load_aware_fallback_keeps_memory_floor():
 
 def test_embedding_matches_least_loaded_while_unsaturated():
     views = [_view("station-1", latency=0.0, util=0.3), _view("station-2", util=0.0)]
-    embedding = EmbeddingPlacement()
-    assert embedding.choose("station-1", views) == LeastLoadedPlacement().choose(
-        "station-1", views
-    )
-    # The unsaturated embed path is the same rule: whole chain, local.
-    result = embedding.embed("station-1", views, [40.0, 40.0])
+    # Unsaturated, embed's single segment is least-loaded's choice: the
+    # whole chain, on the local station.
+    result = EmbeddingPlacement().embed("station-1", views, [40.0, 40.0])
     assert result.feasible
-    assert [(s.station_name, s.start, s.end) for s in result.segments] == [("station-1", 0, 2)]
+    chosen = LeastLoadedPlacement().choose("station-1", views, 80.0)
+    assert chosen == "station-1"
+    assert [(s.station_name, s.start, s.end) for s in result.segments] == [(chosen, 0, 2)]
 
 
 def test_embedding_splits_prefix_local_remainder_spills():

@@ -11,18 +11,23 @@ from repro.baselines.core_nfv import CoreNFVScenario
 from repro.baselines.vm_nfv import VMNFVBaseline, vm_image_for
 from repro.containers.checkpoint import CheckpointEngine
 from repro.containers.runtime import RuntimeTimings
+from repro.core.agent import GNFAgent
 from repro.core.bundles import BundleUpgradeOrchestrator
 from repro.core import placement
 from repro.core.chain import ServiceChain
 from repro.core.errors import ScenarioSpecError
+from repro.core.manager import ControlPlane, GNFManager
 from repro.core.migration import MigrationEngine, StateTransferService
 from repro.core.placement import (
     BinPackingPlacement,
     EmbeddingPlacement,
     LatencyWeightedPlacement,
+    LeastLoadedPlacement,
     NFAutoscaler,
     PlacementEngine,
 )
+from repro.core.repository import NFRepository
+from repro.core.sharding import ShardedManager
 from repro.core.testbed import GNFTestbed, TestbedConfig
 from repro.netem.host import Server
 from repro.netem.simulator import Simulator
@@ -106,6 +111,8 @@ RETIRED_KNOBS = {
     PlacementEngine: {"retry_interval_s": 1.0},
     LatencyWeightedPlacement: {"load_weight_s": 0.02},
     EmbeddingPlacement: {"latency_budget_s": 0.05, "prefer_local_below": 0.6},
+    LeastLoadedPlacement: {"latency_budget_s": 0.05},
+    ControlPlane: {"heartbeat_timeout_s": 10.0},
     SoftwareSwitch: {"flow_cache_capacity": 8192},
     Server: {"processing_delay_s": 0.0005},
     Cell: {"radio_delay_s": 0.002},
@@ -124,6 +131,11 @@ RETIRED_PARAMETERS = {
     BundleUpgradeOrchestrator: ("catalogue",),
     BinPackingPlacement: ("max_utilization", "headroom_mb"),
     EmbeddingPlacement: ("max_utilization", "headroom_mb"),
+    ControlPlane: ("placement",),
+    GNFManager: ("placement", "heartbeat_timeout_s"),
+    ShardedManager: ("placement", "heartbeat_timeout_s"),
+    GNFAgent: ("timings",),
+    NFRepository: ("registry",),
 }
 
 
@@ -137,6 +149,7 @@ def test_constants_that_used_to_be_knobs_did_not_move():
     assert (placement.MAX_UTILIZATION, placement.HEADROOM_MB) == (0.85, 4.0)
     assert testbed.roaming.transfers.chunk_bytes == 65536
     assert testbed.hybrid.epoch_s == 0.25
+    assert testbed.manager.health.heartbeat_timeout_s == 10.0
     for owner, values in RETIRED_KNOBS.items():
         parameters = inspect.signature(owner).parameters
         for name, value in values.items():
