@@ -112,7 +112,6 @@ def _read_path_comparison(client_count: int, station_count: int, reads: int):
                 station_name=station,
                 client_ip=f"10.{(index >> 16) & 255}.{(index >> 8) & 255}.{index & 255}",
                 client_name=f"client-{index}",
-                cell_name=f"{station}-cell1",
                 event="connected",
                 time=simulator.now,
             )

@@ -45,14 +45,12 @@ class CoreNFVScenario:
         edge_nf: bool,
         chain: Optional[ServiceChain] = None,
         config: Optional[TestbedConfig] = None,
-        request_count_target: int = 40,
         mean_think_time_s: float = 0.2,
         sites: Optional[List[str]] = None,
     ) -> None:
         self.edge_nf = edge_nf
         self.chain = chain or ServiceChain.single("cache", config={"capacity_mb": 64.0})
         self.config = config or TestbedConfig(station_count=2)
-        self.request_count_target = request_count_target
         self.mean_think_time_s = mean_think_time_s
         self.sites = sites or ["cdn.example.com"]
         self.deployment_name = "edge" if edge_nf else "core"

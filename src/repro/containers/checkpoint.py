@@ -14,13 +14,10 @@ checkpoint size and the inter-station path bandwidth.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.containers.container import Container
-
-_checkpoint_ids = itertools.count(1)
 
 
 @dataclass
@@ -35,7 +32,6 @@ class Checkpoint:
     network_namespace: Dict[str, object] = field(default_factory=dict)
     mount_namespace: Dict[str, object] = field(default_factory=dict)
     labels: Dict[str, str] = field(default_factory=dict)
-    checkpoint_id: str = field(default_factory=lambda: f"ckpt{next(_checkpoint_ids):06d}")
 
     @property
     def size_mb(self) -> float:
@@ -61,7 +57,6 @@ class CheckpointEngine:
     dump_per_mb_s = 0.004
 
     def __init__(self) -> None:
-        self.checkpoints_taken = 0
         self.restores_applied = 0
 
     def checkpoint_duration_s(self, container: Container) -> float:
@@ -74,7 +69,6 @@ class CheckpointEngine:
         nf = container.network_function
         if nf is not None and hasattr(nf, "export_state"):
             nf_state = nf.export_state()
-        self.checkpoints_taken += 1
         return Checkpoint(
             container_name=container.name,
             image_reference=container.image.reference,

@@ -10,11 +10,8 @@ what travels with it during migration.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
-
-_namespace_ids = itertools.count(1)
 
 
 @dataclass
@@ -22,7 +19,6 @@ class NetworkNamespace:
     """Per-container network state: interfaces and a routing table."""
 
     name: str
-    namespace_id: int = field(default_factory=lambda: next(_namespace_ids))
     interface_names: List[str] = field(default_factory=list)
     routes: Dict[str, str] = field(default_factory=dict)  # destination CIDR -> via interface
 
@@ -51,7 +47,6 @@ class PidNamespace:
     """Per-container process tree (just enough to model footprint and restore)."""
 
     name: str
-    namespace_id: int = field(default_factory=lambda: next(_namespace_ids))
     processes: Dict[int, str] = field(default_factory=dict)
     _next_pid: int = 1
 
@@ -82,7 +77,6 @@ class MountNamespace:
     """Per-container filesystem view: the image layers plus a writable layer."""
 
     name: str
-    namespace_id: int = field(default_factory=lambda: next(_namespace_ids))
     lower_layers: List[str] = field(default_factory=list)
     upper_layer_mb: float = 0.0
 

@@ -109,7 +109,6 @@ class ContainerRuntime:
         self.image_cache: Dict[str, ContainerImage] = {}
         self.layer_cache: Set[str] = set()
         self.pulls_performed = 0
-        self.pull_seconds_total = 0.0
         self.containers_started = 0
         self.containers_failed = 0
 
@@ -134,7 +133,6 @@ class ContainerRuntime:
         )
         self.cache_image(image)
         self.pulls_performed += 1
-        self.pull_seconds_total += pull_time
         return image, pull_time
 
     # ------------------------------------------------------------ lifecycle

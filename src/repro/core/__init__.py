@@ -41,11 +41,7 @@ from repro.core.api import (
     AgentHeartbeat,
     ClientEvent,
     ControlChannel,
-    DeployChainRequest,
-    DeployChainResponse,
     NFNotificationMessage,
-    RegisterAgent,
-    RemoveChainRequest,
 )
 from repro.core.chain import NFSpec, ServiceChain
 from repro.core.errors import (
@@ -135,10 +131,6 @@ __all__ = [
     "AgentHeartbeat",
     "ClientEvent",
     "NFNotificationMessage",
-    "RegisterAgent",
-    "DeployChainRequest",
-    "DeployChainResponse",
-    "RemoveChainRequest",
     "GNFTestbed",
     "TestbedConfig",
     "GNFError",

@@ -19,7 +19,7 @@ Concretely, this Agent:
   detach),
 * watches the station's cells for client (dis)connections and reports them
   to the Manager,
-* sends periodic heartbeats with resource, switch and per-NF statistics,
+* sends periodic heartbeats with resource, switch and edge-cache statistics,
 * relays NF notifications to the Manager, and
 * checkpoints / restores chains on behalf of the migration engine.
 """
@@ -34,7 +34,7 @@ from repro.containers.checkpoint import Checkpoint
 from repro.containers.cgroups import AdmissionError, ResourceAccount, ResourceRequest
 from repro.containers.container import Container
 from repro.containers.runtime import ContainerRuntime, RuntimeTimings
-from repro.core.api import AgentHeartbeat, ClientEvent, ControlChannel, NFNotificationMessage
+from repro.core.api import AgentHeartbeat, ClientEvent, NFNotificationMessage
 from repro.core.chain import ServiceChain
 from repro.core.errors import DeploymentError
 from repro.core.policy import TrafficSelector
@@ -81,7 +81,6 @@ class DeployedNF:
         self.egress_port: Optional[int] = None
         self._egress_container_iface: Optional[Interface] = None
         self.packets_processed = 0
-        self.packets_dropped_not_running = 0
         container.network_function = nf
 
     # --------------------------------------------------------------- wiring
@@ -114,7 +113,6 @@ class DeployedNF:
     def _on_ingress(self, packet: Packet, _interface: Interface) -> None:
         """Packet steered into the container by a flow rule."""
         if not self.container.is_running:
-            self.packets_dropped_not_running += 1
             return
         processing_delay = self.nf.per_packet_cpu_us * 1e-6 * self.cpu_scale
         self.runtime.charge_cpu(self.container.name, processing_delay)
@@ -122,7 +120,6 @@ class DeployedNF:
 
     def _finish_processing(self, packet: Packet) -> None:
         if not self.container.is_running or self._egress_container_iface is None:
-            self.packets_dropped_not_running += 1
             return
         direction_tag = packet.metadata.get("gnf_dir")
         direction = Direction.DOWNSTREAM if direction_tag == "down" else Direction.UPSTREAM
@@ -140,18 +137,6 @@ class DeployedNF:
             heading_down = output.ip is not None and output.ip.dst == self.client_ip
             output.metadata["gnf_dir"] = "down" if heading_down else "up"
             self._egress_container_iface.send(output)
-
-    def describe(self) -> Dict[str, object]:
-        description = self.nf.describe()
-        description.update(
-            {
-                "container": self.container.name,
-                "container_state": self.container.state.value,
-                "client_ip": self.client_ip,
-                "packets_processed": self.packets_processed,
-            }
-        )
-        return description
 
 
 @dataclass
@@ -234,7 +219,6 @@ class GNFAgent:
         self.collector.add_source("flows", self._flow_tracker_metrics)
         self.collector.add_source("cache", self._cache_metrics)
         # Wired to the Manager by GNFManager.register_agent().
-        self.control_channel: Optional[ControlChannel] = None
         self._manager_heartbeat_sink: Optional[Callable[[AgentHeartbeat], None]] = None
         self._manager_event_sink: Optional[Callable[[ClientEvent], None]] = None
         self._manager_notification_sink: Optional[Callable[[NFNotificationMessage], None]] = None
@@ -306,20 +290,18 @@ class GNFAgent:
 
     def connect_to_manager(
         self,
-        channel: ControlChannel,
         heartbeat_sink: Callable[[AgentHeartbeat], None],
         event_sink: Callable[[ClientEvent], None],
         notification_sink: Callable[[NFNotificationMessage], None],
     ) -> None:
-        """Attach the control channel and the upstream message senders.
+        """Attach the upstream message senders.
 
         Each sink is a *sender* that owns its own transport: in the default
-        deployment it delivers over ``channel`` as one simulator event per
-        message (``ControlChannel.sender``); under a sharded Manager it is a
-        ControlBus sink that coalesces messages per delivery tick.  The
-        channel itself is kept for the Manager->Agent direction.
+        deployment it delivers over the station's control channel as one
+        simulator event per message (``ControlChannel.sender``); under a
+        sharded Manager it is a ControlBus sink that coalesces messages per
+        delivery tick.
         """
-        self.control_channel = channel
         self._manager_heartbeat_sink = heartbeat_sink
         self._manager_event_sink = event_sink
         self._manager_notification_sink = notification_sink
@@ -352,20 +334,19 @@ class GNFAgent:
 
     def _on_client_connected(self, client: MobileClient, cell: Cell) -> None:
         self.connected_clients[client.ip] = cell.name
-        self._send_client_event(client, cell, "connected")
+        self._send_client_event(client, "connected")
 
     def _on_client_disconnected(self, client: MobileClient, cell: Cell) -> None:
         self.connected_clients.pop(client.ip, None)
-        self._send_client_event(client, cell, "disconnected")
+        self._send_client_event(client, "disconnected")
 
-    def _send_client_event(self, client: MobileClient, cell: Cell, event: str) -> None:
+    def _send_client_event(self, client: MobileClient, event: str) -> None:
         if self._manager_event_sink is None:
             return
         message = ClientEvent(
             station_name=self.station.name,
             client_ip=client.ip,
             client_name=client.name,
-            cell_name=cell.name,
             event=event,
             time=self.simulator.now,
         )
@@ -727,16 +708,11 @@ class GNFAgent:
         """Build and send the periodic station report."""
         if self._manager_heartbeat_sink is None:
             return
-        nf_stats: Dict[str, Dict[str, object]] = {}
-        for deployment in self.deployments.values():
-            for deployed in deployment.deployed_nfs:
-                nf_stats[deployed.nf.name] = deployed.describe()
         heartbeat = AgentHeartbeat(
             station_name=self.station.name,
             time=self.simulator.now,
             resources=self.runtime.utilization(),
             switch={key: float(value) for key, value in self.station.switch.summary().items()},
-            nf_stats=nf_stats,
             connected_clients=sorted(self.connected_clients),
             cache=self._cache_metrics(),
         )

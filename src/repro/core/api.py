@@ -4,47 +4,31 @@ Section 3: the Manager "keep[s] a connection with all the Agents in the
 network" and exposes "a set of APIs to control the state of NFs' containers
 across all stations".  The reproduction models that connection as a
 :class:`ControlChannel` with the one-way latency of the management path
-(station <-> gateway <-> core), and the API as explicit message dataclasses,
-so control-plane traffic volume and latency are measurable (benchmark E7).
+(station <-> gateway <-> core), and the Agent -> Manager reports as three
+message dataclasses -- :class:`AgentHeartbeat`, :class:`ClientEvent` and
+:class:`NFNotificationMessage` -- so control-plane traffic volume and latency
+are measurable (benchmark E7).  The Manager -> Agent direction is a direct
+call on the Agent delivered over the channel; it has no message type.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.netem.simulator import Simulator
 
-_message_ids = itertools.count(1)
-
 
 @dataclass
-class ControlMessage:
-    """Base class for every Manager <-> Agent message."""
-
-    def __post_init__(self) -> None:
-        self.message_id = next(_message_ids)
-
-
-@dataclass
-class RegisterAgent(ControlMessage):
-    """Agent -> Manager: a station came online."""
-
-    station_name: str
-    profile_name: str
-    cpu_mhz: float
-    memory_mb: float
-
-
-@dataclass
-class AgentHeartbeat(ControlMessage):
+class AgentHeartbeat:
     """Agent -> Manager: periodic station state report."""
 
     station_name: str
     time: float
     resources: Dict[str, float] = field(default_factory=dict)
     switch: Dict[str, float] = field(default_factory=dict)
+    #: Per-NF statistics: the Agent leaves this empty, and it stays only
+    #: because the perf harness's heartbeat probe passes an empty dict.
     nf_stats: Dict[str, Dict[str, object]] = field(default_factory=dict)
     connected_clients: List[str] = field(default_factory=list)
     #: Station-wide edge-cache totals (hits, misses, evictions, bytes served
@@ -54,19 +38,18 @@ class AgentHeartbeat(ControlMessage):
 
 
 @dataclass
-class ClientEvent(ControlMessage):
+class ClientEvent:
     """Agent -> Manager: a client (dis)connected from a cell on this station."""
 
     station_name: str
     client_ip: str
     client_name: str
-    cell_name: str
     event: str  # "connected" | "disconnected"
     time: float
 
 
 @dataclass
-class NFNotificationMessage(ControlMessage):
+class NFNotificationMessage:
     """Agent -> Manager: an NF raised a notification (intrusion, anomaly...)."""
 
     station_name: str
@@ -75,35 +58,6 @@ class NFNotificationMessage(ControlMessage):
     message: str
     time: float
     details: Dict[str, object] = field(default_factory=dict)
-
-
-@dataclass
-class DeployChainRequest(ControlMessage):
-    """Manager -> Agent: instantiate a chain for a client's traffic subset."""
-
-    assignment_id: str
-    client_ip: str
-    chain_spec: List[Dict[str, object]] = field(default_factory=list)
-    selector: Dict[str, object] = field(default_factory=dict)
-
-
-@dataclass
-class DeployChainResponse(ControlMessage):
-    """Agent -> Manager: deployment finished (or failed)."""
-
-    assignment_id: str
-    station_name: str
-    success: bool
-    detail: str = ""
-    deploy_latency_s: float = 0.0
-
-
-@dataclass
-class RemoveChainRequest(ControlMessage):
-    """Manager -> Agent: tear down a client's chain."""
-
-    assignment_id: str
-    client_ip: str
 
 
 class ControlChannel:

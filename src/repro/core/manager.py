@@ -318,7 +318,7 @@ class ControlPlane:
         self,
         simulator: Simulator,
         repository: Optional[NFRepository],
-        topology: Optional[EdgeTopology],
+        topology: EdgeTopology,
         placement_engine: Optional[PlacementEngine],
     ) -> None:
         self.simulator = simulator
@@ -491,7 +491,8 @@ class GNFManager(ControlPlane):
         self,
         simulator: Simulator,
         repository: Optional[NFRepository] = None,
-        topology: Optional[EdgeTopology] = None,
+        *,
+        topology: EdgeTopology,
         placement_engine: Optional[PlacementEngine] = None,
     ) -> None:
         super().__init__(simulator, repository, topology, placement_engine)
@@ -530,10 +531,7 @@ class GNFManager(ControlPlane):
         """
         station_name = agent.station.name
         if control_latency_s is None:
-            if self.topology is not None and station_name in self.topology.stations:
-                control_latency_s = self.topology.control_latency(station_name)
-            else:
-                control_latency_s = 0.01
+            control_latency_s = self.topology.control_latency(station_name)
         channel = ControlChannel(self.simulator, latency_s=control_latency_s, name=f"ctl-{station_name}")
         self.agents[station_name] = agent
         self.channels[station_name] = channel
@@ -544,7 +542,6 @@ class GNFManager(ControlPlane):
             event_sink = channel.sender(self.receive_client_event)
             notification_sink = channel.sender(self.receive_notification)
         agent.connect_to_manager(
-            channel,
             heartbeat_sink=heartbeat_sink,
             event_sink=event_sink,
             notification_sink=notification_sink,
@@ -856,12 +853,12 @@ class GNFManager(ControlPlane):
             heartbeat = self.last_heartbeat.get(station_name)
             resources = heartbeat.resources if heartbeat else agent.runtime.utilization()
             control_latency = self.channels[station_name].latency_s
-            if self.topology is not None and client_station is not None:
+            if client_station is not None:
                 client_latency = self.topology.station_to_station_latency(client_station, station_name)
             else:
-                client_latency = 0.0 if station_name == client_station else 0.01
+                client_latency = 0.01
             uplink_utilization = 0.0
-            if self.topology is not None and now > 0:
+            if now > 0:
                 uplink = self.topology.uplink_links.get(station_name)
                 if uplink is not None and uplink.bandwidth_bps > 0:
                     uplink_utilization = min(

@@ -17,7 +17,9 @@ This module rebuilds migration as a proper subsystem:
   behind (and delay) client packets on the very same :class:`~repro.netem.link.Link`
   objects, pay per-hop propagation delay (the RTT model), are paced by a
   window that is clocked by arrivals, and survive loss/outages through a
-  stall watchdog with bounded retries.
+  stall watchdog with bounded retries.  Every control plane has a
+  topology, so every transfer crosses the links; there is no analytic
+  fallback.
 * :class:`MigrationEngine` owns the three strategies as pluggable policy
   objects -- :class:`ColdPolicy`, :class:`StatefulPolicy`,
   :class:`PrecopyPolicy` -- plus all roaming state (captured NF state,
@@ -155,12 +157,11 @@ class _Transfer:
 class _Endpoint:
     """A station's migration endpoint: a veth into the station switch."""
 
-    __slots__ = ("station_name", "veth", "port_number", "ip", "mac")
+    __slots__ = ("station_name", "veth", "ip", "mac")
 
-    def __init__(self, station_name: str, veth: VethPair, port_number: int, ip: str, mac: str) -> None:
+    def __init__(self, station_name: str, veth: VethPair, ip: str, mac: str) -> None:
         self.station_name = station_name
         self.veth = veth
-        self.port_number = port_number
         self.ip = ip
         self.mac = mac
 
@@ -192,8 +193,6 @@ class StateTransferService:
     window_chunks = 32
     stall_timeout_s = 3.0
     max_retries = 5
-    #: Bandwidth assumed by the analytic path (no routable topology).
-    fallback_bandwidth_bps = 100e6
 
     def __init__(self, simulator: Simulator, manager) -> None:
         self.simulator = simulator
@@ -243,14 +242,12 @@ class StateTransferService:
             }
         return counters
 
-    def _endpoint(self, station_name: str) -> Optional[_Endpoint]:
+    def _endpoint(self, station_name: str) -> _Endpoint:
         """The station's migration endpoint, provisioned on first use."""
         endpoint = self._endpoints.get(station_name)
         if endpoint is not None:
             return endpoint
         topology = self.manager.topology
-        if topology is None or station_name not in topology.stations:
-            return None
         station: "EdgeStation" = topology.stations[station_name]
         addresses = topology.addresses
         veth = VethPair(
@@ -276,7 +273,6 @@ class StateTransferService:
         endpoint = _Endpoint(
             station_name=station_name,
             veth=veth,
-            port_number=port.number,
             ip=ip,
             mac=veth.end_b.mac,
         )
@@ -300,8 +296,7 @@ class StateTransferService:
         """Move ``size_bytes`` of state between two stations over the links.
 
         ``on_complete(outcome)`` fires when every byte arrived (success) or
-        the retry budget ran out (failure).  Falls back to an analytic delay
-        when the deployment has no routable topology (unit-test managers).
+        the retry budget ran out (failure).
         """
         size_bytes = int(size_bytes)
         if size_bytes <= 0 or from_station == to_station:
@@ -309,11 +304,9 @@ class StateTransferService:
                 0.0, on_complete, TransferOutcome(success=True, bytes_moved=max(0, size_bytes))
             )
             return
-        source = self._endpoint(from_station)
-        target = self._endpoint(to_station)
-        if source is None or target is None:
-            self._analytic_transfer(from_station, to_station, size_bytes, on_complete)
-            return
+        # Provision both endpoints (veth, port, steering rule) on first use.
+        self._endpoint(from_station)
+        self._endpoint(to_station)
         self.transfers_started += 1
         self._counters(from_station)["transfers_out"] += 1
         self._counters(to_station)["transfers_in"] += 1
@@ -329,25 +322,6 @@ class StateTransferService:
         self._send_window(transfer)
         self.simulator.schedule(self.stall_timeout_s, self._watchdog, transfer)
 
-    def _analytic_transfer(
-        self,
-        from_station: str,
-        to_station: str,
-        size_bytes: int,
-        on_complete: Callable[[TransferOutcome], None],
-    ) -> None:
-        """Bandwidth + RTT formula fallback when no topology links exist."""
-        duration = self.estimate_transfer_time(from_station, to_station, size_bytes)
-        self.transfers_started += 1
-        self.transfers_completed += 1
-        self.bytes_sent += size_bytes
-        self.bytes_received += size_bytes
-        self.simulator.schedule(
-            duration,
-            on_complete,
-            TransferOutcome(success=True, bytes_moved=size_bytes, duration_s=duration),
-        )
-
     def estimate_transfer_time(self, from_station: str, to_station: str, size_bytes: int) -> float:
         """Expected seconds to move ``size_bytes`` (the planning estimate).
 
@@ -362,8 +336,6 @@ class StateTransferService:
 
     def _path_bandwidth_bps(self, from_station: str, to_station: str) -> float:
         topology = self.manager.topology
-        if topology is None:
-            return self.fallback_bandwidth_bps
         links = topology.uplink_links
         bandwidths = [
             links[name].bandwidth_bps for name in (from_station, to_station) if name in links
@@ -371,10 +343,7 @@ class StateTransferService:
         return min(bandwidths) if bandwidths else topology.config.uplink_bandwidth_bps
 
     def _path_rtt_s(self, from_station: str, to_station: str) -> float:
-        topology = self.manager.topology
-        if topology is None:
-            return 0.02
-        return 2 * topology.station_to_station_latency(from_station, to_station)
+        return 2 * self.manager.topology.station_to_station_latency(from_station, to_station)
 
     # ------------------------------------------------------------ chunk I/O
 
@@ -393,12 +362,10 @@ class StateTransferService:
 
     def _send_chunk(self, transfer: _Transfer, chunk_bytes: int) -> bool:
         topology = self.manager.topology
-        source = self._endpoints.get(transfer.from_station)
-        target = self._endpoints.get(transfer.to_station)
-        if topology is None or source is None or target is None:
-            return False
-        station = topology.stations.get(transfer.from_station)
-        if station is None or station.uplink_port is None:
+        source = self._endpoints[transfer.from_station]
+        target = self._endpoints[transfer.to_station]
+        station = topology.stations[transfer.from_station]
+        if station.uplink_port is None:
             return False
         uplink_port = station.switch.ports.get(station.uplink_port)
         if uplink_port is None:
@@ -938,17 +905,11 @@ class MigrationEngine:
         client is most likely to reappear.
         """
         replicas = self._speculative.setdefault(assignment.assignment_id, {})
-        topology = self.manager.topology
+        latency = self.manager.topology.station_to_station_latency
         home = assignment.station_name
-
-        def distance(name: str) -> float:
-            if topology is None or home not in topology.stations or name not in topology.stations:
-                return 0.0
-            return topology.station_to_station_latency(home, name)
-
         candidates = sorted(
             (name for name in self.manager.agents if name != exclude_station),
-            key=lambda name: (distance(name), name),
+            key=lambda name: (latency(home, name), name),
         )
         for station_name in candidates[: self.speculative_station_limit]:
             if station_name in replicas:

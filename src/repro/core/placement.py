@@ -493,7 +493,6 @@ class PlacementDecision:
     admitted: bool
     queued: bool = False
     reason: str = ""
-    required_mb: float = 0.0
     segments: List[ChainSegment] = field(default_factory=list)
     slo_rejected: bool = False
 
@@ -742,7 +741,6 @@ class PlacementEngine:
                         admitted=False,
                         queued=False,
                         reason=result.reason,
-                        required_mb=required_mb,
                         slo_rejected=True,
                     )
                 return PlacementDecision(
@@ -750,7 +748,6 @@ class PlacementEngine:
                     admitted=False,
                     queued=self.admission_control,
                     reason=result.reason,
-                    required_mb=required_mb,
                 )
             if len(result.segments) > 1:
                 # A split embedding did its own per-segment fit checks; book
@@ -766,7 +763,6 @@ class PlacementEngine:
                 return PlacementDecision(
                     station_name=result.segments[0].station_name,
                     admitted=True,
-                    required_mb=required_mb,
                     segments=list(result.segments),
                 )
             # Single segment: fall through to the common whole-chain tail so
@@ -795,7 +791,6 @@ class PlacementEngine:
                         if chosen_view is not None
                         else f"station {chosen} has no view"
                     ),
-                    required_mb=required_mb,
                 )
         self.commit(chosen, required_mb)
         self.placements += 1
@@ -803,7 +798,7 @@ class PlacementEngine:
             self.local_placements += 1
         else:
             self.remote_placements += 1
-        return PlacementDecision(station_name=chosen, admitted=True, required_mb=required_mb)
+        return PlacementDecision(station_name=chosen, admitted=True)
 
     def commit(self, station: str, required_mb: float) -> None:
         """Book memory against a station for ``pending_ttl_s``.
@@ -1234,7 +1229,6 @@ class NFAutoscaler:
             station_name=to_station,
             client_ip=assignment.client_ip,
             client_name=self.manager.client_names.get(assignment.client_ip, assignment.client_ip),
-            cell_name=f"{to_station}-cell1",
             event="connected",
             time=self.simulator.now,
         )

@@ -167,11 +167,6 @@ class ShardHandoff:
     time: float
     #: Whether the two leaves carry different region labels.
     cross_region: bool = False
-    #: Whether the assignment's schedule considered it active at handoff
-    #: time -- carried across so the target leaf's scheduler resumes from
-    #: the same state instead of re-deriving (and double-counting) the
-    #: transition.
-    schedule_active: bool = True
 
 
 class _PendingTick:
@@ -405,7 +400,8 @@ class ShardedManager(ControlPlane):
         shard_count: int,
         station_count: Optional[int] = None,
         repository: Optional[NFRepository] = None,
-        topology: Optional[EdgeTopology] = None,
+        *,
+        topology: EdgeTopology,
         placement_engine: Optional[PlacementEngine] = None,
         region_count: int = 1,
     ) -> None:
@@ -414,9 +410,7 @@ class ShardedManager(ControlPlane):
         # tracking included), exactly like a single Manager's engine would.
         super().__init__(simulator, repository, topology, placement_engine)
         if station_count is None:
-            station_count = (
-                len(topology.stations) if topology is not None else region_count * shard_count
-            )
+            station_count = len(topology.stations)
         self.shard_map = StationShardMap(max(1, station_count), shard_count, region_count)
         self.shard_count = shard_count
         self.region_count = region_count
@@ -572,6 +566,9 @@ class ShardedManager(ControlPlane):
         target_index = self.shard_map.shard_for(assignment.station_name)
         if target_index == source_index:
             return
+        # Whether the schedule considers the assignment active goes across,
+        # so the target leaf's scheduler resumes from the same state instead
+        # of re-deriving (and double-counting) the transition.
         schedule_active = self.shards[source_index].release_assignment(assignment_id)
         self.shards[target_index].adopt_assignment(assignment, schedule_active=schedule_active)
         self._assignment_shard[assignment_id] = target_index
@@ -588,7 +585,6 @@ class ShardedManager(ControlPlane):
                 to_station=assignment.station_name,
                 time=self.simulator.now,
                 cross_region=cross_region,
-                schedule_active=schedule_active,
             )
         )
 

@@ -21,6 +21,7 @@ from repro.core.errors import ScenarioSpecError
 from repro.core.manager import AssignmentState, GNFManager
 from repro.core.migration import VALID_STRATEGIES, MigrationEngine
 from repro.core.placement import (
+    MAX_UTILIZATION,
     STRATEGY_FACTORIES,
     NFAutoscaler,
     PlacementEngine,
@@ -185,6 +186,10 @@ class TestbedConfig:
                 "need 0 < autoscale_down_threshold < autoscale_up_threshold, got "
                 f"{self.autoscale_down_threshold} and {self.autoscale_up_threshold}"
             )
+        if self.autoscale_up_threshold > MAX_UTILIZATION:
+            # No station above MAX_UTILIZATION fits a replica, so a higher
+            # threshold would call stations cool that can never take one.
+            reject("autoscale_up_threshold", f"must be <= MAX_UTILIZATION ({MAX_UTILIZATION})")
         if self.region_count > self.station_count:
             reject("region_count", f"cannot exceed station_count ({self.station_count})")
         return self

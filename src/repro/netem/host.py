@@ -41,7 +41,6 @@ class Interface:
         "link",
         "delivery_override",
         "rx_packets",
-        "rx_bytes",
         "tx_packets",
         "tx_bytes",
         "up",
@@ -62,7 +61,6 @@ class Interface:
         self.link: Optional["Link"] = None
         self.delivery_override: Optional[PacketHandler] = None
         self.rx_packets = 0
-        self.rx_bytes = 0
         self.tx_packets = 0
         self.tx_bytes = 0
         self.up = True
@@ -74,7 +72,6 @@ class Interface:
         if not self.up:
             return
         self.rx_packets += 1
-        self.rx_bytes += packet.size_bytes
         override = self.delivery_override
         if override is not None:
             override(packet, self)
@@ -238,10 +235,8 @@ class Server(Host):
         self.http_body_bytes = http_body_bytes
         self.dns_zone: Dict[str, List[str]] = dns_zone or {}
         self.requests_served = 0
-        self.dns_queries_served = 0
         self.icmp_echoes_served = 0
         self.udp_packets_echoed = 0
-        self.bulk_bytes_received = 0
 
     def handle_packet(self, packet: "Packet", interface: Interface) -> None:
         # Ignore traffic not addressed to this server (e.g. flooded frames).
@@ -263,7 +258,6 @@ class Server(Host):
                 created_at=self.simulator.now,
             )
         elif isinstance(packet.app, pkt.DNSQuery):
-            self.dns_queries_served += 1
             addresses = self.dns_zone.get(packet.app.name, ["0.0.0.0"])
             response = pkt.make_dns_response(
                 packet, addresses=tuple(addresses), created_at=self.simulator.now
@@ -279,7 +273,7 @@ class Server(Host):
         elif packet.is_udp and packet.metadata.get("bulk_oneway"):
             # Bulk-transfer uploads are one-way by contract: echoing them
             # would double the traffic and defeat the fluid model's point.
-            self.bulk_bytes_received += packet.size_bytes
+            pass
         elif packet.is_udp:
             self.udp_packets_echoed += 1
             response = packet.copy()

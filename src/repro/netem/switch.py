@@ -40,10 +40,9 @@ from repro.netem.simulator import Simulator
 
 @dataclass
 class PortStats:
-    """Per-port packet and byte counters."""
+    """Per-port packet counters, and the bytes each port sent."""
 
     rx_packets: int = 0
-    rx_bytes: int = 0
     tx_packets: int = 0
     tx_bytes: int = 0
 
@@ -158,7 +157,6 @@ class SoftwareSwitch(Host):
             return
         port = self.ports[in_port]
         port.stats.rx_packets += 1
-        port.stats.rx_bytes += packet.size_bytes
 
         # Learn the source MAC so the fallback learning switch converges.
         if packet.eth is not None and packet.eth.src != BROADCAST_MAC:

@@ -38,7 +38,6 @@ class L4LoadBalancer(NetworkFunction):
         # (client_ip, client_port, proto) -> backend ip
         self._affinity: Dict[Tuple[str, int, int], str] = {}
         self.connections_per_backend: Dict[str, int] = {backend: 0 for backend in self.backends}
-        self.packets_balanced = 0
 
     def _choose_backend(self) -> str:
         if not self.backends:
@@ -63,12 +62,10 @@ class L4LoadBalancer(NetworkFunction):
                 self.connections_per_backend[backend] = self.connections_per_backend.get(backend, 0) + 1
             packet.metadata["lb_virtual_ip"] = self.virtual_ip
             packet.ip.dst = backend
-            self.packets_balanced += 1
             return [packet]
         if context.direction is Direction.DOWNSTREAM and packet.ip.src in self.connections_per_backend:
             # Hide the backend behind the virtual IP on the way back.
             packet.ip.src = self.virtual_ip
-            self.packets_balanced += 1
         return [packet]
 
     # ------------------------------------------------------------ migration

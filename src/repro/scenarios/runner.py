@@ -187,9 +187,8 @@ class ScenarioResult:
     faults_injected: int = 0
     attach_failures: List[str] = field(default_factory=list)
     #: Placement-engine counters (placements local/remote, admission queue
-    #: depth/timeouts) plus the strategy name, and the autoscaler summary.
+    #: depth/timeouts) plus the strategy name.
     placement_stats: Dict[str, object] = field(default_factory=dict)
-    autoscale_summary: Dict[str, float] = field(default_factory=dict)
     #: Hybrid-core counters (flows promoted/demoted, bytes fluid vs packet,
     #: solver epochs).  All zeros in pure packet mode.
     fluid_summary: Dict[str, float] = field(default_factory=dict)
@@ -588,7 +587,6 @@ class ScenarioRun:
                 "strategy": self.testbed.placement_engine.strategy.name,
                 **self.testbed.placement_engine.stats(),
             },
-            autoscale_summary=self.testbed.autoscaler.summary(),
             fluid_summary=self.testbed.hybrid.summary(),
         )
         return self._finalized

@@ -47,7 +47,6 @@ class TimeSeries:
             raise ValueError(f"max_samples must be positive, got {max_samples}")
         self.name = name
         self.description = description
-        self.max_samples = max_samples
         self._samples: Deque[Tuple[float, float]] = deque(maxlen=max_samples)
 
     def record(self, timestamp: float, value: float) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -119,3 +120,12 @@ def test_docs_check_detects_a_broken_citation(tmp_path, monkeypatch):
     monkeypatch.setattr(docs_check, "REPO_ROOT", str(tmp_path))
     problems = docs_check.check_paths(["BROKEN.md"])
     assert len(problems) == 2  # missing file + glob matching nothing
+
+
+def test_the_script_finds_its_own_src_without_pythonpath():
+    environment = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "docs_check.py")
+    completed = subprocess.run(
+        [sys.executable, script], env=environment, capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stdout + completed.stderr

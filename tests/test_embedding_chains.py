@@ -29,7 +29,6 @@ def _event(testbed: GNFTestbed, station: str, kind: str, ip: str = CLIENT_IP) ->
         station_name=station,
         client_ip=ip,
         client_name="phone",
-        cell_name=f"{station}-cell1",
         event=kind,
         time=testbed.simulator.now,
     )

@@ -45,7 +45,6 @@ def _event(testbed: GNFTestbed, station: str, kind: str, ip: str = CLIENT_IP) ->
         station_name=station,
         client_ip=ip,
         client_name=f"phone-{ip.rsplit('.', 1)[-1]}",
-        cell_name=f"{station}-cell1",
         event=kind,
         time=testbed.simulator.now,
     )
@@ -111,11 +110,13 @@ def test_region_map_bands_and_validation():
     assert uneven.band(0) == (1, 2) and uneven.band(1) == (3, 3)
     assert [uneven.region_of(leaf) for leaf in range(4)] == [0, 0, 1, 1]
     with pytest.raises(ValueError):
-        ShardedManager(manager.simulator, shard_count=1, region_count=0)
+        ShardedManager(manager.simulator, shard_count=1, region_count=0, topology=manager.topology)
     with pytest.raises(ValueError):
-        ShardedManager(manager.simulator, shard_count=0, region_count=2)
+        ShardedManager(manager.simulator, shard_count=0, region_count=2, topology=manager.topology)
     with pytest.raises(ValueError):
-        ShardedManager(manager.simulator, shard_count=1, region_count=5, station_count=4)
+        ShardedManager(
+            manager.simulator, shard_count=1, region_count=5, station_count=4, topology=manager.topology
+        )
     with pytest.raises(ValueError):
         GNFTestbed(TestbedConfig(station_count=2, region_count=3))
 

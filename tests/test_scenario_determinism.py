@@ -361,7 +361,7 @@ def test_digest_invariant_across_placement_strategies_when_unloaded():
 
 def test_the_golden_matrix_holds_every_cell_and_names_a_moved_one():
     assert sorted(GOLDEN) == sorted(digests.cell_key(cell) for cell in digests.cells())
-    assert len(GOLDEN) == 44
+    assert len(GOLDEN) == 48
     key = "fig2-roaming/seed-1/packet"
     moved = dict(GOLDEN, **{key: dict(GOLDEN[key], events_processed=0)})
     assert digests.moved_cells(GOLDEN, moved) == [

@@ -239,6 +239,7 @@ BAD_KNOBS = [
     {"autoscale_interval_s": 0.0},
     {"autoscale_up_threshold": 0.2, "autoscale_down_threshold": 0.9},
     {"autoscale_down_threshold": 0.0},
+    {"autoscale_up_threshold": 0.95},  # above placement.MAX_UTILIZATION
     {"autoscale_max_replicas": -1},
     {"shard_count": 0},
     {"region_count": 0},

@@ -139,7 +139,6 @@ def test_receive_client_event_direct_entry_matches_bus_path():
                 station_name="station-3",
                 client_ip="10.10.99.1",
                 client_name="phone",
-                cell_name="station-3-cell1",
                 event="connected",
                 time=testbed.simulator.now,
             ),

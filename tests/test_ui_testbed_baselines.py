@@ -103,7 +103,6 @@ RETIRED_KNOBS = {
         "window_chunks": 32,
         "stall_timeout_s": 3.0,
         "max_retries": 5,
-        "fallback_bandwidth_bps": 100e6,
     },
     CheckpointEngine: {"freeze_base_s": 0.02, "dump_per_mb_s": 0.004},
     NFAutoscaler: {"hot_evals": 2, "rebalance_cooldown_s": 15.0},
@@ -136,6 +135,7 @@ RETIRED_PARAMETERS = {
     ShardedManager: ("placement", "heartbeat_timeout_s"),
     GNFAgent: ("timings",),
     NFRepository: ("registry",),
+    CoreNFVScenario: ("request_count_target",),
 }
 
 
@@ -307,8 +307,8 @@ def test_vm_cold_instantiation_includes_image_pull():
 
 
 def test_edge_cache_beats_core_deployment_on_latency():
-    edge = CoreNFVScenario(edge_nf=True, request_count_target=30, mean_think_time_s=0.2).run(duration_s=30.0)
-    core = CoreNFVScenario(edge_nf=False, request_count_target=30, mean_think_time_s=0.2).run(duration_s=30.0)
+    edge = CoreNFVScenario(edge_nf=True, mean_think_time_s=0.2).run(duration_s=30.0)
+    core = CoreNFVScenario(edge_nf=False, mean_think_time_s=0.2).run(duration_s=30.0)
     assert edge.requests > 10 and core.requests > 10
     assert edge.served_locally > 0
     assert core.served_locally == 0

@@ -4,10 +4,12 @@
     python tools/digests.py --check   # replay every cell, compare with the file
     python tools/digests.py --write   # replay every cell, rewrite the file
 
-A cell is one canned scenario at one seed in one simulation mode: every
-scenario at seeds 0 and 1 in ``packet`` mode, plus ``bulk-backhaul`` at
-seeds 0 and 1 in ``hybrid`` mode (the one scenario whose bulk flows the
-fluid core lifts).  Each cell records the telemetry digest, the simulator
+A cell is one canned scenario at one seed in one variant: every scenario at
+seeds 0 and 1 in ``packet`` mode, plus ``bulk-backhaul`` at seeds 0 and 1
+in ``hybrid`` mode (the one scenario whose bulk flows the fluid core lifts),
+plus ``hotspot-stadium`` and ``autoscale-daily-wave`` at seeds 0 and 1 in
+packet mode with admission control on (the first times its queued
+assignments out, the second dispatches one from the queue).  Each cell records the telemetry digest, the simulator
 events processed and the final simulated time in ``tests/golden/digests.json``.
 
 The cells replay over a ``multiprocessing`` pool of ``PROCESSES`` fresh
@@ -30,8 +32,16 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 SRC = os.path.join(REPO_ROOT, "src")
 GOLDEN_PATH = os.path.join(REPO_ROOT, "tests", "golden", "digests.json")
 SEEDS = (0, 1)
+#: The deployment overrides each variant's replay passes.
+VARIANTS: Dict[str, Dict[str, object]] = {
+    "packet": {"simulation_mode": "packet"},
+    "hybrid": {"simulation_mode": "hybrid"},
+    "admission": {"simulation_mode": "packet", "admission_control": True},
+}
 #: The scenarios whose bulk traffic the hybrid core lifts get hybrid cells too.
 HYBRID_SCENARIOS = ("bulk-backhaul",)
+#: The scenarios whose admission queue fills get admission cells too.
+ADMISSION_SCENARIOS = ("hotspot-stadium", "autoscale-daily-wave")
 #: Replay processes.  Each holds one scenario's testbed (tens of MB); two
 #: replay the matrix in about 15 s on a 2-core machine.
 PROCESSES = 2
@@ -48,22 +58,23 @@ def _import_library():
 
 
 def cells() -> List[Cell]:
-    """Every ``(scenario, seed, simulation_mode)`` the matrix replays."""
+    """Every ``(scenario, seed, variant)`` the matrix replays."""
     library = _import_library()
     packet = [(name, seed, "packet") for name in library.scenario_names() for seed in SEEDS]
     hybrid = [(name, seed, "hybrid") for name in HYBRID_SCENARIOS for seed in SEEDS]
-    return packet + hybrid
+    admission = [(name, seed, "admission") for name in ADMISSION_SCENARIOS for seed in SEEDS]
+    return packet + hybrid + admission
 
 
 def cell_key(cell: Cell) -> str:
-    name, seed, mode = cell
-    return f"{name}/seed-{seed}/{mode}"
+    name, seed, variant = cell
+    return f"{name}/seed-{seed}/{variant}"
 
 
 def replay(cell: Cell) -> Tuple[str, Dict[str, object]]:
     """Run one cell and return its key and its ``(digest, events, sim time)``."""
-    name, seed, mode = cell
-    result = _import_library().run_scenario(name, seed=seed, simulation_mode=mode)
+    name, seed, variant = cell
+    result = _import_library().run_scenario(name, seed=seed, **VARIANTS[variant])
     return cell_key(cell), {
         "digest": result.digest.hexdigest,
         "events_processed": result.events_processed,

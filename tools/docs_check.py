@@ -30,7 +30,9 @@ Verifies that the documentation cannot silently rot:
 
 Run from the repository root::
 
-    PYTHONPATH=src python tools/docs_check.py [--run-snippets]
+    python tools/docs_check.py [--run-snippets]
+
+The script finds the checkout's own ``src/``, so it needs no ``PYTHONPATH``.
 
 Exits non-zero with a per-finding report when anything is broken.  Wired
 into CI as the ``docs-check`` job and into tier-1 via ``tests/test_docs.py``.
@@ -47,6 +49,7 @@ import sys
 from typing import Dict, List, Tuple
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+SRC = os.path.join(REPO_ROOT, "src")
 
 #: The documentation files the check walks.
 DOC_FILES = ["README.md"] + sorted(
@@ -268,6 +271,8 @@ def main(argv: List[str] = None) -> int:
         help="also execute the README's Python quickstart snippets (slower)",
     )
     args = parser.parse_args(argv)
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
 
     problems = (
         check_paths(DOC_FILES)
