@@ -11,7 +11,7 @@ on:
 * :mod:`repro.core` -- the GNF Manager, Agents, UI, NF repository, service
   chains, placement, scheduling and the migration engine.
 * :mod:`repro.containers` -- the simulated container runtime (images,
-  cgroups, namespaces, veth wiring, checkpoint/restore).
+  cgroups, namespaces, veth wiring, checkpoints).
 * :mod:`repro.netem` -- the discrete-event network emulator (packets, links,
   software switches, topologies, traffic generators).
 * :mod:`repro.wireless` -- cells, mobile clients, mobility models and

@@ -120,6 +120,3 @@ class VMNFVBaseline:
                 count += 1
             except AdmissionError:
                 return count
-
-    def utilization(self) -> Dict[str, float]:
-        return self.runtime.utilization()

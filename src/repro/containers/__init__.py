@@ -4,7 +4,7 @@ GNF encapsulates every network function in a lightweight Linux container.
 Since the reproduction runs offline with no container engine available, this
 package provides a faithful *simulated* runtime whose externally visible
 behaviour (instantiation latency, image pulls from a central repository,
-memory/CPU accounting, veth wiring, checkpoint/restore for migration,
+memory/CPU accounting, veth wiring, checkpoints for migration,
 lifecycle state machine) matches what the GNF Agent exercises on the demo's
 OpenWRT routers.
 
@@ -15,7 +15,7 @@ Modules
 * :mod:`repro.containers.namespaces` -- network/PID/mount namespace records.
 * :mod:`repro.containers.container` -- the container object and its state
   machine.
-* :mod:`repro.containers.checkpoint` -- CRIU-style checkpoint/restore used by
+* :mod:`repro.containers.checkpoint` -- CRIU-style checkpoints used by
   stateful NF migration.
 * :mod:`repro.containers.runtime` -- the per-station container engine.
 """

@@ -100,8 +100,6 @@ class ImageRegistry:
         self.name = name
         self.request_overhead_s = request_overhead_s
         self._images: Dict[str, ContainerImage] = {}
-        self.pull_requests = 0
-        self.bytes_served_mb = 0.0
 
     # ------------------------------------------------------------- catalog
 
@@ -143,16 +141,7 @@ class ImageRegistry:
         cached = cached_layers or set()
         missing_mb = sum(layer.size_mb for layer in image.layers if layer.digest not in cached)
         transfer_s = (missing_mb * 8 * 1_000_000) / bandwidth_bps
-        self.pull_requests += 1
-        self.bytes_served_mb += missing_mb
         return image, self.request_overhead_s + transfer_s
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "images": float(len(self._images)),
-            "pull_requests": float(self.pull_requests),
-            "bytes_served_mb": self.bytes_served_mb,
-        }
 
 
 def default_nf_images() -> List[ContainerImage]:

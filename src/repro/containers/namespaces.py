@@ -68,9 +68,6 @@ class PidNamespace:
     def process_count(self) -> int:
         return len(self.processes)
 
-    def serialize(self) -> Dict[str, object]:
-        return {"name": self.name, "processes": dict(self.processes)}
-
 
 @dataclass
 class MountNamespace:

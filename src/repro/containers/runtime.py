@@ -3,7 +3,7 @@
 Each GNF Agent drives one :class:`ContainerRuntime` -- the equivalent of the
 LXC tooling on the demo's OpenWRT routers.  The runtime owns the station's
 resource accounting, its local image/layer cache and the timing model for
-every lifecycle operation (create, boot, stop, checkpoint, restore).
+every lifecycle operation (create, boot, stop, checkpoint).
 
 The same class also powers the VM-based NFV baseline: the baseline simply
 instantiates it with :meth:`RuntimeTimings.for_vms` and much larger images
@@ -81,7 +81,7 @@ class RuntimeTimings:
 
 
 class ContainerRuntime:
-    """Create, boot, stop, checkpoint and restore containers on one station."""
+    """Create, boot, stop and checkpoint containers on one station."""
 
     def __init__(
         self,
@@ -225,13 +225,13 @@ class ContainerRuntime:
         self.resources.release(container.name)
         self._live.pop(container.name, None)
 
-    # ------------------------------------------------------ checkpoint/restore
+    # ----------------------------------------------------------- checkpoint
 
     def checkpoint(self, container: Container) -> Tuple[Checkpoint, float]:
         """Checkpoint a running container; returns (checkpoint, dump duration)."""
         container.mark_checkpointing(self.simulator.now)
         duration = self.timings.scaled(self.checkpoint_engine.checkpoint_duration_s(container))
-        checkpoint = self.checkpoint_engine.create(container, self.simulator.now)
+        checkpoint = self.checkpoint_engine.create(container)
         self.simulator.schedule(duration, self._finish_checkpoint, container)
         return checkpoint, duration
 
@@ -239,43 +239,7 @@ class ContainerRuntime:
         if container.state is ContainerState.CHECKPOINTING:
             container.mark_checkpoint_done(self.simulator.now)
 
-    def restore(
-        self,
-        checkpoint: Checkpoint,
-        name: Optional[str] = None,
-        labels: Optional[Dict[str, str]] = None,
-        on_running: Optional[Callable[[Container], None]] = None,
-    ) -> Tuple[Container, float]:
-        """Create and boot a container from a checkpoint; returns (container, duration)."""
-        image, pull_time = self.ensure_image(checkpoint.image_reference)
-        container = self.create(
-            image,
-            name=name or checkpoint.container_name,
-            request=ResourceRequest(
-                memory_mb=max(image.default_memory_mb, checkpoint.memory_mb),
-                cpu_shares=image.default_cpu_shares,
-            ),
-            labels=labels or dict(checkpoint.labels),
-        )
-        restore_duration = self.timings.scaled(self.checkpoint_engine.restore_duration_s(checkpoint))
-        container.mark_starting(self.simulator.now)
-        total = pull_time + restore_duration
-
-        def _finish() -> None:
-            if container.state is ContainerState.STARTING:
-                container.mark_running(self.simulator.now)
-                self.containers_started += 1
-                self.checkpoint_engine.apply(checkpoint, container)
-                if on_running is not None:
-                    on_running(container)
-
-        self.simulator.schedule(total, _finish)
-        return container, total
-
     # --------------------------------------------------------------- queries
-
-    def container(self, name: str) -> Container:
-        return self.containers[name]
 
     def running_containers(self) -> List[Container]:
         return [c for c in self._live.values() if c.is_running]

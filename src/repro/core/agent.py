@@ -21,7 +21,8 @@ Concretely, this Agent:
   to the Manager,
 * sends periodic heartbeats with resource, switch and edge-cache statistics,
 * relays NF notifications to the Manager, and
-* checkpoints / restores chains on behalf of the migration engine.
+* checkpoints chains, and deploys them with imported state, on behalf of
+  the migration engine.
 """
 
 from __future__ import annotations
@@ -678,7 +679,7 @@ class GNFAgent:
             self.simulator.schedule(longest_stop, on_complete, assignment_id)
         return longest_stop
 
-    # --------------------------------------------------- checkpoint/restore
+    # ----------------------------------------------------------- checkpoint
 
     def export_chain_state(self, assignment_id: str) -> List[Dict[str, object]]:
         """Snapshot every NF's exported state (used by stateful/pre-copy migration)."""

@@ -6,7 +6,7 @@ existing assignment machinery:
 
 * :class:`BundleSpec` -- a versioned, named multi-NF service template:
   per-NF type / configuration / :class:`~repro.core.chain.NFRequirements`,
-  per-NF scaling and placement hints, ``requires`` relations, and named
+  per-NF replica bounds, ``requires`` relations, and named
   *slices* (subsets of the NF graph with their own
   :class:`~repro.core.chain.ChainSLO` -- eMBB vs. IoT).  ``chain_for``
   compiles a bundle (or one slice of it) into a plain
@@ -46,7 +46,7 @@ class BundleError(ValueError):
 
 @dataclass(frozen=True)
 class BundleNF:
-    """One NF of a bundle: type, config, requirements, and operator hints."""
+    """One NF of a bundle: type, config, requirements, replica bounds and relations."""
 
     name: str
     nf_type: str
@@ -55,28 +55,11 @@ class BundleNF:
     #: Autoscaler hints: how many replicas this NF may fan out to.
     min_replicas: int = 1
     max_replicas: int = 1
-    #: Placement hint: ``"edge"`` (stay at the client's station), ``"core"``
-    #: (anywhere; embedding may push it off the head segment), or ``""``.
-    placement_hint: str = ""
     #: Names of bundle NFs this one depends on (relations, OSM-style).
     requires: Tuple[str, ...] = ()
 
     def config_dict(self) -> Dict[str, object]:
         return dict(self.config)
-
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "name": self.name,
-            "nf_type": self.nf_type,
-            "config": self.config_dict(),
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
-            "placement_hint": self.placement_hint,
-            "requires": list(self.requires),
-        }
-        if self.requirements is not None:
-            data["requirements"] = self.requirements.to_dict()
-        return data
 
 
 @dataclass(frozen=True)
@@ -87,16 +70,6 @@ class SliceSpec:
     nf_names: Tuple[str, ...]
     slo: Optional[ChainSLO] = None
     description: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "name": self.name,
-            "nfs": list(self.nf_names),
-            "description": self.description,
-        }
-        if self.slo is not None:
-            data["slo"] = self.slo.to_dict()
-        return data
 
 
 @dataclass(frozen=True)
@@ -193,16 +166,6 @@ class BundleSpec:
         ]
         return ServiceChain(specs, name=label, slo=slo)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "version": self.version,
-            "ref": self.ref,
-            "description": self.description,
-            "nfs": [nf.to_dict() for nf in self.nfs],
-            "slices": [slice_spec.to_dict() for slice_spec in self.slices],
-        }
-
 
 class BundleCatalogue:
     """The registry of deployable service bundles, keyed by name@version."""
@@ -288,7 +251,6 @@ def default_catalogue() -> BundleCatalogue:
                     nf_type="amf",
                     config=(("signalling_interval_s", 5.0),),
                     requirements=NFRequirements(cpu_units=0.5),
-                    placement_hint="edge",
                 ),
                 BundleNF(
                     name="smf",
@@ -301,7 +263,6 @@ def default_catalogue() -> BundleCatalogue:
                     nf_type="upf",
                     config=(("edge_breakout", False),),
                     max_replicas=4,
-                    placement_hint="edge",
                     requires=("smf",),
                 ),
             ),
@@ -319,7 +280,6 @@ def default_catalogue() -> BundleCatalogue:
                     nf_type="amf",
                     config=(("signalling_interval_s", 4.0),),
                     requirements=NFRequirements(cpu_units=0.5),
-                    placement_hint="edge",
                 ),
                 BundleNF(
                     name="smf",
@@ -332,7 +292,6 @@ def default_catalogue() -> BundleCatalogue:
                     nf_type="upf",
                     config=(("edge_breakout", True), ("breakout_ports", (8080,))),
                     max_replicas=4,
-                    placement_hint="edge",
                     requires=("smf",),
                 ),
             ),

@@ -63,18 +63,6 @@ class ChainSLO:
     def constrained(self) -> bool:
         return self.max_latency_s is not None or self.min_bandwidth_mbps is not None
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"max_latency_s": self.max_latency_s, "min_bandwidth_mbps": self.min_bandwidth_mbps}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChainSLO":
-        latency = data.get("max_latency_s")
-        bandwidth = data.get("min_bandwidth_mbps")
-        return cls(
-            max_latency_s=None if latency is None else float(latency),  # type: ignore[arg-type]
-            min_bandwidth_mbps=None if bandwidth is None else float(bandwidth),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
 class NFSpec:

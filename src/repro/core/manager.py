@@ -518,10 +518,10 @@ class GNFManager(ControlPlane):
     def register_agent(
         self,
         agent: GNFAgent,
-        control_latency_s: Optional[float] = None,
         sink_factory: Optional[Callable[[ControlChannel], tuple]] = None,
     ) -> ControlChannel:
-        """Connect an Agent to the Manager over a latency-modelled channel.
+        """Connect an Agent to the Manager over a channel with the topology's
+        control latency for its station.
 
         By default the Agent's upstream senders deliver each message over
         the channel as its own simulator event (``channel.sender``).  The
@@ -530,9 +530,9 @@ class GNFManager(ControlPlane):
         coalesce messages per delivery tick.
         """
         station_name = agent.station.name
-        if control_latency_s is None:
-            control_latency_s = self.topology.control_latency(station_name)
-        channel = ControlChannel(self.simulator, latency_s=control_latency_s, name=f"ctl-{station_name}")
+        channel = ControlChannel(
+            self.simulator, latency_s=self.topology.control_latency(station_name), name=f"ctl-{station_name}"
+        )
         self.agents[station_name] = agent
         self.channels[station_name] = channel
         if sink_factory is not None:

@@ -29,7 +29,7 @@ This module rebuilds migration as a proper subsystem:
 * Pre-copy is **iterative**: round *r* moves a dirty delta of
   ``size * dirty_fraction ** r`` over the links while the old chain keeps
   its state; rounds continue until the *estimated* next-delta transfer time
-  (bandwidth + RTT, the :meth:`~repro.containers.checkpoint.Checkpoint.transfer_time_s`
+  (bandwidth + RTT, the :meth:`StateTransferService.estimate_transfer_time`
   formula) drops under the downtime target or the round budget runs out,
   then the final delta is moved inside the freeze window.
 
@@ -325,8 +325,9 @@ class StateTransferService:
     def estimate_transfer_time(self, from_station: str, to_station: str, size_bytes: int) -> float:
         """Expected seconds to move ``size_bytes`` (the planning estimate).
 
-        Uses the same shape as :meth:`Checkpoint.transfer_time_s`: one RTT of
-        protocol overhead plus serialization at the narrowest hop.  The live
+        One RTT of protocol overhead plus serialization at the narrowest
+        hop: the one transfer-time formula, which pre-copy's round planning
+        uses too.  The live
         transfer over the links will take at least this long -- more when the
         backhaul is congested.
         """

@@ -284,10 +284,6 @@ class ChainSegment:
     start: int
     end: int
 
-    @property
-    def nf_count(self) -> int:
-        return self.end - self.start
-
 
 @dataclass
 class EmbeddingResult:

@@ -74,7 +74,6 @@ from repro.core.manager import (
     GNFManager,
     track_client_event,
 )
-from repro.core.monitoring import Hotspot
 from repro.core.notifications import NotificationCenter
 from repro.core.placement import PlacementEngine, StationView
 from repro.core.repository import NFRepository
@@ -320,22 +319,15 @@ class _FleetHealth:
     def online_stations(self, now: float) -> Tuple[str, ...]:
         return self._frontend.telemetry.online_stations(now)
 
-    def offline_stations(self, now: float) -> Tuple[str, ...]:
-        return self._frontend.telemetry.offline_stations(now)
-
     def is_online(self, station_name: str, now: float) -> bool:
         return self._frontend.shard_of(station_name).health.is_online(station_name, now)
-
-    def heartbeats_received(self, station_name: str) -> int:
-        return self._frontend.shard_of(station_name).health.heartbeats_received(station_name)
 
     def __len__(self) -> int:
         return sum(len(region.health) for region in self._frontend.telemetry.regions)
 
 
 class _FleetHotspots:
-    """Network-wide hotspot view: membership from the global rollup, full
-    records (rarely needed) merged from the per-leaf detectors."""
+    """Network-wide hotspot membership, served from the global rollup."""
 
     def __init__(self, frontend: "ShardedManager") -> None:
         self._frontend = frontend
@@ -343,18 +335,9 @@ class _FleetHotspots:
     def hotspot_stations(self) -> List[str]:
         return self._frontend.telemetry.hotspots.stations()
 
-    @property
-    def hotspots(self) -> List[Hotspot]:
-        found = [hotspot for shard in self._frontend.shards for hotspot in shard.hotspots.hotspots]
-        found.sort(key=lambda hotspot: (hotspot.detected_at, hotspot.station_name))
-        return found
-
-    def recent_hotspots(self, since: float) -> List[Hotspot]:
-        return [hotspot for hotspot in self.hotspots if hotspot.detected_at >= since]
-
 
 class _ShardSchedulerGroup:
-    """Facade over the per-leaf NF schedulers (start/stop/aggregate stats)."""
+    """Facade over the per-leaf NF schedulers (stop and aggregate stats)."""
 
     def __init__(self, shards: List[GNFManager]) -> None:
         self._shards = shards
@@ -362,14 +345,6 @@ class _ShardSchedulerGroup:
     @property
     def transitions(self) -> int:
         return sum(shard.scheduler.transitions for shard in self._shards)
-
-    def tracked(self) -> List[str]:
-        return sorted(name for shard in self._shards for name in shard.scheduler.tracked())
-
-    def start(self) -> "_ShardSchedulerGroup":
-        for shard in self._shards:
-            shard.scheduler.start()
-        return self
 
     def stop(self) -> None:
         for shard in self._shards:
@@ -503,9 +478,7 @@ class ShardedManager(ControlPlane):
 
     # --------------------------------------------------------- registration
 
-    def register_agent(
-        self, agent: GNFAgent, control_latency_s: Optional[float] = None
-    ) -> ControlChannel:
+    def register_agent(self, agent: GNFAgent) -> ControlChannel:
         """Connect an Agent to its owning leaf, with its upstream senders
         routed over the frontend's bus."""
         station_name = agent.station.name
@@ -520,9 +493,7 @@ class ShardedManager(ControlPlane):
                 bus.notification_sink(shard_index, latency, channel),
             )
 
-        channel = self.shards[shard_index].register_agent(
-            agent, control_latency_s, sink_factory=bus_sinks
-        )
+        channel = self.shards[shard_index].register_agent(agent, sink_factory=bus_sinks)
         self.agents[station_name] = agent
         self.channels[station_name] = channel
         return channel

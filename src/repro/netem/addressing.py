@@ -82,11 +82,6 @@ class IPv4Allocator:
         """Return the recorded owner of an allocated address, if any."""
         return self._allocated.get(address)
 
-    @property
-    def allocated(self) -> Dict[str, str]:
-        """Mapping of allocated address -> owner label."""
-        return dict(self._allocated)
-
     def __len__(self) -> int:
         return len(self._allocated)
 

@@ -203,13 +203,6 @@ class FlowCache:
 
     # ---------------------------------------------------------- invalidation
 
-    def flush(self) -> int:
-        """Drop every entry (e.g. on switch reconfiguration); returns the count."""
-        count = len(self._entries)
-        self._entries.clear()
-        self.flushes += count
-        return count
-
     def flush_ip(self, ip: str) -> int:
         """Drop every entry whose key touches ``ip`` (roaming invalidation)."""
         return self.flush_where(lambda key: key.ip_src == ip or key.ip_dst == ip)
@@ -249,4 +242,3 @@ class FlowCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"FlowCache({self.name!r}, entries={len(self._entries)}, hit_rate={self.hit_rate:.2f})"
-

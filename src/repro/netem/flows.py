@@ -91,9 +91,6 @@ class FlowTracker:
             key = key.canonical()
         return self._flows.get(key)
 
-    def active_flows(self) -> List[Flow]:
-        return list(self._flows.values())
-
     def top_flows(self, count: int = 10) -> List[Flow]:
         """The ``count`` largest flows by byte volume (for the UI's top-talkers)."""
         return sorted(self._flows.values(), key=lambda flow: flow.bytes, reverse=True)[:count]

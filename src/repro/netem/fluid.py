@@ -354,9 +354,6 @@ class HybridScheduler:
     def hybrid_enabled(self) -> bool:
         return self.mode == "hybrid"
 
-    def active_flows(self) -> List[FluidFlow]:
-        return list(self.flows.values())
-
     def station_counters_for(self, station: str) -> Dict[str, float]:
         """The published counter dict of ``station`` (created on first use)."""
         counters = self.station_counters.get(station)

@@ -40,9 +40,6 @@ class Interface:
         "owner",
         "link",
         "delivery_override",
-        "rx_packets",
-        "tx_packets",
-        "tx_bytes",
         "up",
         "__dict__",
     )
@@ -60,9 +57,6 @@ class Interface:
         self.owner = owner
         self.link: Optional["Link"] = None
         self.delivery_override: Optional[PacketHandler] = None
-        self.rx_packets = 0
-        self.tx_packets = 0
-        self.tx_bytes = 0
         self.up = True
 
     # ------------------------------------------------------------------ I/O
@@ -71,7 +65,6 @@ class Interface:
         """Called by the link (or a veth peer) when a packet arrives here."""
         if not self.up:
             return
-        self.rx_packets += 1
         override = self.delivery_override
         if override is not None:
             override(packet, self)
@@ -88,8 +81,6 @@ class Interface:
         """
         if not self.up:
             return False
-        self.tx_packets += 1
-        self.tx_bytes += packet.size_bytes
         link = self.link
         if link is not None:
             return link.transmit(packet, self)
@@ -127,8 +118,6 @@ class VethPair:
         def send_via_peer(packet: "Packet") -> bool:
             if not src.up:
                 return False
-            src.tx_packets += 1
-            src.tx_bytes += packet.size_bytes
             if self.crossing_delay_s > 0:
                 self.simulator.call_later(self.crossing_delay_s, dst.deliver, packet)
             else:
@@ -150,15 +139,13 @@ class Host:
     thousands of) carries no ``__dict__``; every other subclass keeps one.
     """
 
-    __slots__ = ("simulator", "name", "interfaces", "packet_handler", "rx_packets", "tx_packets")
+    __slots__ = ("simulator", "name", "interfaces", "packet_handler")
 
     def __init__(self, simulator: Simulator, name: str) -> None:
         self.simulator = simulator
         self.name = name
         self.interfaces: Dict[str, Interface] = {}
         self.packet_handler: Optional[PacketHandler] = None
-        self.rx_packets = 0
-        self.tx_packets = 0
 
     # -------------------------------------------------------------- wiring
 
@@ -169,10 +156,6 @@ class Host:
         interface.owner = self
         self.interfaces[interface.name] = interface
         return interface
-
-    def interface(self, name: str) -> Interface:
-        """Look up an interface by name."""
-        return self.interfaces[name]
 
     @property
     def primary_interface(self) -> Interface:
@@ -192,7 +175,6 @@ class Host:
 
     def receive_packet(self, packet: "Packet", interface: Interface) -> None:
         """Entry point for packets arriving on any of this host's interfaces."""
-        self.rx_packets += 1
         handler = self.packet_handler
         if handler is not None:
             handler(packet, interface)
@@ -205,7 +187,6 @@ class Host:
     def send(self, packet: "Packet", interface: Optional[Interface] = None) -> bool:
         """Send a packet out of ``interface`` (default: primary)."""
         out = interface or self.primary_interface
-        self.tx_packets += 1
         return out.send(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

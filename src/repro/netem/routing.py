@@ -59,9 +59,6 @@ class RoutingTable:
                 return entry
         return None
 
-    def entries(self) -> List[RouteEntry]:
-        return list(self._entries)
-
     def __len__(self) -> int:
         return len(self._entries)
 

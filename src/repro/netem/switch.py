@@ -40,11 +40,10 @@ from repro.netem.simulator import Simulator
 
 @dataclass
 class PortStats:
-    """Per-port packet counters, and the bytes each port sent."""
+    """Per-port packet counters."""
 
     rx_packets: int = 0
     tx_packets: int = 0
-    tx_bytes: int = 0
 
 
 @dataclass
@@ -144,13 +143,9 @@ class SoftwareSwitch(Host):
         # Drop any MAC table entries pointing at the removed port.
         self.mac_table = {mac: p for mac, p in self.mac_table.items() if p != port_number}
 
-    def port(self, port_number: int) -> SwitchPort:
-        return self.ports[port_number]
-
     # ---------------------------------------------------------- forwarding
 
     def receive_packet(self, packet: Packet, interface: Interface) -> None:
-        self.rx_packets += 1
         in_port = self._interface_to_port.get(interface.name)
         if in_port is None:
             self.packets_dropped += 1
@@ -296,9 +291,7 @@ class SoftwareSwitch(Host):
             self.packets_dropped += 1
             return
         port.stats.tx_packets += 1
-        port.stats.tx_bytes += packet.size_bytes
         self.packets_forwarded += 1
-        self.tx_packets += 1
         port.interface.send(packet)
 
     def _flood(self, packet: Packet, in_port: int) -> None:
@@ -307,8 +300,6 @@ class SoftwareSwitch(Host):
             if number == in_port or port.no_flood:
                 continue
             port.stats.tx_packets += 1
-            port.stats.tx_bytes += packet.size_bytes
-            self.tx_packets += 1
             port.interface.send(packet.copy())
 
     def record_fluid_transit(self, size_bytes: float) -> None:

@@ -5,8 +5,7 @@ Every GNF network function is a packet processor with four obligations:
 1. ``process(packet, context)`` returns the packets to emit (an empty list
    drops the packet; returning extra packets injects responses such as an
    HTTP 403 or a cached object).
-2. It accounts its own traffic counters, which Agents include in heartbeats
-   and the UI displays as per-NF statistics.
+2. It accounts its own traffic counters, which its exported state carries.
 3. It may emit *notifications* ("an intrusion attempt or detected malware",
    Section 3) which the Agent relays to the Manager.
 4. It can export and import its state, which is what makes stateful NF
@@ -63,8 +62,6 @@ class NetworkFunction:
 
     #: CPU cost of processing one packet on the reference (server-class) CPU.
     per_packet_cpu_us: float = 5.0
-    #: Additional resident memory the function's own state occupies at start.
-    base_state_mb: float = 0.5
     nf_type: str = "generic"
 
     def __init__(self, name: str = "") -> None:
@@ -131,8 +128,11 @@ class NetworkFunction:
     def export_state(self) -> Dict[str, object]:
         """Serializable state to carry across a migration.
 
-        The base implementation exports only counters; stateful NFs override
-        this to include their tables (conntrack, cache contents, buckets...).
+        This is what every migration sizes and moves (``Checkpoint.size_mb``,
+        ``MigrationEngine.serialized_state_mb``); the new station restores it
+        through :meth:`import_state`.  The base implementation exports only
+        counters; stateful NFs override this to include their tables
+        (conntrack, cache contents, buckets...).
         """
         return {"counters": self.counters()}
 
@@ -146,11 +146,6 @@ class NetworkFunction:
             self.bytes_in = int(counters.get("bytes_in", self.bytes_in))
             self.bytes_out = int(counters.get("bytes_out", self.bytes_out))
 
-    @property
-    def state_size_mb(self) -> float:
-        """Approximate size of the migratable state (drives checkpoint size)."""
-        return self.base_state_mb
-
     # --------------------------------------------------------------- stats
 
     def counters(self) -> Dict[str, int]:
@@ -160,16 +155,6 @@ class NetworkFunction:
             "packets_dropped": self.packets_dropped,
             "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
-        }
-
-    def describe(self) -> Dict[str, object]:
-        """Status document shown by the UI for this NF."""
-        return {
-            "name": self.name,
-            "type": self.nf_type,
-            "counters": self.counters(),
-            "state_size_mb": self.state_size_mb,
-            "pending_notifications": len(self.notifications),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

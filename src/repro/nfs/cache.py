@@ -73,7 +73,6 @@ class EdgeCache(NetworkFunction):
 
     nf_type = "cache"
     per_packet_cpu_us = 20.0
-    base_state_mb = 2.0
 
     def __init__(
         self,
@@ -325,23 +324,3 @@ class EdgeCache(NetworkFunction):
         self.backhaul_bytes_saved = int(
             state.get("backhaul_bytes_saved", self.backhaul_bytes_saved)
         )
-
-    @property
-    def state_size_mb(self) -> float:
-        return self.base_state_mb + self.used_mb
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description.update(
-            {
-                "objects": self.object_count,
-                "used_mb": self.used_mb,
-                "hit_ratio": self.hit_ratio(),
-                "placement": self.placement,
-                "bytes_served_from_cache": self.bytes_served_from_cache,
-                "backhaul_bytes_saved": self.backhaul_bytes_saved,
-                "expirations": self.expirations,
-                "admission_rejects": self.admission_rejects,
-            }
-        )
-        return description

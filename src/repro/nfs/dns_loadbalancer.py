@@ -75,7 +75,6 @@ class DNSLoadBalancer(NetworkFunction):
 
     nf_type = "dns-loadbalancer"
     per_packet_cpu_us = 10.0
-    base_state_mb = 0.5
 
     def __init__(
         self,
@@ -145,14 +144,3 @@ class DNSLoadBalancer(NetworkFunction):
         """How many answers each backend has received for a service (LB evidence)."""
         pool = self.pools.get(service_name)
         return dict(pool.assignments) if pool else {}
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description.update(
-            {
-                "pools": {service: len(pool.backends) for service, pool in self.pools.items()},
-                "queries_seen": self.queries_seen,
-                "responses_rewritten": self.responses_rewritten,
-            }
-        )
-        return description

@@ -115,7 +115,6 @@ class Firewall(NetworkFunction):
 
     nf_type = "firewall"
     per_packet_cpu_us = 8.0
-    base_state_mb = 0.5
 
     def __init__(
         self,
@@ -204,25 +203,5 @@ class Firewall(NetworkFunction):
         self.dropped = int(state.get("dropped", self.dropped))
 
     @property
-    def state_size_mb(self) -> float:
-        # ~100 bytes per conntrack entry plus the rule set.
-        return self.base_state_mb + len(self._conntrack) * 100 / 1e6 + len(self.rules) * 200 / 1e6
-
-    @property
     def conntrack_size(self) -> int:
         return len(self._conntrack)
-
-    # ----------------------------------------------------------- describe
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description.update(
-            {
-                "rules": len(self.rules),
-                "default_policy": self.default_policy.value,
-                "conntrack_entries": len(self._conntrack),
-                "accepted": self.accepted,
-                "dropped": self.dropped,
-            }
-        )
-        return description

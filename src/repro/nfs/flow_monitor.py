@@ -20,7 +20,6 @@ class FlowMonitor(NetworkFunction):
 
     nf_type = "flow-monitor"
     per_packet_cpu_us = 3.0
-    base_state_mb = 0.5
 
     def __init__(
         self,
@@ -92,12 +91,3 @@ class FlowMonitor(NetworkFunction):
         super().import_state(state)
         self.upstream_bytes = int(state.get("upstream_bytes", self.upstream_bytes))
         self.downstream_bytes = int(state.get("downstream_bytes", self.downstream_bytes))
-
-    @property
-    def state_size_mb(self) -> float:
-        return self.base_state_mb + len(self.tracker) * 120 / 1e6
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description.update(self.traffic_summary())
-        return description

@@ -29,7 +29,6 @@ class HTTPFilter(NetworkFunction):
 
     nf_type = "http-filter"
     per_packet_cpu_us = 15.0
-    base_state_mb = 1.0
 
     def __init__(
         self,
@@ -138,20 +137,3 @@ class HTTPFilter(NetworkFunction):
         counts = state.get("block_counts")
         if isinstance(counts, dict):
             self.block_counts = {str(k): int(v) for k, v in counts.items()}
-
-    @property
-    def state_size_mb(self) -> float:
-        entries = len(self.blocked_hosts) + len(self.blocked_url_substrings) + len(self.block_counts)
-        return self.base_state_mb + entries * 64 / 1e6
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description.update(
-            {
-                "blocked_hosts": len(self.blocked_hosts),
-                "requests_seen": self.requests_seen,
-                "requests_blocked": self.requests_blocked,
-                "responses_blocked": self.responses_blocked,
-            }
-        )
-        return description

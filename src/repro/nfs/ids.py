@@ -27,7 +27,6 @@ class IntrusionDetector(NetworkFunction):
 
     nf_type = "ids"
     per_packet_cpu_us = 25.0
-    base_state_mb = 1.5
 
     def __init__(
         self,
@@ -148,15 +147,3 @@ class IntrusionDetector(NetworkFunction):
         self.malware_detections = int(state.get("malware_detections", self.malware_detections))
         self.port_scan_detections = int(state.get("port_scan_detections", self.port_scan_detections))
         self.syn_flood_detections = int(state.get("syn_flood_detections", self.syn_flood_detections))
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description.update(
-            {
-                "alerts_raised": self.alerts_raised,
-                "malware_detections": self.malware_detections,
-                "port_scan_detections": self.port_scan_detections,
-                "syn_flood_detections": self.syn_flood_detections,
-            }
-        )
-        return description

@@ -19,7 +19,6 @@ class L4LoadBalancer(NetworkFunction):
 
     nf_type = "load-balancer"
     per_packet_cpu_us = 7.0
-    base_state_mb = 0.5
 
     def __init__(
         self,
@@ -107,15 +106,3 @@ class L4LoadBalancer(NetworkFunction):
     @property
     def affinity_count(self) -> int:
         return len(self._affinity)
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description.update(
-            {
-                "virtual_ip": self.virtual_ip,
-                "backends": len(self.backends),
-                "affinity_entries": len(self._affinity),
-                "connections_per_backend": dict(self.connections_per_backend),
-            }
-        )
-        return description

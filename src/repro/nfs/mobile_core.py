@@ -34,7 +34,6 @@ class AMFFunction(NetworkFunction):
 
     nf_type = "amf"
     per_packet_cpu_us = 4.0
-    base_state_mb = 4.0
 
     def __init__(
         self,
@@ -86,10 +85,6 @@ class AMFFunction(NetworkFunction):
         for ip in expired:
             del self._registrations[ip]
 
-    @property
-    def registered_clients(self) -> int:
-        return len(self._registrations)
-
     # ------------------------------------------------------------ migration
 
     def export_state(self) -> Dict[str, object]:
@@ -113,31 +108,12 @@ class AMFFunction(NetworkFunction):
         self.signalling_events = int(state.get("signalling_events", self.signalling_events))
         self._next_signal_at = float(state.get("next_signal_at", self._next_signal_at))
 
-    @property
-    def state_size_mb(self) -> float:
-        return self.base_state_mb + len(self._registrations) * 256 / 1e6
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description.update(
-            {
-                "registered_clients": self.registered_clients,
-                "registrations_total": self.registrations_total,
-                "signalling_events": self.signalling_events,
-            }
-        )
-        return description
-
 
 class SMFFunction(NetworkFunction):
     """SMF-like control NF: a per-flow session table that grows with load."""
 
     nf_type = "smf"
     per_packet_cpu_us = 6.0
-    base_state_mb = 16.0
-
-    #: Approximate serialized size of one PDU session record.
-    session_record_bytes = 2048
 
     def __init__(self, name: str = "", session_ttl_s: float = 60.0) -> None:
         super().__init__(name=name)
@@ -181,10 +157,6 @@ class SMFFunction(NetworkFunction):
         for key in expired:
             del self._sessions[key]
 
-    @property
-    def active_sessions(self) -> int:
-        return len(self._sessions)
-
     # ------------------------------------------------------------ migration
 
     def export_state(self) -> Dict[str, object]:
@@ -207,20 +179,6 @@ class SMFFunction(NetworkFunction):
             }
         self.sessions_established = int(state.get("sessions_established", self.sessions_established))
 
-    @property
-    def state_size_mb(self) -> float:
-        return self.base_state_mb + len(self._sessions) * self.session_record_bytes / 1e6
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description.update(
-            {
-                "active_sessions": self.active_sessions,
-                "sessions_established": self.sessions_established,
-            }
-        )
-        return description
-
 
 class UPFFunction(NetworkFunction):
     """UPF-like user-plane NF with optional edge breakout steering.
@@ -234,7 +192,6 @@ class UPFFunction(NetworkFunction):
 
     nf_type = "upf"
     per_packet_cpu_us = 2.0
-    base_state_mb = 6.0
 
     def __init__(
         self,
@@ -290,15 +247,3 @@ class UPFFunction(NetworkFunction):
         self.tunneled_bytes = int(state.get("tunneled_bytes", self.tunneled_bytes))
         self.breakout_packets = int(state.get("breakout_packets", self.breakout_packets))
         self.breakout_bytes = int(state.get("breakout_bytes", self.breakout_bytes))
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description.update(
-            {
-                "edge_breakout": self.edge_breakout,
-                "breakout_ports": list(self.breakout_ports),
-                "tunneled_bytes": self.tunneled_bytes,
-                "breakout_bytes": self.breakout_bytes,
-            }
-        )
-        return description

@@ -10,22 +10,10 @@ matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.netem.packet import Packet, TCPHeader, UDPHeader
 from repro.nfs.base import Direction, NetworkFunction, ProcessingContext
-
-
-@dataclass(frozen=True)
-class NATBinding:
-    """One active translation."""
-
-    private_ip: str
-    private_port: int
-    public_ip: str
-    public_port: int
-    protocol: int
 
 
 class NAT(NetworkFunction):
@@ -33,7 +21,6 @@ class NAT(NetworkFunction):
 
     nf_type = "nat"
     per_packet_cpu_us = 6.0
-    base_state_mb = 0.3
 
     def __init__(
         self,
@@ -50,7 +37,6 @@ class NAT(NetworkFunction):
         # public_port -> (private_ip, private_port, proto)
         self._inbound: Dict[int, Tuple[str, int, int]] = {}
         self.translations_created = 0
-        self.packets_translated = 0
         self.untranslatable_drops = 0
 
     # ------------------------------------------------------------- bindings
@@ -77,19 +63,6 @@ class NAT(NetworkFunction):
         self.translations_created += 1
         return public_port
 
-    def bindings(self) -> List[NATBinding]:
-        """Snapshot of the current translation table."""
-        return [
-            NATBinding(
-                private_ip=private_ip,
-                private_port=private_port,
-                public_ip=self.public_ip,
-                public_port=public_port,
-                protocol=protocol,
-            )
-            for (private_ip, private_port, protocol), public_port in self._outbound.items()
-        ]
-
     # ------------------------------------------------------------ dataplane
 
     def _process(self, packet: Packet, context: ProcessingContext) -> List[Packet]:
@@ -100,7 +73,6 @@ class NAT(NetworkFunction):
             packet.metadata["nat_original_src"] = (packet.ip.src, packet.l4.src_port)
             packet.ip.src = self.public_ip
             packet.l4.src_port = public_port
-            self.packets_translated += 1
             return [packet]
         # Downstream: reverse-translate traffic addressed to the public endpoint.
         if packet.ip.dst == self.public_ip:
@@ -111,7 +83,6 @@ class NAT(NetworkFunction):
             private_ip, private_port, _ = key
             packet.ip.dst = private_ip
             packet.l4.dst_port = private_port
-            self.packets_translated += 1
         return [packet]
 
     # ------------------------------------------------------------ migration
@@ -150,20 +121,5 @@ class NAT(NetworkFunction):
         self.translations_created = int(state.get("translations_created", self.translations_created))
 
     @property
-    def state_size_mb(self) -> float:
-        return self.base_state_mb + len(self._outbound) * 64 / 1e6
-
-    @property
     def binding_count(self) -> int:
         return len(self._outbound)
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description.update(
-            {
-                "public_ip": self.public_ip,
-                "bindings": len(self._outbound),
-                "packets_translated": self.packets_translated,
-            }
-        )
-        return description

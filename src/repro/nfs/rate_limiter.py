@@ -68,7 +68,6 @@ class RateLimiter(NetworkFunction):
 
     nf_type = "rate-limiter"
     per_packet_cpu_us = 4.0
-    base_state_mb = 0.2
 
     def __init__(
         self,
@@ -135,14 +134,3 @@ class RateLimiter(NetworkFunction):
     def bucket_level(self, direction: Direction) -> float:
         """Remaining tokens (bytes) for a direction (used by tests and the UI)."""
         return self._buckets[direction.value].tokens
-
-    def describe(self) -> Dict[str, object]:
-        description = super().describe()
-        description.update(
-            {
-                "rate_bps": self.rate_bps,
-                "packets_policed": self.packets_policed,
-                "bytes_policed": self.bytes_policed,
-            }
-        )
-        return description

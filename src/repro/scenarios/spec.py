@@ -476,9 +476,3 @@ class ScenarioSpec(_Spec):
             if fleet.name == name:
                 return fleet
         raise KeyError(f"unknown fleet {name!r}")
-
-    def client_names(self) -> List[str]:
-        names: List[str] = []
-        for fleet in self.fleets:
-            names.extend(fleet.client_names())
-        return names

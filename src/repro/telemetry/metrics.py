@@ -52,9 +52,6 @@ class TimeSeries:
     def record(self, timestamp: float, value: float) -> None:
         self._samples.append((timestamp, value))
 
-    def samples(self) -> List[Tuple[float, float]]:
-        return list(self._samples)
-
     def values(self) -> List[float]:
         return [value for _, value in self._samples]
 

@@ -1,5 +1,5 @@
 """Unit tests for the container runtime substrate (images, cgroups,
-namespaces, lifecycle, checkpoint/restore, runtime engine)."""
+namespaces, lifecycle, checkpoints, runtime engine)."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from repro.containers.image import (
 )
 from repro.containers.namespaces import MountNamespace, NetworkNamespace, PidNamespace
 from repro.containers.runtime import ContainerRuntime, RuntimeTimings
+from repro.core.chain import ServiceChain
 from repro.netem.simulator import Simulator
 from repro.nfs.firewall import Firewall
 
@@ -198,9 +199,9 @@ def test_mount_namespace_layers_and_writes():
 # --------------------------------------------------------------------------
 
 
-def make_container(name="fw-1"):
+def make_container(name="fw-1", memory_mb=8.0):
     image = ContainerImage.build("gnf/firewall", size_mb=4.0, nf_class="repro.nfs.firewall.Firewall")
-    return Container(name=name, image=image, request=ResourceRequest(memory_mb=8.0), created_at=0.0)
+    return Container(name=name, image=image, request=ResourceRequest(memory_mb=memory_mb), created_at=0.0)
 
 
 def test_container_happy_path_lifecycle():
@@ -402,7 +403,7 @@ def test_runtime_utilization_snapshot(simulator):
 
 
 # --------------------------------------------------------------------------
-# Checkpoint / restore
+# Checkpoints, and restoring their state
 # --------------------------------------------------------------------------
 
 
@@ -420,39 +421,44 @@ def test_checkpoint_captures_nf_state(simulator):
     assert duration > 0
     assert container.is_running  # back to RUNNING after the dump
     assert checkpoint.nf_state["accepted"] == 42
-    assert checkpoint.labels["client"] == "10.10.0.5"
-    assert checkpoint.size_mb >= container.memory_footprint_mb
+    # The one size formula a stateful migration ships.
+    assert checkpoint.size_mb == container.memory_footprint_mb + 0.001 * len(str(checkpoint.nf_state))
 
 
-def test_checkpoint_transfer_time_scales_with_size():
+def test_checkpoint_transfer_time_scales_with_size(testbed):
+    # A checkpoint's bytes pay one path RTT plus serialization at the
+    # narrowest hop: a bigger checkpoint adds serialization time only.
     engine = CheckpointEngine()
-    container = make_container()
-    container.network_function = Firewall()
-    checkpoint = engine.create(container, now=0.0)
-    fast = checkpoint.transfer_time_s(bandwidth_bps=1e9)
-    slow = checkpoint.transfer_time_s(bandwidth_bps=1e7)
-    assert slow > fast
-    with pytest.raises(ValueError):
-        checkpoint.transfer_time_s(bandwidth_bps=0)
+    small_container, large_container = make_container(), make_container(memory_mb=32.0)
+    for container in (small_container, large_container):
+        container.network_function = Firewall()
+    small, large = engine.create(small_container), engine.create(large_container)
+    assert large.size_mb > small.size_mb
+    estimate = testbed.roaming.transfers.estimate_transfer_time
+    rtt = 2 * testbed.topology.station_to_station_latency("station-1", "station-2")
+    bandwidth = testbed.config.uplink_bandwidth_bps
+    small_bytes, large_bytes = (int(checkpoint.size_mb * 1e6) for checkpoint in (small, large))
+    fast = estimate("station-1", "station-2", small_bytes)
+    slow = estimate("station-1", "station-2", large_bytes)
+    assert fast == pytest.approx(rtt + small_bytes * 8 / bandwidth)
+    assert slow - fast == pytest.approx((large_bytes - small_bytes) * 8 / bandwidth)
 
 
-def test_restore_reinstates_nf_state(simulator):
-    source = build_runtime(simulator)
-    image, _ = source.ensure_image("gnf/firewall")
-    container = source.create(image, "fw-1")
-    source.start(container)
-    simulator.run()
+def test_restore_reinstates_nf_state(testbed):
+    # State is restored by importing it into a freshly deployed chain.
     firewall = Firewall()
     firewall.accepted = 7
-    container.network_function = firewall
-    checkpoint, _ = source.checkpoint(container)
-    simulator.run()
-
-    destination = build_runtime(simulator)
-    restored, duration = destination.restore(checkpoint, name="fw-1-restored")
-    restored.network_function = Firewall()
-    simulator.run()
-    assert duration > 0
-    assert restored.is_running
-    assert restored.network_function.accepted == 7
-    assert destination.checkpoint_engine.restores_applied == 1
+    state = firewall.export_state()
+    testbed.start()
+    testbed.run(0.5)
+    agent = testbed.agents["station-2"]
+    results = []
+    deployment = agent.deploy_chain(
+        "asg-restore", "10.10.0.5", ServiceChain.of("firewall"), nf_states=[state],
+        on_complete=lambda _, success, detail: results.append(success),
+    )
+    testbed.run(10.0)
+    assert results == [True]
+    [deployed] = deployment.deployed_nfs
+    assert deployed.container.is_running
+    assert deployed.nf.accepted == 7

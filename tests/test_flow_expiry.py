@@ -41,10 +41,6 @@ def test_flow_monitor_dataplane_sweep_expires_idle_flows():
     assert monitor.tracker.expired_flows == 5
     assert monitor.traffic_summary()["expired_flows"] == 5.0
 
-    # Expiry shrinks the migration payload too: state size tracks the
-    # *live* flow table, not everything ever seen.
-    assert monitor.state_size_mb < FlowMonitor.base_state_mb + 2 * 120 / 1e6
-
 
 def test_agent_collector_sweeps_trackers_and_reports_flows_telemetry():
     testbed = GNFTestbed(TestbedConfig(station_count=1))

@@ -70,16 +70,18 @@ def _wait_active(testbed: GNFTestbed, assignment, budget_s: float = 30.0) -> Non
 
 
 def test_checkpoint_transfer_time_pins_rtt_and_bandwidth():
-    checkpoint = Checkpoint(
-        container_name="c1", image_reference="img", created_at=0.0, memory_mb=10.0
-    )
-    bandwidth = 50e6
-    serialization = checkpoint.size_mb * 8 * 1_000_000 / bandwidth
-    assert checkpoint.transfer_time_s(bandwidth, rtt_s=0.03) == pytest.approx(0.03 + serialization)
-    # RTT defaults to zero: pure serialization.
-    assert checkpoint.transfer_time_s(bandwidth) == pytest.approx(serialization)
-    with pytest.raises(ValueError):
-        checkpoint.transfer_time_s(0.0)
+    # One formula times every state transfer: one path RTT of protocol
+    # overhead plus serialization of the checkpoint at the narrowest hop.
+    testbed = GNFTestbed(TestbedConfig(station_count=2))
+    estimate = testbed.roaming.transfers.estimate_transfer_time
+    rtt = 2 * testbed.topology.station_to_station_latency("station-1", "station-2")
+    bandwidth = testbed.config.uplink_bandwidth_bps
+    for memory_mb in (10.0, 40.0):
+        size_bytes = int(Checkpoint(memory_mb=memory_mb).size_mb * 1e6)
+        serialization = size_bytes * 8 / bandwidth
+        assert estimate("station-1", "station-2", size_bytes) == pytest.approx(rtt + serialization)
+    # An empty transfer still pays the RTT.
+    assert estimate("station-1", "station-2", 0) == pytest.approx(rtt)
 
 
 def test_engine_estimate_includes_path_rtt():

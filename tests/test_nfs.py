@@ -177,10 +177,13 @@ def test_firewall_state_roundtrip_preserves_rules_and_conntrack():
 
 
 def test_firewall_describe_and_state_size():
-    firewall = Firewall(rules=[FirewallRule(action=FirewallAction.DROP)])
-    description = firewall.describe()
-    assert description["rules"] == 1
-    assert firewall.state_size_mb > firewall.base_state_mb - 1e-9
+    firewall = Firewall(rules=[FirewallRule(action=FirewallAction.DROP, protocol="udp")])
+    assert len(firewall.rules) == 1
+    # What a migration sizes is the exported state: it grows with conntrack.
+    before = len(str(firewall.export_state()))
+    firewall.process(up_tcp(), ctx())
+    assert firewall.conntrack_size == 1
+    assert len(str(firewall.export_state())) > before
 
 
 def test_firewall_rule_serialization_roundtrip():

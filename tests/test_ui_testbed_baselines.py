@@ -133,6 +133,8 @@ RETIRED_PARAMETERS = {
     ControlPlane: ("placement",),
     GNFManager: ("placement", "heartbeat_timeout_s"),
     ShardedManager: ("placement", "heartbeat_timeout_s"),
+    GNFManager.register_agent: ("control_latency_s",),
+    ShardedManager.register_agent: ("control_latency_s",),
     GNFAgent: ("timings",),
     NFRepository: ("registry",),
     CoreNFVScenario: ("request_count_target",),

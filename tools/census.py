@@ -3,10 +3,13 @@
 
     python tools/census.py
 
-Replays every run of :func:`sweep` under a ``sys.setprofile`` hook that
-records each Python code object entered, then prints every ``def`` under
-``src/repro/`` whose code never ran: by file, with its first line, its
-qualified name and its length in lines, and the total.  A name-based search
+Replays every run of :func:`sweep` and every example of :data:`EXAMPLES`
+under a ``sys.setprofile`` hook that records each Python code object
+entered, then prints every ``def`` under ``src/repro/`` whose code never
+ran: by file, with its first line, its qualified name and its length in
+lines, and the total.  It exits 1 when one of them is missing from
+:data:`ALLOWLIST`, ``tests/golden/uncalled.json``: ``{"path::qualname":
+reason}``, each reason one of :data:`REASONS`.  A name-based search
 misses what is reached only through ``getattr``, a callback or a property,
 and cannot tell a function whose only caller is itself never called; this
 sees what actually ran.
@@ -17,9 +20,10 @@ The sweep is every canned scenario at seed 0 in packet mode, plus
 4 shards with least-loaded placement, ``slo-tight-embedding`` (an
 embedding scenario) at 4 shards, and ``hotspot-stadium`` and
 ``autoscale-daily-wave`` with admission control on (queue timeouts and a
-dispatch from the queue).  A function on the list is not dead by
-that alone: oracles, error paths, the paper's UI and API used only by tests
-never run in a scenario.
+dispatch from the queue).  The examples run with their stdout captured.
+A function on the list is not dead by that alone: oracles, error paths, the
+paper's UI and API used only by tests never run in a scenario; the
+allowlist says which of those each one is.
 
 A static half, read from the source text alone, then lists what the
 runtime list cannot see: :func:`write_only_attributes`, state that
@@ -31,12 +35,16 @@ the checkout's own ``src/``, so it needs no ``PYTHONPATH``.
 from __future__ import annotations
 
 import ast
+import contextlib
 import functools
+import io
+import json
 import os
 import re
+import runpy
 import sys
 from collections import defaultdict
-from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -60,11 +68,41 @@ EXTRA_RUNS: Tuple[Run, ...] = (
 )
 
 
+#: The examples the sweep runs too, each with its command-line arguments.
+EXAMPLES: Tuple[Tuple[str, ...], ...] = (
+    ("quickstart.py",),
+    ("roaming_demo.py",),
+    ("service_chaining.py",),
+    ("edge_dashboard.py",),
+    ("run_scenario.py", "--list-bundles"),
+)
+
+#: The never-called defs that stay, each with its reason.
+ALLOWLIST = os.path.join(REPO_ROOT, "tests", "golden", "uncalled.json")
+
+#: Why a def that no sweep run enters may stay.
+REASONS = (
+    "oracle",
+    "error path",
+    "paper UI",
+    "test-only API",
+    "bench/example API",
+    "probe hook",
+    "protocol stub",
+    "debug repr",
+)
+
+
 class Uncalled(NamedTuple):
-    path: str  # relative to the repository root
+    path: str  # relative to the repository root, with ``/`` separators
     line: int
     qualname: str
     lines: int
+
+    @property
+    def key(self) -> str:
+        """How :data:`ALLOWLIST` names this def."""
+        return f"{self.path}::{self.qualname}"
 
 
 def _library():
@@ -106,10 +144,30 @@ def _defs(path: str) -> List[Tuple[int, str, int]]:
     return found
 
 
-def census(runs: Sequence[Run]) -> List[Uncalled]:
-    """Replay ``runs`` and return the ``src/repro`` defs none of them entered,
-    ordered by file and line."""
-    library = _library()
+def _run_example(script: str, *argv: str) -> None:
+    """Run ``examples/<script>`` as ``__main__`` with ``argv``, stdout captured."""
+    saved = sys.argv
+    sys.argv = [script, *argv]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(os.path.join(REPO_ROOT, "examples", script), run_name="__main__")
+    except SystemExit as exit:
+        if exit.code:
+            raise
+    finally:
+        sys.argv = saved
+
+
+def census(
+    runs: Optional[Sequence[Run]] = None, examples: Sequence[Tuple[str, ...]] = ()
+) -> List[Uncalled]:
+    """Replay ``runs`` (default: :func:`sweep`) and ``examples`` and return the
+    ``src/repro`` defs none of them entered, ordered by file and line.
+
+    The scenario library is first imported under the hook, so what runs at
+    import (scenario registration) counts as entered when nothing imported
+    it before.
+    """
     entered: Set[object] = set()
     add = entered.add
 
@@ -118,10 +176,18 @@ def census(runs: Sequence[Run]) -> List[Uncalled]:
             add(frame.f_code)
 
     previous = sys.getprofile()
-    for name, overrides in runs:
+    sys.setprofile(hook)
+    try:
+        library = _library()
+        runs = sweep() if runs is None else runs
+    finally:
+        sys.setprofile(previous)
+    jobs = [functools.partial(library.run_scenario, name, seed=0, **overrides) for name, overrides in runs]
+    jobs += [functools.partial(_run_example, *example) for example in examples]
+    for job in jobs:
         sys.setprofile(hook)
         try:
-            library.run_scenario(name, seed=0, **overrides)
+            job()
         finally:
             sys.setprofile(previous)
     called = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in entered}
@@ -132,7 +198,7 @@ def census(runs: Sequence[Run]) -> List[Uncalled]:
                 continue
             path = os.path.join(directory, filename)
             real = os.path.realpath(path)
-            relative = os.path.relpath(path, REPO_ROOT)
+            relative = os.path.relpath(path, REPO_ROOT).replace(os.sep, "/")
             for first, qualname, lines in _defs(path):
                 if (real, first) not in called:
                     uncalled.append(Uncalled(relative, first, qualname, lines))
@@ -269,9 +335,14 @@ def unbuilt_classes() -> List[str]:
     return list(_static_census()[1])
 
 
+def allowlist() -> Dict[str, str]:
+    """:data:`ALLOWLIST`: ``{"path::qualname": reason}``."""
+    with open(ALLOWLIST) as handle:
+        return json.load(handle)
+
+
 def main() -> int:
-    runs = sweep()
-    uncalled = census(runs)
+    uncalled = census(examples=EXAMPLES)
     by_file: Dict[str, List[Uncalled]] = defaultdict(list)
     for entry in uncalled:
         by_file[entry.path].append(entry)
@@ -281,7 +352,7 @@ def main() -> int:
             print(f"  {entry.line:5d}  {entry.qualname}  ({entry.lines} lines)")
     print(
         f"total: {len(uncalled)} functions, {sum(e.lines for e in uncalled)} lines "
-        f"never called in {len(runs)} runs"
+        f"never called in {len(sweep())} runs and {len(EXAMPLES)} examples"
     )
     written = write_only_attributes()
     print(f"write-only attributes: {len(written)}")
@@ -291,7 +362,12 @@ def main() -> int:
     print(f"never-built classes: {len(unbuilt)}")
     for entry in unbuilt:
         print(f"  {entry}")
-    return 0
+    allowed = allowlist()
+    missing = [entry for entry in uncalled if entry.key not in allowed]
+    print(f"never called and not in {os.path.relpath(ALLOWLIST, REPO_ROOT)}: {len(missing)}")
+    for entry in missing:
+        print(f"  {entry.key}")
+    return 1 if missing else 0
 
 
 if __name__ == "__main__":
