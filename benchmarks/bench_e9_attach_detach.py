@@ -28,16 +28,16 @@ def _attach_detach_latencies(nf_type: str):
     cold = testbed.ui.attach_nf(phone.ip, nf_type)
     testbed.run(25.0)
     cold_latency = cold.attach_latency_s
+    agent = testbed.agents["station-1"]
+    # Captured before the detach: the runtime lets a stopped container go.
+    attached = list(agent.runtime.containers.values())
     detach_start = testbed.simulator.now
     testbed.ui.remove_assignment(cold.assignment_id)
     testbed.run(5.0)
-    agent = testbed.agents["station-1"]
     detach_latency = None
     if agent.deployment_for_client(phone.ip) is None:
         detach_latency = 5.0  # upper bound; refined below from container history
-        stopped = [
-            c for c in agent.runtime.containers.values() if c.stopped_at is not None
-        ]
+        stopped = [c for c in attached if c.stopped_at is not None]
         if stopped:
             detach_latency = max(c.stopped_at for c in stopped) - detach_start
     warm = testbed.ui.attach_nf(phone.ip, nf_type)

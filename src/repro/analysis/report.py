@@ -8,7 +8,7 @@ prints it with the same table renderer the UI uses, and can append it to an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.telemetry.export import render_table
 

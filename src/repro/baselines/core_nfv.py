@@ -16,8 +16,8 @@ measured by the same scenario class with ``edge_nf=True``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.core.chain import ServiceChain
 from repro.core.testbed import GNFTestbed, TestbedConfig

@@ -14,8 +14,8 @@ and policy violations such as blocked pages that suddenly load).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.core.api import ClientEvent
 from repro.core.manager import Assignment, GNFManager

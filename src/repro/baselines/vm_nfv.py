@@ -15,10 +15,9 @@ E3 (NF density per host) compare it against the container figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.containers.cgroups import AdmissionError, ResourceAccount, ResourceRequest
+from repro.containers.cgroups import AdmissionError, ResourceAccount
 from repro.containers.image import ContainerImage, ImageRegistry
 from repro.containers.runtime import ContainerRuntime, RuntimeTimings
 from repro.netem.simulator import Simulator

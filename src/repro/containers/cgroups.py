@@ -10,7 +10,7 @@ scheduling and utilization reporting for the Manager's monitoring view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 

@@ -13,10 +13,10 @@ and memory reservations, which is exactly the difference the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.containers.cgroups import AdmissionError, ResourceAccount, ResourceRequest
+from repro.containers.cgroups import ResourceAccount, ResourceRequest
 from repro.containers.checkpoint import Checkpoint, CheckpointEngine
 from repro.containers.container import Container, ContainerState
 from repro.containers.image import ContainerImage, ImageRegistry
@@ -81,7 +81,15 @@ class RuntimeTimings:
 
 
 class ContainerRuntime:
-    """Create, boot, stop and checkpoint containers on one station."""
+    """Create, boot, stop and checkpoint containers on one station.
+
+    :attr:`containers` is the live set: a container leaves it when it stops,
+    fails or is destroyed, and the runtime keeps no reference to it after
+    that, so a detached NF's container is freed with its deployment.  The
+    runtime only counts the terminal ones it has let go, so the heartbeat's
+    ``containers_total`` is still every container created here minus those
+    destroyed.
+    """
 
     def __init__(
         self,
@@ -102,10 +110,10 @@ class ContainerRuntime:
         #: Memory the engine itself spends per container (netns, veth, conmon).
         self.per_container_overhead_mb = per_container_overhead_mb
         self.checkpoint_engine = CheckpointEngine()
-        #: Every container created here and not destroyed, terminal ones included.
+        #: Containers not yet retired (stopped, failed or destroyed), in creation order.
         self.containers: Dict[str, Container] = {}
-        #: Those not yet made terminal, in creation order: what periodic readers walk.
-        self._live: Dict[str, Container] = {}
+        #: Retired containers not destroyed: the rest of ``containers_total``.
+        self._terminal = 0
         self.image_cache: Dict[str, ContainerImage] = {}
         self.layer_cache: Set[str] = set()
         self.pulls_performed = 0
@@ -146,7 +154,7 @@ class ContainerRuntime:
     ) -> Container:
         """Admit and create a container (synchronously; boot is separate)."""
         if name in self.containers:
-            raise ValueError(f"runtime {self.name}: container {name!r} already exists")
+            raise ValueError(f"runtime {self.name}: live container {name!r} already exists")
         effective_request = request or ResourceRequest(
             memory_mb=image.default_memory_mb + self.per_container_overhead_mb,
             cpu_shares=image.default_cpu_shares,
@@ -160,7 +168,6 @@ class ContainerRuntime:
             labels=labels,
         )
         self.containers[name] = container
-        self._live[name] = container
         return container
 
     def start(
@@ -214,16 +221,24 @@ class ContainerRuntime:
         self.containers_failed += 1
 
     def destroy(self, container: Container) -> None:
-        """Forget a terminal container."""
+        """Forget a terminal container: it stops counting in ``containers_total``.
+
+        Destroy each container once; a retired one is known only by count.
+        """
         if not container.is_terminal:
             raise RuntimeError(f"cannot destroy container {container.name!r} in state {container.state.value}")
-        self._retire(container)
-        self.containers.pop(container.name, None)
+        if self.containers.get(container.name) is container:
+            # Made terminal behind the runtime's back: never retired.
+            self.resources.release(container.name)
+            del self.containers[container.name]
+        else:
+            self._terminal -= 1
 
     def _retire(self, container: Container) -> None:
-        """Free a terminal container's resources and drop it from the live walk."""
+        """Free a terminal container's resources and let it go."""
         self.resources.release(container.name)
-        self._live.pop(container.name, None)
+        if self.containers.pop(container.name, None) is not None:
+            self._terminal += 1
 
     # ----------------------------------------------------------- checkpoint
 
@@ -242,7 +257,7 @@ class ContainerRuntime:
     # --------------------------------------------------------------- queries
 
     def running_containers(self) -> List[Container]:
-        return [c for c in self._live.values() if c.is_running]
+        return [c for c in self.containers.values() if c.is_running]
 
     @property
     def running_count(self) -> int:
@@ -265,7 +280,7 @@ class ContainerRuntime:
         snapshot = self.resources.snapshot()
         snapshot.update(
             {
-                "containers_total": float(len(self.containers)),
+                "containers_total": float(len(self.containers) + self._terminal),
                 "containers_running": float(self.running_count),
                 "images_cached": float(len(self.image_cache)),
                 "pulls_performed": float(self.pulls_performed),

@@ -103,11 +103,17 @@ class DeployedNF:
         self.container.network_namespace.add_interface(egress.end_b.name)
 
     def unwire(self) -> None:
-        """Remove both switch ports (called on teardown/migration)."""
-        if self.ingress_port is not None:
-            self.station.switch.remove_port(self.ingress_port)
-        if self.egress_port is not None:
-            self.station.switch.remove_port(self.egress_port)
+        """Unplug and cut both veth pairs (called on teardown/migration).
+
+        Once cut, no pair points back at this deployment, so refcounting
+        frees it, its container and its NF when the detach finishes.
+        """
+        switch = self.station.switch
+        for number in (self.ingress_port, self.egress_port):
+            port = switch.ports.get(number)
+            if port is not None:
+                port.interface.cut()
+                switch.remove_port(number)
 
     # ------------------------------------------------------------ dataplane
 

@@ -14,7 +14,7 @@ call on the Agent delivered over the channel; it has no message type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.netem.simulator import Simulator
 

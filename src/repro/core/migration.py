@@ -42,7 +42,7 @@ under the ``migration.*`` prefix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.core.agent import ChainDeployment

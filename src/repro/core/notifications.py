@@ -13,7 +13,7 @@ benchmark E8 measure their delivery latency and completeness).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 
 @dataclass

@@ -9,7 +9,7 @@ station switch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.netem.flowtable import Match

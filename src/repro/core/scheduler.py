@@ -9,7 +9,7 @@ assignment as windows open and close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ScheduleError

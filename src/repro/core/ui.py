@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.chain import ServiceChain
-from repro.core.manager import Assignment, AssignmentState, GNFManager
+from repro.core.manager import Assignment, GNFManager
 from repro.core.policy import TrafficSelector
 from repro.core.scheduler import TimeSchedule
 from repro.telemetry.export import render_table

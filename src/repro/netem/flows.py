@@ -9,7 +9,7 @@ the paper's home routers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.netem.packet import FlowKey, Packet

@@ -29,8 +29,8 @@ class Interface:
     ``delivery_override`` installed (used for veth endpoints that hand packets
     straight to an NF container without an emulated wire in between).
 
-    Slotted, with a ``__dict__`` slot as well, so that a :class:`VethPair`
-    end or a test sink can still replace ``send`` on an instance.
+    Slotted, with a ``__dict__`` slot as well, so that a test sink or a
+    perf probe can still replace ``send`` on an instance.
     """
 
     __slots__ = (
@@ -90,12 +90,49 @@ class Interface:
         return f"Interface({self.name!r}, mac={self.mac}, ip={self.ip})"
 
 
+class VethEnd(Interface):
+    """One end of a :class:`VethPair`: ``send`` hands the packet to the peer end.
+
+    The two ends point at each other, so :meth:`cut` unlinks them when the
+    pair is unplugged; a cut end sends nothing, and refcounting frees the
+    pair and whatever its ``delivery_override`` is bound to.
+    """
+
+    __slots__ = ("peer", "simulator", "crossing_delay_s")
+
+    def __init__(self, name: str, mac: str, simulator: Simulator, crossing_delay_s: float) -> None:
+        super().__init__(name=name, mac=mac)
+        self.peer: Optional[VethEnd] = None
+        self.simulator = simulator
+        self.crossing_delay_s = crossing_delay_s
+
+    def send(self, packet: "Packet") -> bool:
+        peer = self.peer
+        if not self.up or peer is None:
+            return False
+        if self.crossing_delay_s > 0:
+            self.simulator.call_later(self.crossing_delay_s, peer.deliver, packet)
+        else:
+            peer.deliver(packet)
+        return True
+
+    def cut(self) -> None:
+        """Unlink both ends and drop both delivery overrides."""
+        peer = self.peer
+        if peer is not None:
+            peer.peer = None
+            peer.delivery_override = None
+        self.peer = None
+        self.delivery_override = None
+
+
 class VethPair:
     """A pair of virtual interfaces whose ``send`` delivers to the peer.
 
     This mirrors the veth pairs GNF Agents create to plug NF containers into
     the station's software switch: a frame written to one end pops out of the
-    other end after a negligible (configurable) kernel-crossing delay.
+    other end after a negligible (configurable) kernel-crossing delay.  The
+    ends do not refer back to the pair.
     """
 
     def __init__(
@@ -106,26 +143,11 @@ class VethPair:
         mac_b: str,
         crossing_delay_s: float = 0.0,
     ) -> None:
-        self.simulator = simulator
         self.name = name
-        self.crossing_delay_s = crossing_delay_s
-        self.end_a = Interface(name=f"{name}-a", mac=mac_a)
-        self.end_b = Interface(name=f"{name}-b", mac=mac_b)
-        self._wire(self.end_a, self.end_b)
-        self._wire(self.end_b, self.end_a)
-
-    def _wire(self, src: Interface, dst: Interface) -> None:
-        def send_via_peer(packet: "Packet") -> bool:
-            if not src.up:
-                return False
-            if self.crossing_delay_s > 0:
-                self.simulator.call_later(self.crossing_delay_s, dst.deliver, packet)
-            else:
-                dst.deliver(packet)
-            return True
-
-        # Replace the bound send with the veth-crossing version.
-        src.send = send_via_peer  # type: ignore[method-assign]
+        self.end_a = VethEnd(f"{name}-a", mac_a, simulator, crossing_delay_s)
+        self.end_b = VethEnd(f"{name}-b", mac_b, simulator, crossing_delay_s)
+        self.end_a.peer = self.end_b
+        self.end_b.peer = self.end_a
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"VethPair({self.name!r})"

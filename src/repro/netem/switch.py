@@ -32,7 +32,7 @@ from repro.netem.fastpath import (
     FlowCache,
     FlowKey,
 )
-from repro.netem.flowtable import Action, ActionType, FlowRule, FlowTable
+from repro.netem.flowtable import ActionType, FlowRule, FlowTable
 from repro.netem.host import Host, Interface
 from repro.netem.packet import BROADCAST_MAC, Packet
 from repro.netem.simulator import Simulator

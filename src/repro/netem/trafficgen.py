@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from array import array
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.netem import packet as pkt
@@ -90,18 +90,6 @@ class TrafficEndpoint(Protocol):
         """Register a callback invoked for every packet the endpoint receives."""
 
 
-@dataclass
-class LatencySample:
-    """One request/response latency observation."""
-
-    sent_at: float
-    received_at: float
-
-    @property
-    def rtt(self) -> float:
-        return self.received_at - self.sent_at
-
-
 class _GeneratorBase:
     """Shared bookkeeping for all generators.
 
@@ -120,7 +108,7 @@ class _GeneratorBase:
         "packets_sent",
         "bytes_sent",
         "responses_received",
-        "latency_samples",
+        "_rtts",
         "_pending_events",
     )
 
@@ -141,11 +129,12 @@ class _GeneratorBase:
         self.packets_sent = 0
         self.bytes_sent = 0
         self.responses_received = 0
-        #: Request/response samples.  The shared empty tuple until the first
-        #: response, so a generator that never sees one (every bulk upload)
-        #: holds no list.
-        self.latency_samples: Sequence[LatencySample] = ()
-        #: Events ``stop()`` must cancel; the shared empty tuple until the first.
+        #: Request/response round-trip times, packed.  The shared empty tuple
+        #: until the first response, so a generator that never sees one
+        #: (every bulk upload) holds no array.
+        self._rtts: Sequence[float] = ()
+        #: The events ``stop()`` must cancel, in the order they were
+        #: scheduled; the shared empty tuple until the first.
         self._pending_events: Sequence[Event] = ()
         if self.HEARS_REPLIES:
             client.add_receive_listener(self._on_receive)
@@ -184,17 +173,35 @@ class _GeneratorBase:
         """Schedule a tracked event (``stop()`` cancels whatever is pending)."""
         event = self.simulator.schedule(delay, callback, *args)
         pending = self._pending_events
-        if not pending:
-            self._pending_events = [event]
-        else:
+        if pending:
+            self._drop_fired(pending)
             pending.append(event)
-            if len(pending) > 32:
-                self._pending_events = [e for e in pending if e.pending]
+        else:
+            self._pending_events = [event]
         return event
 
     def _has_pending(self) -> bool:
-        self._pending_events = [e for e in self._pending_events if e.pending]
-        return bool(self._pending_events)
+        pending = self._pending_events
+        if pending:
+            self._drop_fired(pending)
+        return bool(pending)
+
+    @staticmethod
+    def _drop_fired(pending: List[Event]) -> None:
+        """Drop the events ahead of the first still-pending one.
+
+        A generator's events fire in the order it scheduled them, so the
+        fired ones lead the list: each leaves it once, an amortised O(1)
+        per schedule, and the list holds no fired event once the generator
+        schedules again.
+        """
+        fired = 0
+        for event in pending:
+            if event.pending:
+                break
+            fired += 1
+        if fired:
+            del pending[:fired]
 
     def _scaled_delay(self, base_delay: float) -> Optional[float]:
         """Intensity-scaled inter-event delay; ``None`` while paused."""
@@ -208,11 +215,11 @@ class _GeneratorBase:
         self.responses_received += 1
         sent_at = packet.metadata.get("request_created_at")
         if isinstance(sent_at, (int, float)):
-            sample = LatencySample(sent_at=float(sent_at), received_at=self.simulator.now)
-            if self.latency_samples:
-                self.latency_samples.append(sample)
+            rtt = self.simulator.now - float(sent_at)
+            if self._rtts:
+                self._rtts.append(rtt)
             else:
-                self.latency_samples = [sample]
+                self._rtts = array("d", (rtt,))
         self._handle_response(packet)
 
     def _handle_response(self, packet: Packet) -> None:
@@ -230,7 +237,7 @@ class _GeneratorBase:
 
     @property
     def rtts(self) -> List[float]:
-        return [sample.rtt for sample in self.latency_samples]
+        return self._rtts.tolist() if self._rtts else []
 
     def mean_rtt(self) -> float:
         rtts = self.rtts
@@ -951,9 +958,9 @@ class ABRVideoGenerator(_GeneratorBase):
             return
         self.segments_received += 1
         self.bytes_downloaded += packet.app.body_bytes
-        if not self.latency_samples:
+        if not self._rtts:
             return
-        rtt = self.latency_samples[-1].rtt
+        rtt = self._rtts[-1]
         if rtt <= 0:
             return
         sample_bps = packet.app.body_bytes * 8.0 / rtt

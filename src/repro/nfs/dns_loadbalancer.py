@@ -11,7 +11,7 @@ exported so the rotation continues seamlessly after a migration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.netem.packet import DNSQuery, DNSResponse, Packet
 from repro.nfs.base import Direction, NetworkFunction, ProcessingContext

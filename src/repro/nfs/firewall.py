@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.netem.packet import (

@@ -8,7 +8,7 @@ telemetry pipeline with per-flow counters and top-talker summaries.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.netem.flows import FlowTracker
 from repro.netem.packet import Packet

@@ -10,8 +10,7 @@ client when it roams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.netem.packet import HTTPRequest, HTTPResponse, Packet
 from repro.nfs.base import Direction, NetworkFunction, ProcessingContext

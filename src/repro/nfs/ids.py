@@ -16,10 +16,10 @@ Agent -> Manager notification path measured by benchmark E8.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Sequence, Set, Tuple
 
 from repro.netem.packet import Packet, TCPHeader
-from repro.nfs.base import Direction, NetworkFunction, ProcessingContext
+from repro.nfs.base import NetworkFunction, ProcessingContext
 
 
 class IntrusionDetector(NetworkFunction):

@@ -8,7 +8,7 @@ The affinity table is exported state so connections survive NF roaming.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.netem.packet import Packet, TCPHeader, UDPHeader
 from repro.nfs.base import Direction, NetworkFunction, ProcessingContext

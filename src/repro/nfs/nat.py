@@ -10,7 +10,7 @@ matters.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.netem.packet import Packet, TCPHeader, UDPHeader
 from repro.nfs.base import Direction, NetworkFunction, ProcessingContext

@@ -9,7 +9,7 @@ switching cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.netem.packet import Packet
 from repro.nfs.base import Direction, NetworkFunction, ProcessingContext

@@ -69,7 +69,6 @@ from repro.wireless.mobility import (
     LinearMobility,
     MobilityModel,
     RandomWaypointMobility,
-    StaticMobility,
     TraceMobility,
 )
 

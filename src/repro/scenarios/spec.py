@@ -12,6 +12,7 @@ All times are in simulated seconds relative to scenario start (t=0).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -280,10 +281,11 @@ class ChainAssignmentSpec(_Spec):
                         f"assignment for fleet {self.fleet!r}, NF {position}: "
                         f"unknown requirement {key!r}"
                     )
-                if value is not None and float(value) < 0:
+                # NaN fails every comparison, so ``< 0`` alone would let it through.
+                if value is not None and not 0 <= float(value) < math.inf:
                     raise ScenarioSpecError(
                         f"assignment for fleet {self.fleet!r}, NF {position}: "
-                        f"{key} must be >= 0, got {value}"
+                        f"{key} must be finite and >= 0, got {value}"
                     )
 
 

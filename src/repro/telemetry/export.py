@@ -9,7 +9,7 @@ report paper-style result rows.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
 
 def snapshot_to_json(snapshot: Mapping[str, object], indent: int = 2) -> str:

@@ -80,12 +80,15 @@ def _split_testbed():
 
 
 def _running_containers(testbed: GNFTestbed, assignment_id: str):
-    return [
-        (station, container.name)
+    """The chain's running containers; the agents hold no stopped or failed one."""
+    held = [
+        (station, container)
         for station, agent in testbed.agents.items()
         for container in agent.runtime.containers.values()
-        if container.is_running and assignment_id in container.name
+        if assignment_id in container.name
     ]
+    assert not any(container.is_terminal for _, container in held), held
+    return [(station, container.name) for station, container in held if container.is_running]
 
 
 def test_split_deployment_lands_head_local_tail_remote():

@@ -446,14 +446,14 @@ def test_soak_100_cross_region_roams_keeps_ledgers_bounded(strategy):
         name for name, agent in testbed.agents.items() if agent.deployment_for_client(CLIENT_IP)
     ]
     assert hosts == [assignment.station_name]
-    running = [
+    held = [
         container
         for agent in testbed.agents.values()
         for container in agent.runtime.containers.values()
         if container.labels.get("assignment") == assignment.assignment_id
-        and container.is_running
     ]
-    assert len(running) == len(assignment.chain)
+    assert len(held) == len(assignment.chain)
+    assert all(container.is_running for container in held)
     # The assignment table and directory ended on the owning leaf only.
     _assert_directory_consistent(manager)
     _assert_rollups_exact(manager)

@@ -10,9 +10,16 @@ what the run retained is pinned the same way: the digest must stream the
 per-client sections, never hold one whole, and neither the digest's
 per-entry hashes nor ``workload_stats`` keep an object per client.
 
-``python tools/footprint.py`` prints both figures and the source lines that
+Churn is pinned too: a chain attached to one client and detached again
+must leave (almost) nothing behind once the detach completes.  Refcounting
+alone frees the deployment -- its ``DeployedNF``, container, NF and veth
+pairs -- and the retained bytes after 1 000 vs 100 attach/detach cycles are
+bounded per cycle.
+
+``python tools/footprint.py`` prints these figures and the source lines that
 hold the retained bytes and what ``finalize()`` leaves allocated, from the
-same storm and the same ``measure()``.
+same storm and the same ``measure()``, and the lines that hold the bytes
+each churn cycle retains, from the same ``measure_churn()``.
 """
 
 from __future__ import annotations
@@ -22,9 +29,13 @@ import gc
 import hashlib
 import json
 import tracemalloc
+import weakref
 from collections.abc import Mapping
 from typing import NamedTuple, Optional, Tuple
 
+from repro.core.chain import ServiceChain
+from repro.core.testbed import GNFTestbed, TestbedConfig
+from repro.netem.host import Interface
 from repro.netem.link import Link, LinkStats
 from repro.netem.packet import make_udp_packet
 from repro.netem.trafficgen import BulkTransferGenerator
@@ -51,6 +62,11 @@ MAX_BYTES_PER_CLIENT = 2_900
 #: a dict per generator ~1.1 kB, building the ``clients`` and ``workloads``
 #: sections whole ~1.6 kB).
 MAX_FINALIZE_BYTES_PER_CLIENT = 350
+#: Upper bound on the bytes each completed attach/detach cycle of a one-NF
+#: chain leaves allocated (~1.2 kB: the Manager's record of the removed
+#: assignment).  A runtime that kept every terminal container, and veth ends
+#: wired through closures (a reference cycle per pair), read ~4.1 kB.
+MAX_BYTES_PER_CHURN_CYCLE = 1_500
 
 
 def _bulk_storm(clients: int) -> ScenarioSpec:
@@ -125,12 +141,21 @@ def measure(clients: int, snapshot: bool = False) -> Footprint:
 
 
 @functools.lru_cache(maxsize=None)
+def _warm_up() -> None:
+    """One small storm and one short churn, unmeasured: lazy imports and
+    one-time caches.  Not a cached measurement, so that no measured size
+    (``tools/footprint.py``'s smoke size is ``_STATIONS``) reads a cold run."""
+    measure(_STATIONS)
+    measure_churn(10)
+
+
+@functools.lru_cache(maxsize=None)
 def _footprint(clients: int) -> Tuple[int, int]:
     return measure(clients)[:2]
 
 
 def _per_added_client(index: int, small: int = 200, large: int = 600) -> float:
-    _footprint(_STATIONS)  # warm-up: lazy imports and one-time caches
+    _warm_up()
     return (_footprint(large)[index] - _footprint(small)[index]) / (large - small)
 
 
@@ -222,3 +247,98 @@ def test_runner_keeps_only_pending_orchestration_handles():
     run.advance(7.0)  # every workload has started
     assert run._control_events == []
     assert run.finalize().drained
+
+
+def _one_station_testbed() -> Tuple[GNFTestbed, str]:
+    """A started one-station testbed and the IP of its one client."""
+    testbed = GNFTestbed(TestbedConfig(station_count=1))
+    phone = testbed.add_client("phone", position=(0.0, 0.0))
+    testbed.start()
+    testbed.run(1.0)
+    return testbed, phone.ip
+
+
+class Churn(NamedTuple):
+    #: Bytes still allocated after the last detach completed.
+    retained: int
+    #: A ``tracemalloc`` snapshot of them (on request).
+    snapshot: Optional[tracemalloc.Snapshot] = None
+
+
+def measure_churn(cycles: int, snapshot: bool = False) -> Churn:
+    """The bytes a one-station testbed retains after ``cycles`` completed
+    attach/detach cycles of a one-firewall chain; with ``snapshot``, the
+    snapshot ``tools/footprint.py`` attributes to source lines too."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        testbed, client_ip = _one_station_testbed()
+        for _ in range(cycles):
+            assignment = testbed.manager.attach_chain(
+                client_ip, ServiceChain.of("firewall"), station_name="station-1"
+            )
+            testbed.run(2.0)
+            testbed.manager.detach(assignment.assignment_id)
+            testbed.run(2.0)
+        del assignment
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+        taken = tracemalloc.take_snapshot() if snapshot else None
+    finally:
+        tracemalloc.stop()
+    del testbed
+    gc.collect()
+    return Churn(retained, taken)
+
+
+@functools.lru_cache(maxsize=None)
+def _churn(cycles: int) -> int:
+    return measure_churn(cycles).retained
+
+
+def _per_churn_cycle(small: int = 100, large: int = 1_000) -> float:
+    _warm_up()
+    return (_churn(large) - _churn(small)) / (large - small)
+
+
+def test_retained_bytes_per_attach_detach_cycle_stay_bounded():
+    per_cycle = _per_churn_cycle()
+    assert 0 < per_cycle <= MAX_BYTES_PER_CHURN_CYCLE, per_cycle
+
+
+def test_a_detached_chain_is_freed_by_refcounting_alone():
+    """Once a detach completes, nothing holds its ``DeployedNF``s, their
+    containers, NFs or veth ends: no reference cycle waits for the
+    collector, and the runtime keeps no terminal container."""
+    gc.collect()
+    gc.disable()
+    try:
+        testbed, client_ip = _one_station_testbed()
+        assignment = testbed.manager.attach_chain(
+            client_ip, ServiceChain.of("firewall", "flow-monitor"), station_name="station-1"
+        )
+        testbed.run(2.0)
+        agent = testbed.agents["station-1"]
+        deployed = agent.deployment_for_client(client_ip).deployed_nfs
+        refs = [weakref.ref(held) for nf in deployed for held in (nf, nf.container, nf.nf)]
+        end_names = {
+            f"{nf.container.name}-{pair}-{end}"
+            for nf in deployed
+            for pair in ("in", "out")
+            for end in ("a", "b")
+        }
+        assert len(refs) == 6 and len(end_names) == 8
+        del deployed
+
+        def veth_ends():
+            return [held for held in gc.get_objects() if isinstance(held, Interface) and held.name in end_names]
+
+        assert len(veth_ends()) == 8
+        testbed.manager.detach(assignment.assignment_id)
+        testbed.run(2.0)
+        assert agent.deployment_for_client(client_ip) is None
+        assert [ref() for ref in refs] == [None] * 6
+        assert veth_ends() == []
+        assert agent.runtime.containers == {}
+    finally:
+        gc.enable()

@@ -24,3 +24,13 @@ def test_attribution_prints_the_guard_figures_and_names_repro_lines():
     assert all(size > 0 for size, _, _ in report.finalize_lines)
     top_finalize = [where for _, _, where in report.finalize_lines[:2]]
     assert all("repro/scenarios/" in where for where in top_finalize), top_finalize
+
+
+def test_churn_attribution_prints_the_guard_figure_and_names_repro_lines():
+    report = footprint.attribute_churn(small=10, large=60, top=5)
+    assert report.retained_per_cycle > 0
+    assert len(report.lines) == 5
+    assert all(size > 0 for size, _, _ in report.lines)
+    # What a completed cycle leaves is the Manager's record of the removed
+    # assignment: lines of the core package, not the runtime or the NFs.
+    assert all("repro/core/" in where for _, _, where in report.lines[:3]), report.lines

@@ -141,11 +141,11 @@ def test_detach_releases_captured_state_and_replicas():
     assert coordinator._speculative == {}
     for agent in testbed.agents.values():
         assert agent.deployment_for_client(CLIENT_IP) is None
+        # Not even a stopped container of the chain is held once detached.
         leftovers = [
             container
             for container in agent.runtime.containers.values()
             if container.labels.get("assignment") == assignment.assignment_id
-            and container.is_running
         ]
         assert leftovers == []
 
@@ -211,12 +211,13 @@ def test_precopy_adopts_still_booting_replica():
     assert deployment is not None
     # Exactly one chain's worth of containers and steering rules exists: the
     # old double-deploy left a second container and duplicate rules behind.
-    running = [
+    held = [
         container
         for container in agent2.runtime.containers.values()
-        if container.labels.get("assignment") == assignment.assignment_id and container.is_running
+        if container.labels.get("assignment") == assignment.assignment_id
     ]
-    assert len(running) == len(assignment.chain)
+    assert len(held) == len(assignment.chain)
+    assert all(container.is_running for container in held)
     cookie = f"chain:{assignment.assignment_id}"
     rules = agent2.station.switch.flow_table.rules(cookie=cookie)
     # 1-NF chain on a 1-cell station: cell entry + uplink continuation +
@@ -248,9 +249,9 @@ def test_cancelled_boot_rolls_back_containers():
     leftovers = [
         container
         for container in agent.runtime.containers.values()
-        if container.labels.get("assignment") == "asg-cancel" and container.is_running
+        if container.labels.get("assignment") == "asg-cancel"
     ]
-    assert leftovers == []
+    assert leftovers == []  # rolled back and retired, not merely stopped
     assert agent.station.switch.flow_table.rules(cookie="chain:asg-cancel") == []
 
 

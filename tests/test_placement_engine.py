@@ -410,12 +410,15 @@ def _autoscale_testbed(**overrides) -> GNFTestbed:
 
 
 def _replica_containers(testbed: GNFTestbed):
-    return [
-        (station_name, container.name)
+    """The running replica containers; the agents hold no stopped or failed one."""
+    held = [
+        (station_name, container)
         for station_name, agent in testbed.agents.items()
         for container in agent.runtime.containers.values()
-        if container.is_running and "-scale-" in container.name
+        if "-scale-" in container.name
     ]
+    assert not any(container.is_terminal for _, container in held), held
+    return [(station_name, container.name) for station_name, container in held if container.is_running]
 
 
 def test_autoscale_up_then_drain_down_leaves_no_replicas():

@@ -163,12 +163,14 @@ def test_runtime_live_walk_and_account_match_a_full_scan(steps):
     runtime = ContainerRuntime(sim, "rt", account, registry=registry)
     image, _ = runtime.ensure_image("gnf/firewall")
     created = 0
+    #: Every container created and not destroyed, in creation order: the model
+    #: the runtime's live dict and its ``containers_total`` count must match.
+    tracked = []
     for kind, pick in steps:
-        tracked = list(runtime.containers.values())
         target = tracked[pick % len(tracked)] if tracked else None
         try:
             if kind == "create":
-                runtime.create(image, f"c{created}")
+                tracked.append(runtime.create(image, f"c{created}"))
                 created += 1
             elif kind == "run":
                 sim.run(until=sim.now + 0.3)
@@ -182,17 +184,23 @@ def test_runtime_live_walk_and_account_match_a_full_scan(steps):
                 runtime.fail(target)
             elif kind == "destroy":
                 runtime.destroy(target)
+                tracked.remove(target)
             else:  # terminal behind the runtime's back: still filtered by state
                 target.mark_failed(sim.now, "behind the runtime's back")
         except RuntimeError:  # admission refused, illegal transition or destroy of a live container
             pass
-        assert runtime.running_containers() == [c for c in runtime.containers.values() if c.is_running]
+        assert runtime.running_containers() == [c for c in tracked if c.is_running]
         assert runtime.running_count == len(runtime.running_containers())
+        # The runtime holds exactly the tracked containers it has not retired:
+        # every one that is not terminal, plus any made terminal behind its back.
+        assert all(c is runtime.containers[c.name] for c in tracked if not c.is_terminal)
+        assert all(any(c is held for c in tracked) for held in runtime.containers.values())
         entries = [account.entry(owner) for owner in account.owners()]
         assert len(account) == len(entries)
+        assert set(account.owners()) == set(runtime.containers)
         in_admission_order = sorted(entries, key=lambda entry: int(entry.owner[1:]))
         assert account.allocated_memory_mb == sum(entry.memory_mb for entry in in_admission_order)
-        assert runtime.utilization()["containers_total"] == float(len(runtime.containers))
+        assert runtime.utilization()["containers_total"] == float(len(tracked))
 
 
 # --------------------------------------------------------------------------

@@ -191,13 +191,13 @@ def test_random_federated_scenarios_drain_without_orphans(case):
         assignment = manager.assignments[assignment_id]
         if assignment.state.value == "active":
             assert assignment_id in manager.shards[shard_index].assignments
-    # No orphaned segments: after teardown, any still-running chain
-    # container belongs to an ACTIVE assignment (faults may have ended the
-    # scenario with chains legitimately up; nothing REMOVED may linger).
+    # No orphaned segments: after teardown, every chain container an agent
+    # still holds is running and belongs to an ACTIVE assignment (faults may
+    # have ended the scenario with chains legitimately up; nothing REMOVED
+    # may linger, and a stopped or failed container is not held at all).
     for agent in result.testbed.agents.values():
         for container in agent.runtime.containers.values():
-            if not container.is_running:
-                continue
+            assert container.is_running, f"case {case}: held {container!r}"
             assignment_id = container.labels.get("assignment")
             if assignment_id is None:
                 continue

@@ -375,6 +375,37 @@ def test_chain_assignment_carries_requirements_and_slo():
         ).validate()
 
 
+def _requirement_rejected(value) -> str:
+    """The error ``validate()`` raises for a ``memory_mb`` of ``value`` at NF 1."""
+    spec = ScenarioSpec(
+        name="x",
+        fleets=[ClientFleetSpec(name="f")],
+        assignments=[
+            ChainAssignmentSpec(
+                fleet="f", nfs=["firewall", {"nf_type": "ids", "requirements": {"memory_mb": value}}]
+            )
+        ],
+    )
+    with pytest.raises(ScenarioSpecError) as error:
+        spec.validate()
+    return str(error.value)
+
+
+def test_nan_requirement_rejected_at_validate():
+    message = _requirement_rejected(float("nan"))
+    assert "'f'" in message and "NF 1" in message and "memory_mb" in message
+
+
+def test_infinite_requirement_rejected_at_validate():
+    message = _requirement_rejected(float("inf"))
+    assert "'f'" in message and "NF 1" in message and "memory_mb" in message
+
+
+def test_negative_requirement_rejected_at_validate():
+    message = _requirement_rejected(-1.0)
+    assert "'f'" in message and "NF 1" in message and "memory_mb" in message
+
+
 # ---------------------------------------------------------------------------
 # The canned library + determinism matrix (the acceptance criterion)
 # ---------------------------------------------------------------------------
@@ -513,11 +544,17 @@ def test_container_oom_kills_one_nf_container():
         assignments=[ChainAssignmentSpec(fleet="c", nfs=["firewall"], attach_at_s=1.0)],
         faults=[FaultSpec(kind="container-oom", station=1, at_s=15.0)],
     )
-    result = ScenarioRunner(spec).run()
-    agent = result.testbed.agents["station-1"]
+    run = ScenarioRunner(spec).start()
+    run.advance(14.0)
+    agent = run.testbed.agents["station-1"]
+    (victim,) = agent.runtime.running_containers()  # the chain's one firewall
+    run.advance(spec.duration_s - 14.0)
+    result = run.finalize()
     assert agent.runtime.containers_failed == 1
-    failed = [c for c in agent.runtime.containers.values() if c.state.value == "failed"]
-    assert len(failed) == 1
+    assert victim.state.value == "failed"
+    assert victim.history[-1].reason == "oom-kill"
+    # A failed container is retired: counted, not held.
+    assert victim.name not in agent.runtime.containers
     assert result.drained
 
 

@@ -89,7 +89,8 @@ def test_tick_cost_does_not_grow_with_completed_attach_detach_cycles():
         testbed.manager.detach(assignment.assignment_id)
         testbed.run(2.0)
     assert agent.runtime.running_containers() == []
-    assert len(agent.runtime.containers) == 80  # terminal containers stay listed
+    assert agent.runtime.containers == {}  # terminal containers are not held...
+    assert agent.runtime.utilization()["containers_total"] == 80.0  # ...only counted
     assert agent.runtime.resources.allocated_memory_mb == 0.0
     assert _python_calls(tick) == fresh
     testbed.stop()

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Where each added bulk client's bytes go: the footprint guard, attributed.
+"""Where each added bulk client's bytes go: the footprint guards, attributed.
 
     python tools/footprint.py
 
@@ -11,8 +11,10 @@ per added client, the ``TOP`` source lines that hold most of the retained
 difference between the two sizes (``tracemalloc`` ``compare_to("lineno")``),
 and the ``TOP`` lines that gain most from what ``finalize()`` leaves
 allocated with its result held (a snapshot before it, one after it, and the
-two sizes' differences subtracted).  The script finds the checkout's own
-``src/``, so it needs no ``PYTHONPATH``.
+two sizes' differences subtracted).  Last, it runs the test's churn guard
+(100 and 1 000 attach/detach cycles) and prints the bytes each cycle leaves
+retained and, per cycle, the ``TOP`` lines that hold them.  The script finds
+the checkout's own ``src/``, so it needs no ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ for _path in (os.path.join(REPO_ROOT, "src"), os.path.join(REPO_ROOT, "tests")):
 import test_footprint  # noqa: E402 - the storm spec and the measurement, not a copy
 
 SMALL, LARGE = 200, 600
+CHURN_SMALL, CHURN_LARGE = 100, 1_000
 TOP = 15
 
 #: ``(bytes per added client, blocks per added client, "path:line")``.
@@ -43,6 +46,12 @@ class Attribution(NamedTuple):
     lines: List[Line]
     #: What ``finalize()`` leaves allocated, largest gain first.
     finalize_lines: List[Line]
+
+
+class ChurnAttribution(NamedTuple):
+    retained_per_cycle: float
+    #: The retained difference per cycle, largest first.
+    lines: List[Line]
 
 
 def _by_line(after: tracemalloc.Snapshot, before: tracemalloc.Snapshot) -> Dict[str, Tuple[int, int]]:
@@ -88,6 +97,16 @@ def attribute(small: int = SMALL, large: int = LARGE, top: int = TOP) -> Attribu
     )
 
 
+def attribute_churn(small: int = CHURN_SMALL, large: int = CHURN_LARGE, top: int = TOP) -> ChurnAttribution:
+    """The churn guard's figure at ``small`` vs ``large`` cycles, and the ``top``
+    source lines of the retained difference (from two more runs, snapshotted)."""
+    figure = test_footprint._per_churn_cycle(small, large)
+    runs = [test_footprint.measure_churn(cycles, snapshot=True) for cycles in (small, large)]
+    empty = tracemalloc.Snapshot((), 1)
+    retained = [_by_line(run.snapshot, empty) for run in runs]
+    return ChurnAttribution(figure, _per_added(retained[1], retained[0], large - small, top))
+
+
 def main() -> int:
     report = attribute()
     print(f"hybrid bulk storm, {SMALL} vs {LARGE} clients, per added client:")
@@ -102,6 +121,13 @@ def main() -> int:
         print(f"top {len(lines)} lines of {title}:")
         for size, count, where in lines:
             print(f"  {size:8.1f} B {count:6.2f} blocks  {where}")
+    churn = attribute_churn()
+    print(f"attach/detach churn, {CHURN_SMALL} vs {CHURN_LARGE} cycles, per added cycle:")
+    print(f"  retained after the last detach: {churn.retained_per_cycle:8.1f} B"
+          f"  (bound {test_footprint.MAX_BYTES_PER_CHURN_CYCLE} B)")
+    print(f"top {len(churn.lines)} lines of the retained difference:")
+    for size, count, where in churn.lines:
+        print(f"  {size:8.1f} B {count:6.2f} blocks  {where}")
     return 0
 
 
