@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.chain import ChainSLO, NFRequirements, NFSpec, ServiceChain
 from repro.core.manager import AssignmentState, upgrade_staging_id
 from repro.netem.simulator import Simulator
+from repro.nfs import nf_entry_problem
 
 
 class BundleError(ValueError):
@@ -98,7 +99,10 @@ class BundleSpec:
         if len(set(names)) != len(names):
             raise BundleError(f"bundle {self.ref} has duplicate NF names: {names}")
         known = set(names)
-        for nf in self.nfs:
+        for position, nf in enumerate(self.nfs):
+            problem = nf_entry_problem(nf.nf_type, nf.config_dict())
+            if problem is not None:
+                raise BundleError(f"bundle {self.ref} NF {position} ({nf.name!r}): {problem}")
             if nf.min_replicas < 1 or nf.max_replicas < nf.min_replicas:
                 raise BundleError(
                     f"bundle {self.ref} NF {nf.name!r} has invalid replica bounds "

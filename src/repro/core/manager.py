@@ -40,6 +40,7 @@ from repro.core.errors import UnknownAgentError, UnknownAssignmentError, Unknown
 from repro.core.monitoring import HotspotDetector
 from repro.core.notifications import NotificationCenter, ProviderNotification
 from repro.core.placement import (
+    CandidateMap,
     ChainSegment,
     PlacementDecision,
     PlacementEngine,
@@ -839,45 +840,43 @@ class GNFManager(ControlPlane):
 
     # -------------------------------------------------------------- queries
 
-    def station_views(self, client_station: Optional[str] = None) -> List[StationView]:
-        """What the placement strategy sees for every registered station.
+    def station_views(self, client_station: Optional[str] = None) -> CandidateMap:
+        """The placement candidates: every registered station, in
+        registration order, its view built when first read."""
+        return CandidateMap(self.agents, lambda name: self.station_view(name, client_station))
+
+    def station_view(self, station_name: str, client_station: Optional[str] = None) -> StationView:
+        """What the placement strategy sees for one registered station.
 
         Resource figures come from the station's latest heartbeat (the live
         runtime before the first one arrives); chain density and uplink
         utilization are read from the Agent and topology directly.  Views
         are value objects -- strategies may score them freely.
         """
-        views: List[StationView] = []
+        agent = self.agents[station_name]
+        heartbeat = self.last_heartbeat.get(station_name)
+        resources = heartbeat.resources if heartbeat else agent.runtime.utilization()
+        if client_station is not None:
+            client_latency = self.topology.station_to_station_latency(client_station, station_name)
+        else:
+            client_latency = 0.01
+        uplink_utilization = 0.0
         now = self.simulator.now
-        for station_name, agent in self.agents.items():
-            heartbeat = self.last_heartbeat.get(station_name)
-            resources = heartbeat.resources if heartbeat else agent.runtime.utilization()
-            control_latency = self.channels[station_name].latency_s
-            if client_station is not None:
-                client_latency = self.topology.station_to_station_latency(client_station, station_name)
-            else:
-                client_latency = 0.01
-            uplink_utilization = 0.0
-            if now > 0:
-                uplink = self.topology.uplink_links.get(station_name)
-                if uplink is not None and uplink.bandwidth_bps > 0:
-                    uplink_utilization = min(
-                        1.0, uplink.total_stats.tx_bytes * 8 / (uplink.bandwidth_bps * now)
-                    )
-            views.append(
-                StationView(
-                    name=station_name,
-                    free_memory_mb=float(resources.get("free_memory_mb", 0.0)),
-                    memory_utilization=float(resources.get("memory_utilization", 0.0)),
-                    running_nfs=int(resources.get("containers_running", 0)),
-                    control_latency_s=control_latency,
-                    client_latency_s=client_latency,
-                    allocatable_memory_mb=float(resources.get("allocatable_memory_mb", 0.0)),
-                    chains=len(agent.deployments),
-                    uplink_utilization=uplink_utilization,
-                )
-            )
-        return views
+        if now > 0:
+            uplink = self.topology.uplink_links.get(station_name)
+            if uplink is not None and uplink.bandwidth_bps > 0:
+                uplink_utilization = min(1.0, uplink.tx_bytes * 8 / (uplink.bandwidth_bps * now))
+        return StationView(
+            name=station_name,
+            free_memory_mb=float(resources.get("free_memory_mb", 0.0)),
+            memory_utilization=float(resources.get("memory_utilization", 0.0)),
+            running_nfs=int(resources.get("containers_running", 0)),
+            control_latency_s=self.channels[station_name].latency_s,
+            client_latency_s=client_latency,
+            allocatable_memory_mb=float(resources.get("allocatable_memory_mb", 0.0)),
+            chains=len(agent.deployments),
+            uplink_utilization=uplink_utilization,
+        )
 
     def overview(self) -> Dict[str, object]:
         """The network-wide summary the UI's landing page shows."""

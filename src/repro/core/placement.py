@@ -6,6 +6,9 @@ choice; this module promotes placement into a full subsystem:
 
 * :class:`StationView` -- the live telemetry snapshot a strategy scores
   (memory, container slots, chain density, uplink utilization).
+* :class:`CandidateMap` -- the candidates of one decision: station name ->
+  view in global station order, each view built the first time it is read,
+  so a strategy that only needs the client's station builds only that view.
 * Pluggable :class:`PlacementStrategy` objects.  The paper's
   :class:`ClosestAgentPlacement` stays the default; the load-aware family
   (:class:`LeastLoadedPlacement`, :class:`LatencyWeightedPlacement`,
@@ -29,8 +32,9 @@ choice; this module promotes placement into a full subsystem:
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Protocol
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional, Protocol
 
 from repro.core.api import ClientEvent
 from repro.core.chain import NFSpec, ServiceChain
@@ -42,11 +46,11 @@ from repro.netem.simulator import PeriodicTask, Simulator
 class StationView:
     """What the Manager knows about one station when placing an NF.
 
-    Views are produced by ``GNFManager.station_views()`` (merged across
-    shards by a ``ShardedManager``) from the latest Agent heartbeat, falling
-    back to the live runtime when no heartbeat has arrived yet.  All fields
-    beyond the original six are optional so hand-built views in tests and
-    benchmarks keep working.
+    Views are built by ``GNFManager.station_view()`` -- one at a time, as a
+    :class:`CandidateMap` is read -- from the latest Agent heartbeat,
+    falling back to the live runtime when no heartbeat has arrived yet.
+    All fields beyond the original six are optional so hand-built views in
+    tests and benchmarks keep working.
 
     :ivar name: station name (``station-1`` ...).
     :ivar free_memory_mb: memory still allocatable to NF containers.
@@ -80,23 +84,60 @@ class StationView:
         )
 
 
+class CandidateMap(Mapping):
+    """Station name -> :class:`StationView`, each view built when first read.
+
+    Iterates ``stations`` (an ordered name collection) in its order, so a
+    strategy that scans ``values()`` sees the global station order and its
+    tie-breaks never move; a strategy that reads one station (``in``,
+    ``get``) builds only that view.  A map serves one placement decision:
+    its views are the telemetry of the instant it was made.
+    """
+
+    __slots__ = ("_stations", "_build", "_built")
+
+    def __init__(self, stations: Collection[str], build: Callable[[str], StationView]) -> None:
+        self._stations = stations
+        self._build = build
+        self._built: Dict[str, StationView] = {}
+
+    def __getitem__(self, name: str) -> StationView:
+        view = self._built.get(name)
+        if view is None:
+            if name not in self._stations:
+                raise KeyError(name)
+            view = self._built[name] = self._build(name)
+        return view
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._stations
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._stations)
+
+    def __len__(self) -> int:
+        return len(self._stations)
+
+
 class PlacementStrategy(Protocol):
     """Chooses a station for a client's chain.
 
-    ``choose`` receives the station the client is attached to, one view per
-    candidate station and the chain's estimated memory footprint; a strategy
-    that has no use for the size ignores it.  The one strategy that splits a
-    chain across stations (:class:`EmbeddingPlacement`) implements ``embed``
+    ``choose`` receives the station the client is attached to, the candidate
+    views keyed by station name (in global station order; a
+    :class:`CandidateMap` builds each on read, so read only what the rule
+    needs) and the chain's estimated memory footprint; a strategy that has
+    no use for the size ignores it.  The one strategy that splits a chain
+    across stations (:class:`EmbeddingPlacement`) implements ``embed``
     instead, and the engine calls that.
     """
 
     name: str
 
-    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
+    def choose(self, client_station: str, candidates: Mapping[str, StationView], required_mb: float) -> str:
         """Return the chosen station name."""
 
 
-def _require_candidates(candidates: List[StationView]) -> None:
+def _require_candidates(candidates: Mapping[str, StationView]) -> None:
     if not candidates:
         raise DeploymentError("no candidate stations")
 
@@ -125,10 +166,9 @@ class ClosestAgentPlacement:
 
     name = "closest-agent"
 
-    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
-        for candidate in candidates:
-            if candidate.name == client_station:
-                return client_station
+    def choose(self, client_station: str, candidates: Mapping[str, StationView], required_mb: float) -> str:
+        if client_station in candidates:
+            return client_station
         raise DeploymentError(f"client station {client_station!r} is not a known candidate")
 
 
@@ -146,11 +186,12 @@ class LoadAwarePlacement:
         self.latency_budget_s = latency_budget_s
         self.min_free_memory_mb = min_free_memory_mb
 
-    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
+    def choose(self, client_station: str, candidates: Mapping[str, StationView], required_mb: float) -> str:
         _require_candidates(candidates)
+        views = list(candidates.values())
         eligible = [
             candidate
-            for candidate in candidates
+            for candidate in views
             if candidate.client_latency_s <= self.latency_budget_s
             and candidate.free_memory_mb >= self.min_free_memory_mb
         ]
@@ -162,9 +203,9 @@ class LoadAwarePlacement:
             # downstream instead of silently landing on a full station).
             eligible = [
                 candidate
-                for candidate in candidates
+                for candidate in views
                 if candidate.free_memory_mb >= self.min_free_memory_mb
-            ] or list(candidates)
+            ] or views
         best = min(
             eligible,
             key=lambda candidate: (-candidate.free_memory_mb, candidate.client_latency_s, candidate.name),
@@ -177,9 +218,12 @@ class LatencyAwarePlacement:
 
     name = "latency-aware"
 
-    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
+    def choose(self, client_station: str, candidates: Mapping[str, StationView], required_mb: float) -> str:
         _require_candidates(candidates)
-        best = min(candidates, key=lambda candidate: (candidate.client_latency_s, -candidate.free_memory_mb))
+        best = min(
+            candidates.values(),
+            key=lambda candidate: (candidate.client_latency_s, -candidate.free_memory_mb),
+        )
         return best.name
 
 
@@ -191,10 +235,9 @@ class CorePlacement:
     def __init__(self, core_station: str) -> None:
         self.core_station = core_station
 
-    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
-        for candidate in candidates:
-            if candidate.name == self.core_station:
-                return self.core_station
+    def choose(self, client_station: str, candidates: Mapping[str, StationView], required_mb: float) -> str:
+        if self.core_station in candidates:
+            return self.core_station
         raise DeploymentError(f"core station {self.core_station!r} is not a known candidate")
 
 
@@ -215,13 +258,14 @@ class LeastLoadedPlacement:
     def __init__(self, prefer_local_below: float = 0.6) -> None:
         self.prefer_local_below = prefer_local_below
 
-    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
+    def choose(self, client_station: str, candidates: Mapping[str, StationView], required_mb: float) -> str:
         _require_candidates(candidates)
-        local = next((c for c in candidates if c.name == client_station), None)
+        local = candidates.get(client_station)
         if local is not None and local.load_score() < self.prefer_local_below:
             return client_station
-        eligible = [c for c in candidates if c.client_latency_s <= self.latency_budget_s]
-        pool = eligible or candidates
+        views = list(candidates.values())
+        eligible = [c for c in views if c.client_latency_s <= self.latency_budget_s]
+        pool = eligible or views
         best = min(pool, key=lambda c: (c.load_score(), c.client_latency_s, c.name))
         return best.name
 
@@ -238,10 +282,10 @@ class LatencyWeightedPlacement:
     name = "latency-weighted"
     load_weight_s = 0.02
 
-    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
+    def choose(self, client_station: str, candidates: Mapping[str, StationView], required_mb: float) -> str:
         _require_candidates(candidates)
         best = min(
-            candidates,
+            candidates.values(),
             key=lambda c: (c.client_latency_s + self.load_weight_s * c.load_score(), c.name),
         )
         return best.name
@@ -258,16 +302,17 @@ class BinPackingPlacement:
 
     name = "bin-packing"
 
-    def choose(self, client_station: str, candidates: List[StationView], required_mb: float) -> str:
+    def choose(self, client_station: str, candidates: Mapping[str, StationView], required_mb: float) -> str:
         _require_candidates(candidates)
-        local = next((c for c in candidates if c.name == client_station), None)
+        local = candidates.get(client_station)
         if local is not None and station_fits(local, required_mb):
             return client_station
-        fitting = [c for c in candidates if station_fits(c, required_mb)]
+        views = list(candidates.values())
+        fitting = [c for c in views if station_fits(c, required_mb)]
         if fitting:
             best = max(fitting, key=lambda c: (c.load_score(), -c.client_latency_s, c.name))
             return best.name
-        best = min(candidates, key=lambda c: (c.load_score(), c.client_latency_s, c.name))
+        best = min(views, key=lambda c: (c.load_score(), c.client_latency_s, c.name))
         return best.name
 
 
@@ -327,7 +372,7 @@ class EmbeddingPlacement:
     def embed(
         self,
         client_station: str,
-        candidates: List[StationView],
+        candidates: Mapping[str, StationView],
         nf_sizes_mb: List[float],
         max_latency_s: Optional[float] = None,
         required_bandwidth_mbps: float = 0.0,
@@ -339,8 +384,7 @@ class EmbeddingPlacement:
         if not nf_sizes_mb:
             raise DeploymentError("cannot embed an empty chain")
         rates = radio_rates_bps or {}
-        by_name = {candidate.name: candidate for candidate in candidates}
-        local = by_name.get(client_station)
+        local = candidates.get(client_station)
         n = len(nf_sizes_mb)
         total_mb = sum(nf_sizes_mb)
 
@@ -356,7 +400,7 @@ class EmbeddingPlacement:
                 if segment.station_name != client_station
             ]
             for name in crossed:
-                view = by_name.get(name)
+                view = candidates.get(name)
                 if view is None:
                     continue
                 if name != client_station:
@@ -405,8 +449,9 @@ class EmbeddingPlacement:
         # Saturated: greedy prefix packing.  The local station keeps as many
         # head NFs as fit its scraps, the remainder spills onto neighbours
         # ranked by load / radio quality / latency / name.
-        eligible = [c for c in candidates if c.client_latency_s <= self.latency_budget_s]
-        pool = eligible or list(candidates)
+        views = list(candidates.values())
+        eligible = [c for c in views if c.client_latency_s <= self.latency_budget_s]
+        pool = eligible or views
 
         def rank(candidate: StationView):
             return (
@@ -503,6 +548,22 @@ class _QueuedPlacement:
         self.enqueued_at = enqueued_at
 
 
+def _with_pending(view: StationView, extra_mb: float) -> StationView:
+    """``view`` with ``extra_mb`` of booked-but-unreported memory taken off."""
+    if extra_mb <= 0.0:
+        return view
+    allocatable = view.allocatable_memory_mb or (
+        view.free_memory_mb / max(1e-9, 1.0 - view.memory_utilization)
+        if view.memory_utilization < 1.0
+        else view.free_memory_mb
+    )
+    free = max(0.0, view.free_memory_mb - extra_mb)
+    utilization = (
+        min(1.0, (allocatable - free) / allocatable) if allocatable > 0 else view.memory_utilization
+    )
+    return replace(view, free_memory_mb=free, memory_utilization=utilization)
+
+
 class PlacementEngine:
     """The Manager's placement subsystem.
 
@@ -510,8 +571,9 @@ class PlacementEngine:
     trivial engine; the frontend's engine sees the *global* station view).
     Responsibilities:
 
-    * run the configured :class:`PlacementStrategy` over candidate
-      :class:`StationView`\\ s, adjusted for **pending commitments** --
+    * run the configured :class:`PlacementStrategy` over the candidate
+      :class:`StationView`\\ s, each adjusted for **pending commitments** as
+      it is read --
       placements decided in the last ``pending_ttl_s`` seconds whose
       containers have not yet shown up in heartbeats, so a same-tick attach
       burst cannot pile every chain onto one stale-looking station.  Keep
@@ -551,7 +613,7 @@ class PlacementEngine:
         self._pending: List[tuple] = []
         self._queue: List[_QueuedPlacement] = []
         self._task: Optional[PeriodicTask] = None
-        self._views_provider: Optional[Callable[[Optional[str]], List[StationView]]] = None
+        self._views_provider: Optional[Callable[[str], Mapping[str, StationView]]] = None
         self._on_admit: Optional[Callable[[object, PlacementDecision], None]] = None
         self._on_timeout: Optional[Callable[[object, str], None]] = None
         self._locate: Optional[Callable[[str], Optional[str]]] = None
@@ -580,7 +642,7 @@ class PlacementEngine:
 
     def bind(
         self,
-        views: Callable[[Optional[str]], List[StationView]],
+        views: Callable[[str], Mapping[str, StationView]],
         on_admit: Callable[[object, str], None],
         on_timeout: Callable[[object, str], None],
         locate: Optional[Callable[[str], Optional[str]]] = None,
@@ -588,7 +650,8 @@ class PlacementEngine:
         """Attach the callbacks of the Manager that owns the attach API (the
         last caller wins: a sharded frontend binds after its leaves).
 
-        ``views(client_station)`` must return fresh candidate views;
+        ``views(client_station)`` must return fresh candidates (a
+        :class:`CandidateMap`);
         ``on_admit(assignment, decision)`` dispatches a queued assignment
         that finally got capacity (the decision carries the station and any
         split segments); ``on_timeout(assignment, reason)`` fails one whose
@@ -661,35 +724,10 @@ class PlacementEngine:
         now = self.simulator.now
         self._pending = [entry for entry in self._pending if entry[0] > now]
 
-    def _adjusted(self, candidates: List[StationView]) -> List[StationView]:
-        """Candidate views with un-expired placement commitments applied."""
-        if not self._pending:
-            return candidates
-        pending_mb: Dict[str, float] = {}
-        for _, station, mb in self._pending:
-            pending_mb[station] = pending_mb.get(station, 0.0) + mb
-        adjusted: List[StationView] = []
-        for view in candidates:
-            extra = pending_mb.get(view.name, 0.0)
-            if extra <= 0.0:
-                adjusted.append(view)
-                continue
-            allocatable = view.allocatable_memory_mb or (
-                view.free_memory_mb / max(1e-9, 1.0 - view.memory_utilization)
-                if view.memory_utilization < 1.0
-                else view.free_memory_mb
-            )
-            free = max(0.0, view.free_memory_mb - extra)
-            utilization = (
-                min(1.0, (allocatable - free) / allocatable) if allocatable > 0 else view.memory_utilization
-            )
-            adjusted.append(replace(view, free_memory_mb=free, memory_utilization=utilization))
-        return adjusted
-
     def place(
         self,
         client_station: str,
-        candidates: List[StationView],
+        candidates: Iterable[StationView] | Mapping[str, StationView],
         chain,
         client_ip: Optional[str] = None,
         _retry: bool = False,
@@ -702,12 +740,12 @@ class PlacementEngine:
         the pre-engine ``strategy.choose`` call.  Every strategy but
         embedding is one ``choose(client_station, views, required_mb)``
         call; embedding's ``embed`` also gets the chain's SLO and, given
-        ``client_ip``, the client's radio signal.
+        ``client_ip``, the client's radio signal.  ``candidates`` is the
+        Manager's :class:`CandidateMap` (or a plain list of views).
         """
-        self._prune_pending()
+        views = self.adjusted_views(candidates)
         sizes = self.nf_sizes_mb(chain)
         required_mb = sum(sizes)
-        views = self._adjusted(candidates)
         embed = getattr(self.strategy, "embed", None)
         if embed is not None:
             result = embed(
@@ -768,7 +806,7 @@ class PlacementEngine:
         else:
             chosen = self.strategy.choose(client_station, views, required_mb)
         if self.admission_control:
-            chosen_view = next((view for view in views if view.name == chosen), None)
+            chosen_view = views.get(chosen)
             if chosen_view is None or not station_fits(chosen_view, required_mb):
                 # Queue retries are probes, not fresh refusals: count them
                 # separately so `rejections` means "deployments refused".
@@ -807,10 +845,27 @@ class PlacementEngine:
         if required_mb > 0.0:
             self._pending.append((self.simulator.now + self.pending_ttl_s, station, required_mb))
 
-    def adjusted_views(self, candidates: List[StationView]) -> List[StationView]:
-        """Candidate views with all un-expired commitments applied."""
+    def adjusted_views(
+        self, candidates: Iterable[StationView] | Mapping[str, StationView]
+    ) -> Mapping[str, StationView]:
+        """The candidates keyed by name, each view adjusted for the
+        un-expired commitments as it is read.
+
+        The commitments are summed once, here, so a view read after a
+        :meth:`commit` in the same decision still sees the ledger as it was
+        when the decision began.
+        """
+        if not isinstance(candidates, Mapping):
+            candidates = {view.name: view for view in candidates}
         self._prune_pending()
-        return self._adjusted(candidates)
+        if not self._pending:
+            return candidates
+        pending_mb: Dict[str, float] = {}
+        for _, station, mb in self._pending:
+            pending_mb[station] = pending_mb.get(station, 0.0) + mb
+        return CandidateMap(
+            candidates, lambda name: _with_pending(candidates[name], pending_mb.get(name, 0.0))
+        )
 
     # ----------------------------------------------------------------- queue
 
@@ -1037,7 +1092,7 @@ class NFAutoscaler:
         """One autoscaling pass over the (shard-merged) station views."""
         self.evaluations += 1
         self._prune_dead_parents()
-        views = sorted(self.manager.station_views(), key=lambda view: view.name)
+        views = sorted(self.manager.station_views().values(), key=lambda view: view.name)
         for view in views:
             load = view.load_score()
             if load >= self.scale_up_threshold:
@@ -1074,11 +1129,10 @@ class NFAutoscaler:
         # than it is.  A target must be cool and must fit the chain; with
         # the scale-up threshold at or below MAX_UTILIZATION, coolness
         # already implies station_fits' utilization half.
-        views = self.manager.placement_engine.adjusted_views(views)
         excluded = set(exclude)
         candidates = [
             view
-            for view in views
+            for view in self.manager.placement_engine.adjusted_views(views).values()
             if view.name not in excluded
             and view.load_score() < self.scale_up_threshold
             and station_fits(view, required_mb)

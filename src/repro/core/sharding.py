@@ -75,7 +75,7 @@ from repro.core.manager import (
     track_client_event,
 )
 from repro.core.notifications import NotificationCenter
-from repro.core.placement import PlacementEngine, StationView
+from repro.core.placement import CandidateMap, PlacementEngine
 from repro.core.repository import NFRepository
 from repro.netem.simulator import Simulator
 from repro.netem.topology import EdgeTopology
@@ -435,6 +435,9 @@ class ShardedManager(ControlPlane):
             event=self._deliver_client_event,
         )
         self._assignment_shard: Dict[str, int] = {}
+        # Station -> owning leaf, in global station order (the leaves' bands
+        # concatenated): the placement candidates' order and routing.
+        self._station_owner: Dict[str, GNFManager] = {}
         # Last cumulative cache totals pushed per station (rollup deltas).
         self._cache_rollup_last: Dict[str, Dict[str, int]] = {}
         self.handoffs: List[ShardHandoff] = []
@@ -496,6 +499,7 @@ class ShardedManager(ControlPlane):
         channel = self.shards[shard_index].register_agent(agent, sink_factory=bus_sinks)
         self.agents[station_name] = agent
         self.channels[station_name] = channel
+        self._station_owner = {name: shard for shard in self.shards for name in shard.agents}
         return channel
 
     def start(self) -> "ShardedManager":
@@ -657,16 +661,15 @@ class ShardedManager(ControlPlane):
         owning leaf."""
         return {name: self._shard_label(self.shard_map.shard_for(name)) for name in self.agents}
 
-    def station_views(self, client_station: Optional[str] = None) -> List[StationView]:
+    def station_views(self, client_station: Optional[str] = None) -> CandidateMap:
         """Placement candidates for **every** station, across all leaves.
 
-        Leaves cover contiguous, ordered station bands, so concatenating
-        them in leaf order preserves the global station order a single
-        Manager would present -- placement tie-breaks stay identical."""
-        views: List[StationView] = []
-        for shard in self.shards:
-            views.extend(shard.station_views(client_station))
-        return views
+        Leaves cover contiguous, ordered station bands, so their stations in
+        leaf order are the global station order a single Manager would
+        present -- placement tie-breaks stay identical.  The leaf owning a
+        station builds its view when it is first read."""
+        owners = self._station_owner
+        return CandidateMap(owners, lambda name: owners[name].station_view(name, client_station))
 
     def _tier_summary(self) -> Dict[str, object]:
         """Shape and handoff counts, shared by both overviews."""

@@ -277,6 +277,12 @@ class Link:
         return self._egress(from_interface)[0]
 
     @property
+    def tx_bytes(self) -> int:
+        """Bytes transmitted across both directions, without building the
+        :class:`LinkStats` that :attr:`total_stats` returns."""
+        return self._a_to_b.tx_bytes + self._b_to_a.tx_bytes
+
+    @property
     def total_stats(self) -> LinkStats:
         """Aggregated counters across both directions."""
         combined = LinkStats()

@@ -23,13 +23,16 @@ processors over the :mod:`repro.netem.packet` model:
 
 ``create_nf`` instantiates an NF from the dotted class path stored in a
 container image, which is how Agents turn a pulled image into a running
-function.
+function; ``nf_entry_problem`` is the spec-time check that an entry's type and
+config keys will construct.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
-from typing import Any, Dict, Type
+import inspect
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Type
 
 from repro.nfs.base import NetworkFunction, ProcessingContext, Direction, NFNotification
 from repro.nfs.firewall import Firewall, FirewallRule, FirewallAction
@@ -58,6 +61,40 @@ NF_CATALOG: Dict[str, Type[NetworkFunction]] = {
     "smf": SMFFunction,
     "upf": UPFFunction,
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _config_keys(nf_class: Type[NetworkFunction]) -> Optional[FrozenSet[str]]:
+    """The keywords ``nf_class`` takes from a config; None when it takes any.
+
+    ``name`` is excluded: the Agent passes it from the container name.
+    """
+    keys = set()
+    for parameter in inspect.signature(nf_class).parameters.values():
+        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
+            return None
+        if parameter.kind is not inspect.Parameter.VAR_POSITIONAL:
+            keys.add(parameter.name)
+    return frozenset(keys - {"name"})
+
+
+def nf_entry_problem(nf_type: str, config: Mapping[str, Any]) -> Optional[str]:
+    """Why an Agent could not build ``nf_type`` from ``config``; None if it can.
+
+    The type must be catalogued in :data:`NF_CATALOG` and every config key
+    must be a parameter of its constructor.  Spec validation calls this so a
+    bad chain or bundle entry fails at ``validate()``, not mid-run.
+    """
+    nf_class = NF_CATALOG.get(nf_type)
+    if nf_class is None:
+        return f"unknown NF type {nf_type!r}; known types: {sorted(NF_CATALOG)}"
+    if not config:
+        return None
+    accepted = _config_keys(nf_class)
+    unknown = [] if accepted is None else sorted(set(config) - accepted)
+    if unknown:
+        return f"{nf_type} takes no config key {unknown}; it takes {sorted(accepted)}"
+    return None
 
 
 def create_nf(class_path: str, **kwargs: Any) -> NetworkFunction:
@@ -98,4 +135,5 @@ __all__ = [
     "UPFFunction",
     "NF_CATALOG",
     "create_nf",
+    "nf_entry_problem",
 ]

@@ -19,6 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.core.bundles import UPGRADE_MODES
 from repro.core.errors import ScenarioSpecError
 from repro.core.testbed import TestbedConfig, require_finite
+from repro.nfs import nf_entry_problem
 
 MOBILITY_MODELS = ("static", "linear", "waypoint", "commuter", "trace")
 WORKLOAD_KINDS = ("cbr", "http", "dns", "video", "bulk", "quic", "abr")
@@ -253,9 +254,14 @@ class ChainAssignmentSpec(_Spec):
             raise ScenarioSpecError("assignment fleet must be non-empty")
         if not self.nfs:
             raise ScenarioSpecError(f"assignment for fleet {self.fleet!r} needs at least one NF")
-        for nf_type, _ in self.nf_specs():
+        for position, (nf_type, config) in enumerate(self.nf_specs()):
             if not nf_type:
                 raise ScenarioSpecError(f"assignment for fleet {self.fleet!r} has an empty NF type")
+            problem = nf_entry_problem(nf_type, config)
+            if problem is not None:
+                raise ScenarioSpecError(
+                    f"assignment for fleet {self.fleet!r}, NF {position}: {problem}"
+                )
         if self.attach_at_s < 0:
             raise ScenarioSpecError(f"attach_at_s must be >= 0, got {self.attach_at_s}")
         if self.detach_at_s is not None and self.detach_at_s <= self.attach_at_s:

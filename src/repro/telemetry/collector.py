@@ -9,7 +9,7 @@ the station's housekeeping clock (see ``GNFAgent._flow_tracker_metrics``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.netem.simulator import PeriodicTask, Simulator
 
@@ -25,7 +25,9 @@ class ResourceCollector:
         self.simulator = simulator
         self.interval_s = interval_s
         self._sources: Dict[str, MetricSource] = {}
-        self._latest: Dict[str, float] = {}
+        # prefix -> that source's latest value of every metric it reported,
+        # updated in place each tick; the flat keys are built on read.
+        self._latest: Dict[str, Dict[str, float]] = {}
         self._task: Optional[PeriodicTask] = None
         self.samples_taken = 0
 
@@ -45,7 +47,7 @@ class ResourceCollector:
 
     def start(self) -> "ResourceCollector":
         if self._task is None:
-            self._task = self.simulator.every(self.interval_s, self.sample_once, initial_delay=self.interval_s)
+            self._task = self.simulator.every(self.interval_s, self._tick, initial_delay=self.interval_s)
         return self
 
     def stop(self) -> None:
@@ -55,22 +57,37 @@ class ResourceCollector:
 
     # ------------------------------------------------------------- sampling
 
-    def sample_once(self) -> Dict[str, float]:
-        """Collect one sample from every source (also called by the periodic task)."""
-        collected: Dict[str, float] = {}
+    def _tick(self) -> List[Tuple[str, Dict[str, float]]]:
+        """Collect one sample from every source; returns what each reported."""
+        collected: List[Tuple[str, Dict[str, float]]] = []
+        latest = self._latest
         for prefix, source in self._sources.items():
+            kept = latest.get(prefix)
+            if kept is None:
+                kept = latest[prefix] = {}
             try:
                 values = source()
             except Exception:  # noqa: BLE001 - a broken source must not kill the collector
-                errors = f"{prefix}.collection_errors"
-                self._latest[errors] = self._latest.get(errors, 0.0) + 1.0
+                kept["collection_errors"] = kept.get("collection_errors", 0.0) + 1.0
                 continue
-            for metric_name, value in values.items():
-                collected[f"{prefix}.{metric_name}"] = float(value)
-        self._latest.update(collected)
+            kept.update(values)
+            collected.append((prefix, values))
         self.samples_taken += 1
         return collected
 
+    def sample_once(self) -> Dict[str, float]:
+        """Collect one sample from every source: ``<prefix>.<metric>`` -> value."""
+        return _flat(self._tick())
+
     def latest(self) -> Dict[str, float]:
         """Most recent value of every metric ever collected (a fresh dict)."""
-        return dict(self._latest)
+        return _flat(self._latest.items())
+
+
+def _flat(per_source: Iterable[Tuple[str, Dict[str, float]]]) -> Dict[str, float]:
+    """``(prefix, {metric: value})`` pairs as one ``<prefix>.<metric>`` -> float dict."""
+    return {
+        f"{prefix}.{metric}": float(value)
+        for prefix, values in per_source
+        for metric, value in values.items()
+    }

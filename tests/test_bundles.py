@@ -78,6 +78,18 @@ def test_chain_for_compiles_fresh_slice_chains_with_slos():
         spec.chain_for("mmtc")
 
 
+def test_bundle_spec_rejects_unknown_nf_type():
+    nfs = (BundleNF(name="amf", nf_type="amf"), BundleNF(name="x", nf_type="teleporter"))
+    with pytest.raises(BundleError, match=r"b@v1 NF 1 \('x'\): unknown NF type 'teleporter'"):
+        BundleSpec(name="b", version=1, nfs=nfs).validate()
+
+
+def test_bundle_spec_rejects_unknown_nf_config_key():
+    nfs = (BundleNF(name="u", nf_type="upf", config=(("warp_factor", 9),)),)
+    with pytest.raises(BundleError, match=r"b@v1 NF 0 \('u'\): upf takes no config key \['warp_factor'\]"):
+        BundleSpec(name="b", version=1, nfs=nfs).validate()
+
+
 def test_bundle_spec_validation_rejects_bad_graphs():
     amf = BundleNF(name="amf", nf_type="amf")
     with pytest.raises(BundleError):  # dangling dependency

@@ -253,8 +253,8 @@ def test_manager_overview_and_station_views(connected_testbed):
     assert overview["connected_clients"] == 1
     assert client.ip in testbed.manager.connected_client_ips()
     views = testbed.manager.station_views("station-1")
-    assert {view.name for view in views} == {"station-1", "station-2"}
-    local = next(view for view in views if view.name == "station-1")
+    assert {view.name for view in views.values()} == {"station-1", "station-2"}
+    local = next(view for view in views.values() if view.name == "station-1")
     assert local.client_latency_s == 0.0
     assert testbed.manager.control_plane_stats()["station-1"]["messages_delivered"] > 0
 

@@ -191,14 +191,18 @@ def test_scheduler_ignores_always_schedules():
 
 
 def views():
-    return [
-        StationView("station-1", free_memory_mb=10, memory_utilization=0.9, running_nfs=5,
-                    control_latency_s=0.01, client_latency_s=0.0),
-        StationView("station-2", free_memory_mb=60, memory_utilization=0.2, running_nfs=1,
-                    control_latency_s=0.01, client_latency_s=0.01),
-        StationView("central", free_memory_mb=4000, memory_utilization=0.05, running_nfs=0,
-                    control_latency_s=0.02, client_latency_s=0.03),
-    ]
+    """Candidates keyed by station name, as strategies receive them."""
+    return {
+        view.name: view
+        for view in (
+            StationView("station-1", free_memory_mb=10, memory_utilization=0.9, running_nfs=5,
+                        control_latency_s=0.01, client_latency_s=0.0),
+            StationView("station-2", free_memory_mb=60, memory_utilization=0.2, running_nfs=1,
+                        control_latency_s=0.01, client_latency_s=0.01),
+            StationView("central", free_memory_mb=4000, memory_utilization=0.05, running_nfs=0,
+                        control_latency_s=0.02, client_latency_s=0.03),
+        )
+    }
 
 
 def test_closest_agent_placement_uses_client_station():
@@ -216,13 +220,13 @@ def test_load_aware_placement_falls_back_when_nothing_eligible():
     placement = LoadAwarePlacement(latency_budget_s=0.001, min_free_memory_mb=10_000)
     assert placement.choose("station-1", views(), 10.0) == "central"
     with pytest.raises(DeploymentError):
-        placement.choose("station-1", [], 10.0)
+        placement.choose("station-1", {}, 10.0)
 
 
 def test_latency_aware_placement_minimises_latency():
     assert LatencyAwarePlacement().choose("station-1", views(), 10.0) == "station-1"
     with pytest.raises(DeploymentError):
-        LatencyAwarePlacement().choose("station-1", [], 10.0)
+        LatencyAwarePlacement().choose("station-1", {}, 10.0)
 
 
 def test_core_placement_pins_to_central_station():

@@ -212,7 +212,7 @@ def test_federated_overview_matches_single_manager_and_full_scan():
     assert fanned["regions"] == 2 and fanned["shards"] == 4
     _assert_rollups_exact(manager)
     # The placement view spans every station, in global station order.
-    names = [view.name for view in manager.station_views("station-1")]
+    names = [view.name for view in manager.station_views("station-1").values()]
     assert names == single.station_names()
     # Health view: point and list queries agree with the per-region truth.
     now = federated.simulator.now

@@ -20,12 +20,16 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.core.manager as manager_module
 
 from repro.core.chain import ChainSLO, NFRequirements, NFSpec, ServiceChain
 from repro.core.errors import DeploymentError
 from repro.core.manager import AssignmentState
 from repro.core.placement import (
     STRATEGY_FACTORIES,
+    CandidateMap,
     BinPackingPlacement,
     EmbeddingPlacement,
     LatencyWeightedPlacement,
@@ -57,6 +61,11 @@ def _view(name, free=80.0, util=0.1, latency=0.01, chains=0, allocatable=90.0, u
     )
 
 
+def _by_name(views):
+    """Strategies take their candidates keyed by station name."""
+    return {view.name: view for view in views}
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------
@@ -75,17 +84,17 @@ def test_strategy_factory_matches_spec_registry():
 
 def test_least_loaded_prefers_local_until_loaded():
     views = [_view("station-1", latency=0.0, util=0.3), _view("station-2", util=0.0)]
-    assert LeastLoadedPlacement().choose("station-1", views, 10.0) == "station-1"
+    assert LeastLoadedPlacement().choose("station-1", _by_name(views), 10.0) == "station-1"
     views[0].memory_utilization = 0.9
     views[0].free_memory_mb = 9.0
-    assert LeastLoadedPlacement().choose("station-1", views, 10.0) == "station-2"
+    assert LeastLoadedPlacement().choose("station-1", _by_name(views), 10.0) == "station-2"
 
 
 def test_latency_weighted_trades_latency_for_load():
     views = [_view("station-1", latency=0.0, util=0.2), _view("station-2", util=0.1)]
-    assert LatencyWeightedPlacement().choose("station-1", views, 10.0) == "station-1"
+    assert LatencyWeightedPlacement().choose("station-1", _by_name(views), 10.0) == "station-1"
     views[0].memory_utilization = 0.95
-    assert LatencyWeightedPlacement().choose("station-1", views, 10.0) == "station-2"
+    assert LatencyWeightedPlacement().choose("station-1", _by_name(views), 10.0) == "station-2"
 
 
 def test_bin_packing_packs_fullest_fitting_station():
@@ -95,11 +104,11 @@ def test_bin_packing_packs_fullest_fitting_station():
         _view("station-3", free=80.0, util=0.1),
     ]
     strategy = BinPackingPlacement()
-    assert strategy.choose("station-1", views, 10.0) == "station-2"
+    assert strategy.choose("station-1", _by_name(views), 10.0) == "station-2"
     # While the local station still fits, it wins (closest-agent behaviour).
-    assert strategy.choose("station-3", views, 10.0) == "station-3"
+    assert strategy.choose("station-3", _by_name(views), 10.0) == "station-3"
     # Nothing fits a huge chain: fall back to the least-loaded station.
-    assert strategy.choose("station-1", views, 500.0) == "station-3"
+    assert strategy.choose("station-1", _by_name(views), 500.0) == "station-3"
 
 
 def test_bin_packing_choose_requires_size():
@@ -107,7 +116,7 @@ def test_bin_packing_choose_requires_size():
     chains the chosen station could not fit.  The size is now a required
     argument of every strategy's ``choose``."""
     with pytest.raises(TypeError):
-        BinPackingPlacement().choose("station-1", [_view("station-1")])
+        BinPackingPlacement().choose("station-1", _by_name([_view("station-1")]))
 
 
 def test_load_aware_fallback_keeps_memory_floor():
@@ -117,10 +126,10 @@ def test_load_aware_fallback_keeps_memory_floor():
         _view("station-2", latency=0.05, free=50.0),  # over budget, has memory
     ]
     # The latency budget relaxes before the memory floor does.
-    assert strategy.choose("station-1", views, 10.0) == "station-2"
+    assert strategy.choose("station-1", _by_name(views), 10.0) == "station-2"
     # Only when *nothing* clears the floor: raw fallback by free memory.
     views[1].free_memory_mb = 3.0
-    assert strategy.choose("station-1", views, 10.0) == "station-1"
+    assert strategy.choose("station-1", _by_name(views), 10.0) == "station-1"
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +141,9 @@ def test_embedding_matches_least_loaded_while_unsaturated():
     views = [_view("station-1", latency=0.0, util=0.3), _view("station-2", util=0.0)]
     # Unsaturated, embed's single segment is least-loaded's choice: the
     # whole chain, on the local station.
-    result = EmbeddingPlacement().embed("station-1", views, [40.0, 40.0])
+    result = EmbeddingPlacement().embed("station-1", _by_name(views), [40.0, 40.0])
     assert result.feasible
-    chosen = LeastLoadedPlacement().choose("station-1", views, 80.0)
+    chosen = LeastLoadedPlacement().choose("station-1", _by_name(views), 80.0)
     assert chosen == "station-1"
     assert [(s.station_name, s.start, s.end) for s in result.segments] == [(chosen, 0, 2)]
 
@@ -144,7 +153,7 @@ def test_embedding_splits_prefix_local_remainder_spills():
         _view("station-1", latency=0.0, free=26.0, util=0.7),  # fits two 10 MB NFs
         _view("station-2", free=80.0, util=0.1),
     ]
-    result = EmbeddingPlacement().embed("station-1", views, [10.0, 10.0, 10.0, 10.0])
+    result = EmbeddingPlacement().embed("station-1", _by_name(views), [10.0, 10.0, 10.0, 10.0])
     assert result.feasible and not result.slo_violation
     assert [(s.station_name, s.start, s.end) for s in result.segments] == [
         ("station-1", 0, 2),
@@ -161,12 +170,12 @@ def test_embedding_spill_deprioritizes_weak_radio_stations():
     strategy = EmbeddingPlacement()
     # Equal load: the station the client hears best wins the spill.
     result = strategy.embed(
-        "station-1", views, [10.0, 10.0],
+        "station-1", _by_name(views), [10.0, 10.0],
         radio_rates_bps={"station-2": 6e6, "station-3": 72e6},
     )
     assert [s.station_name for s in result.segments] == ["station-3"]
     # Without a radio signal the name tie-break favours station-2.
-    result = strategy.embed("station-1", views, [10.0, 10.0])
+    result = strategy.embed("station-1", _by_name(views), [10.0, 10.0])
     assert [s.station_name for s in result.segments] == ["station-2"]
 
 
@@ -175,11 +184,11 @@ def test_embedding_rejects_on_latency_slo():
         _view("station-1", latency=0.0, free=5.0, util=0.9),
         _view("station-2", latency=0.02, free=80.0, util=0.2),
     ]
-    result = EmbeddingPlacement().embed("station-1", views, [10.0], max_latency_s=0.03)
+    result = EmbeddingPlacement().embed("station-1", _by_name(views), [10.0], max_latency_s=0.03)
     assert not result.feasible and result.slo_violation
     assert "latency" in result.reason
     # A looser budget admits the same embedding, detour priced in.
-    ok = EmbeddingPlacement().embed("station-1", views, [10.0], max_latency_s=0.05)
+    ok = EmbeddingPlacement().embed("station-1", _by_name(views), [10.0], max_latency_s=0.05)
     assert ok.feasible
     assert ok.latency_s == pytest.approx(0.04)
 
@@ -189,7 +198,7 @@ def test_embedding_rejects_on_bandwidth_slo():
     views = [_view("station-1", latency=0.0, util=0.1)]
     # A weak radio link gates even an all-local chain.
     result = strategy.embed(
-        "station-1", views, [10.0],
+        "station-1", _by_name(views), [10.0],
         required_bandwidth_mbps=1.0, radio_rates_bps={"station-1": 0.5e6},
     )
     assert not result.feasible and result.slo_violation
@@ -197,7 +206,7 @@ def test_embedding_rejects_on_bandwidth_slo():
     # So does a saturated backhaul: 100 Mbit/s uplink at 99.5 % leaves 0.5.
     views = [_view("station-1", latency=0.0, util=0.1, uplink=0.995)]
     result = strategy.embed(
-        "station-1", views, [10.0],
+        "station-1", _by_name(views), [10.0],
         required_bandwidth_mbps=1.0, uplink_bandwidth_mbps=100.0,
     )
     assert not result.feasible and result.slo_violation
@@ -208,7 +217,7 @@ def test_embedding_capacity_infeasible_is_not_slo_violation():
         _view("station-1", latency=0.0, free=5.0, util=0.9),
         _view("station-2", free=6.0, util=0.88),
     ]
-    result = EmbeddingPlacement().embed("station-1", views, [10.0, 10.0])
+    result = EmbeddingPlacement().embed("station-1", _by_name(views), [10.0, 10.0])
     assert not result.feasible and not result.slo_violation
     assert "no embedding fits" in result.reason
 
@@ -300,6 +309,93 @@ def test_engine_pending_commitments_spread_same_tick_bursts():
     chain = ServiceChain.of("cache")  # 32 MB, big enough to move the needle
     chosen = [engine.place("station-1", views, chain).station_name for _ in range(3)]
     assert len(set(chosen)) == 3, chosen
+
+
+@pytest.mark.parametrize(
+    "admission_control, shard_count, built",
+    [(False, 1, 0), (True, 1, 1), (True, 8, 1)],
+)
+def test_closest_agent_attach_builds_only_the_views_it_reads(
+    monkeypatch, admission_control, shard_count, built
+):
+    """On 64 stations a closest-agent attach looks the client's station up by
+    name and, with admission control on, reads that one station's fit: it
+    builds at most one station view, where eager candidates built all 64."""
+    made = []
+
+    class CountedView(StationView):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs["name"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(manager_module, "StationView", CountedView)
+    testbed = GNFTestbed(
+        TestbedConfig(
+            station_count=64, admission_control=admission_control, shard_count=shard_count
+        )
+    )
+    testbed.start()
+    testbed.run(1.5)
+    made.clear()
+    assignment = testbed.manager.attach_chain(
+        CLIENT_IP, ServiceChain.of("firewall"), station_name="station-33"
+    )
+    assert made == ["station-33"] * built
+    assert assignment.station_name == "station-33"
+    assert assignment.state is not AssignmentState.FAILED
+
+
+_STATIONS = [f"station-{index + 1}" for index in range(6)]
+
+
+@st.composite
+def _placement_case(draw):
+    count = draw(st.integers(1, len(_STATIONS)))
+    unit = st.floats(0.0, 1.0)
+    views = [
+        StationView(
+            name=name,
+            free_memory_mb=draw(st.floats(0.0, 100.0)),
+            memory_utilization=draw(unit),
+            running_nfs=draw(st.integers(0, 8)),
+            control_latency_s=0.01,
+            client_latency_s=draw(st.sampled_from([0.0, 0.01, 0.02, 0.04, 0.06])),
+            allocatable_memory_mb=draw(st.sampled_from([0.0, 100.0])),
+            chains=draw(st.integers(0, 8)),
+            uplink_utilization=draw(unit),
+        )
+        for name in _STATIONS[:count]
+    ]
+    names = [view.name for view in views]
+    pending = draw(
+        st.lists(st.tuples(st.sampled_from(names), st.floats(0.5, 60.0)), max_size=4)
+    )
+    sizes = draw(st.lists(st.floats(1.0, 40.0), min_size=1, max_size=3))
+    return views, draw(st.sampled_from(names)), pending, sizes
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_placement_case())
+def test_strategies_choose_alike_from_lazy_and_eager_candidates(case):
+    """Every registered strategy picks the same station (embedding: the same
+    segments) from a lazy CandidateMap as from an eager dict of the same
+    commitment-adjusted views, and the lazy map keeps the station order."""
+    views, client_station, pending, sizes = case
+    by_name = {view.name: view for view in views}
+    engine = PlacementEngine(Simulator())
+    for station, mb in pending:
+        engine.commit(station, mb)
+    eager = dict(engine.adjusted_views(by_name))
+    for name, factory in STRATEGY_FACTORIES.items():
+        strategy = factory()
+        lazy = engine.adjusted_views(CandidateMap(by_name, by_name.__getitem__))
+        assert list(lazy) == list(by_name)
+        if name == "embedding":
+            picked = [strategy.embed(client_station, m, sizes) for m in (lazy, eager)]
+            assert picked[0] == picked[1], name
+        else:
+            picked = [strategy.choose(client_station, m, sum(sizes)) for m in (lazy, eager)]
+            assert picked[0] == picked[1], name
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def test_to_dict_of_a_hand_built_spec_is_the_expected_literal():
             )
         ],
         assignments=[
-            ChainAssignmentSpec(fleet="f", nfs=["firewall", {"nf_type": "ids", "config": {"x": 1}}]),
+            ChainAssignmentSpec(fleet="f", nfs=["firewall", {"nf_type": "ids", "config": {"port_scan_threshold": 1}}]),
             ChainAssignmentSpec(fleet="f", nfs=["nat"], daily_window=(10.0, 20.0)),
         ],
         faults=[FaultSpec(kind="link-down", station=2, at_s=1.0)],
@@ -164,7 +164,7 @@ def test_to_dict_of_a_hand_built_spec_is_the_expected_literal():
         "assignments": [
             {
                 "fleet": "f",
-                "nfs": ["firewall", {"nf_type": "ids", "config": {"x": 1}}],
+                "nfs": ["firewall", {"nf_type": "ids", "config": {"port_scan_threshold": 1}}],
                 "daily_window": None,
                 **chain,
             },
@@ -404,6 +404,28 @@ def test_infinite_requirement_rejected_at_validate():
 def test_negative_requirement_rejected_at_validate():
     message = _requirement_rejected(-1.0)
     assert "'f'" in message and "NF 1" in message and "memory_mb" in message
+
+
+def _entry_rejected(entry) -> str:
+    """The error ``validate()`` raises for ``entry`` at chain position 1."""
+    spec = ScenarioSpec(
+        name="x",
+        fleets=[ClientFleetSpec(name="f")],
+        assignments=[ChainAssignmentSpec(fleet="f", nfs=["firewall", entry])],
+    )
+    with pytest.raises(ScenarioSpecError) as error:
+        spec.validate()
+    return str(error.value)
+
+
+def test_unknown_nf_type_rejected_at_validate():
+    message = _entry_rejected("teleporter")
+    assert "'f'" in message and "NF 1" in message and "unknown NF type 'teleporter'" in message
+
+
+def test_unknown_nf_config_key_rejected_at_validate():
+    message = _entry_rejected({"nf_type": "rate-limiter", "config": {"warp_factor": 9}})
+    assert "'f'" in message and "NF 1" in message and "warp_factor" in message
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,7 @@ def test_overview_and_station_views_aggregate_across_shards():
     assert fanned == sharded.manager.full_scan_overview()
     assert sharded.manager.station_provenance()["station-3"] == "shard-2"
     # The placement view spans every station regardless of shard ownership.
-    names = [view.name for view in sharded.manager.station_views("station-1")]
+    names = [view.name for view in sharded.manager.station_views("station-1").values()]
     assert sorted(names) == single.station_names()
     # Health and per-station stats route through the rollup-backed views.
     now = sharded.simulator.now

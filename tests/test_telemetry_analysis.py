@@ -114,6 +114,32 @@ def test_collector_survives_broken_source():
     assert collector.latest() == {"bad.collection_errors": 2.0, "good.ok": 1.0}
 
 
+def test_collector_tick_keeps_unreported_metrics_and_counts_errors():
+    """Through the periodic tick: a metric a source stops reporting keeps its
+    last value, and a tick on which the source raises adds one to
+    ``<prefix>.collection_errors`` while its earlier values stay."""
+    simulator = Simulator()
+    collector = ResourceCollector(simulator, interval_s=1.0)
+    reports = iter([{"x": 1, "y": 2}, {"x": 3}])
+
+    def flaky():
+        try:
+            return next(reports)
+        except StopIteration:
+            raise RuntimeError("source gone") from None
+
+    collector.add_source("src", flaky)
+    collector.start()
+    simulator.run(until=2.5)
+    assert collector.latest() == {"src.x": 3.0, "src.y": 2.0}
+    simulator.run(until=4.5)
+    assert collector.samples_taken == 4
+    assert collector.latest() == {"src.x": 3.0, "src.y": 2.0, "src.collection_errors": 2.0}
+    # An explicit sample carries only what this tick collected.
+    assert collector.sample_once() == {}
+    assert collector.latest()["src.collection_errors"] == 3.0
+
+
 def test_collector_keeps_latest_values_only():
     simulator = Simulator()
     collector = ResourceCollector(simulator)
